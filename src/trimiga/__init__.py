@@ -20,14 +20,12 @@ from .nurbs import (
     NurbsCurve,
     NurbsSurface,
     SurfaceDerivatives,
-    basis_functions,
 )
 from .plate import (
     FieldSpace,
     Material,
     PlateConfig,
     kirsch_reference,
-    refine_field,
     solve_plate,
     solve_problem,
 )
@@ -39,7 +37,6 @@ from .trimming import (
     MapDerivatives,
     RegionReport,
     TrimmedRegion,
-    validate_region,
 )
 
 __version__ = "0.1.0"
@@ -68,16 +65,13 @@ __all__ = [
     "TrimigaError",
     "TrimmedRegion",
     "UnsupportedTopologyError",
-    "basis_functions",
     "gauss_points_1d",
     "identity_region",
     "integrate",
     "kirsch_reference",
     "partition_regions",
     "plate_with_hole_region",
-    "refine_field",
     "solve_plate",
     "solve_problem",
-    "validate_region",
     "__version__",
 ]

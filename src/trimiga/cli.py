@@ -15,6 +15,7 @@ if _threads.isdigit() and int(_threads) > 0:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -219,19 +220,10 @@ def cmd_plate(args):
     region = None
     if args.region or geometry_path:
         region = _load_path(args.region or geometry_path)
-    results = []
-    for stage in range(max_stage + 1):
-        stage_cfg = PlateConfig(
-            stage=stage,
-            degree=cfg.degree,
-            quad_order=cfg.quad_order,
-            bc_mode=cfg.bc_mode,
-            arc_weight=cfg.arc_weight,
-            scale=cfg.scale,
-            far_stress=cfg.far_stress,
-            material=cfg.material,
-        )
-        results.append(solve_plate(stage_cfg, region=region))
+    results = [
+        solve_plate(replace(cfg, stage=stage), region=region)
+        for stage in range(max_stage + 1)
+    ]
     rates = convergence_rates(results)
     rows = ["stage,dofs,l2_stress_error,rim_stress,rate"]
     for i, r in enumerate(results):

@@ -19,7 +19,23 @@ import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, InvalidRefinementError
 
-_KNOT_TOL = 1e-12
+#: values closer than this are one value: knots, break lines, breakpoints
+MERGE_TOL = 1e-12
+
+
+def merge_close(values):
+    """Group sorted values within MERGE_TOL of their group's first value.
+
+    Returns (firsts, counts): the first value of each group and its size.
+    """
+    firsts, counts = [], []
+    for v in values:
+        if firsts and abs(v - firsts[-1]) <= MERGE_TOL:
+            counts[-1] += 1
+        else:
+            firsts.append(v)
+            counts.append(1)
+    return firsts, counts
 
 
 class KnotVector:
@@ -43,8 +59,8 @@ class KnotVector:
         knots[0] = 0.0
         knots[-1] = 1.0
         p = degree
-        if np.any(np.abs(knots[: p + 1]) > _KNOT_TOL) or np.any(
-            np.abs(knots[-(p + 1):] - 1.0) > _KNOT_TOL
+        if np.any(np.abs(knots[: p + 1]) > MERGE_TOL) or np.any(
+            np.abs(knots[-(p + 1):] - 1.0) > MERGE_TOL
         ):
             raise InvalidGeometryError(
                 "knot vector must be clamped: first and last knot need "
@@ -52,7 +68,13 @@ class KnotVector:
             )
         knots[: p + 1] = 0.0
         knots[-(p + 1):] = 1.0
-        for value, mult in zip(*self._group(knots[p + 1 : -(p + 1)])):
+        inner = knots[p + 1 : -(p + 1)]
+        if np.any(inner <= MERGE_TOL) or np.any(inner >= 1.0 - MERGE_TOL):
+            raise InvalidGeometryError(
+                "interior knots must lie inside (0, 1): an end knot needs "
+                f"multiplicity exactly {p + 1}"
+            )
+        for value, mult in zip(*merge_close(inner)):
             if mult > p:
                 raise InvalidGeometryError(
                     f"interior knot {value} has multiplicity {mult} > degree {p}"
@@ -61,18 +83,6 @@ class KnotVector:
         self.knots = knots
         self.knots.flags.writeable = False
 
-    @staticmethod
-    def _group(values):
-        """Group near-equal sorted values, returning (uniques, multiplicities)."""
-        uniques, mults = [], []
-        for v in values:
-            if uniques and abs(v - uniques[-1]) <= _KNOT_TOL:
-                mults[-1] += 1
-            else:
-                uniques.append(v)
-                mults.append(1)
-        return uniques, mults
-
     @property
     def num_basis(self):
         return self.knots.size - self.degree - 1
@@ -80,16 +90,15 @@ class KnotVector:
     def interior(self):
         """Distinct interior knots with multiplicities, as two lists."""
         p = self.degree
-        return self._group(self.knots[p + 1 : -(p + 1)])
+        return merge_close(self.knots[p + 1 : -(p + 1)])
 
     def spans(self):
         """Distinct breakpoints [0, ..., 1] delimiting the non-empty spans."""
-        uniques, _ = self._group(self.knots)
-        return uniques
+        return merge_close(self.knots)[0]
 
     def find_span(self, u):
         """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span."""
-        if u < -_KNOT_TOL or u > 1.0 + _KNOT_TOL:
+        if u < -MERGE_TOL or u > 1.0 + MERGE_TOL:
             raise DomainError(f"parameter {u} outside [0, 1]")
         u = min(max(u, 0.0), 1.0)
         n = self.num_basis
@@ -175,7 +184,7 @@ class KnotVector:
         )
 
     def multiplicity(self, value):
-        return int(np.sum(np.abs(self.knots - value) <= _KNOT_TOL))
+        return int(np.sum(np.abs(self.knots - value) <= MERGE_TOL))
 
     def inserted(self, value, multiplicity=1):
         """Knot vector with `value` inserted `multiplicity` more times."""
@@ -194,7 +203,7 @@ class KnotVector:
 
     def elevated(self):
         """Knot vector for the degree+1 space with identical continuity."""
-        uniques, mults = self._group(self.knots)
+        uniques, mults = merge_close(self.knots)
         knots = np.repeat(uniques, [m + 1 for m in mults])
         return KnotVector(knots, self.degree + 1)
 
@@ -203,16 +212,11 @@ class KnotVector:
             isinstance(other, KnotVector)
             and self.degree == other.degree
             and self.knots.size == other.knots.size
-            and bool(np.all(np.abs(self.knots - other.knots) <= _KNOT_TOL))
+            and bool(np.all(np.abs(self.knots - other.knots) <= MERGE_TOL))
         )
 
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, knots={self.knots.tolist()})"
-
-
-def basis_functions(kv, u, order=0):
-    """Nonzero basis values (and derivatives) of kv at u; see KnotVector.basis."""
-    return kv.basis(u, order)
 
 
 def collocation_matrix(kv, params):
@@ -319,25 +323,14 @@ class NurbsCurve:
 
     def insert_knot(self, value, multiplicity=1):
         """Exact knot insertion (Boehm), repeated `multiplicity` times."""
-        if not 0.0 < value < 1.0:
-            raise InvalidRefinementError(f"new knot {value} must lie strictly in (0, 1)")
-        have = self.knot_vector.multiplicity(value)
-        if have + multiplicity > self.degree:
-            raise InvalidRefinementError(
-                f"knot {value}: multiplicity {have}+{multiplicity} would exceed "
-                f"degree {self.degree}"
-            )
-        knots = self.knot_vector.knots.copy()
-        hpts = self.homogeneous()
-        for _ in range(multiplicity):
-            knots, hpts = _insert_once(knots, self.degree, hpts, value)
-        return NurbsCurve.from_homogeneous(KnotVector(knots, self.degree), hpts)
+        kv, hpts = _inserted(self.knot_vector, self.homogeneous(), value, multiplicity)
+        return NurbsCurve.from_homogeneous(kv, hpts)
 
     def elevate_degree(self):
         """Degree-raised curve evaluating to the same points."""
-        ekv = self.knot_vector.elevated()
-        hpts = _elevate_coefficients(self.knot_vector, ekv, self.homogeneous())
-        return NurbsCurve.from_homogeneous(ekv, hpts)
+        return NurbsCurve.from_homogeneous(
+            *_elevated(self.knot_vector, self.homogeneous())
+        )
 
     def reversed(self):
         """Same trace traversed in the opposite parameter direction."""
@@ -426,51 +419,29 @@ class NurbsSurface:
 
     def insert_knot(self, value, direction, multiplicity=1):
         """Exact knot insertion along 'u' or 'v'."""
-        if direction not in ("u", "v"):
-            raise InvalidRefinementError(f"direction must be 'u' or 'v', got {direction!r}")
-        hnet = self.homogeneous()
-        if direction == "u":
-            kv, other = self.knot_vector_u, self.knot_vector_v
-            coeffs = hnet.reshape(hnet.shape[0], -1)
-        else:
-            kv, other = self.knot_vector_v, self.knot_vector_u
-            coeffs = hnet.transpose(1, 0, 2).reshape(hnet.shape[1], -1)
-        have = kv.multiplicity(value)
-        if not 0.0 < value < 1.0:
-            raise InvalidRefinementError(f"new knot {value} must lie strictly in (0, 1)")
-        if have + multiplicity > kv.degree:
-            raise InvalidRefinementError(
-                f"knot {value}: multiplicity {have}+{multiplicity} would exceed "
-                f"degree {kv.degree}"
-            )
-        knots = kv.knots.copy()
-        for _ in range(multiplicity):
-            knots, coeffs = _insert_once(knots, kv.degree, coeffs, value)
-        new_kv = KnotVector(knots, kv.degree)
-        if direction == "u":
-            hnet = coeffs.reshape(new_kv.num_basis, other.num_basis, 4)
-            return NurbsSurface.from_homogeneous(new_kv, other, hnet)
-        hnet = coeffs.reshape(new_kv.num_basis, other.num_basis, 4).transpose(1, 0, 2)
-        return NurbsSurface.from_homogeneous(other, new_kv, hnet)
+        return self._refined(
+            direction, lambda kv, coeffs: _inserted(kv, coeffs, value, multiplicity)
+        )
 
     def elevate_degree(self, direction):
         """Degree-raised surface along 'u' or 'v', pointwise identical."""
+        return self._refined(direction, _elevated)
+
+    def _refined(self, direction, refine):
+        """Surface from refine(kv, coeffs) -> (kv, coeffs) along one direction."""
         if direction not in ("u", "v"):
             raise InvalidRefinementError(f"direction must be 'u' or 'v', got {direction!r}")
         hnet = self.homogeneous()
         if direction == "u":
             kv, other = self.knot_vector_u, self.knot_vector_v
-            coeffs = hnet.reshape(hnet.shape[0], -1)
         else:
             kv, other = self.knot_vector_v, self.knot_vector_u
-            coeffs = hnet.transpose(1, 0, 2).reshape(hnet.shape[1], -1)
-        ekv = kv.elevated()
-        coeffs = _elevate_coefficients(kv, ekv, coeffs)
+            hnet = hnet.transpose(1, 0, 2)
+        new_kv, coeffs = refine(kv, hnet.reshape(hnet.shape[0], -1))
+        hnet = coeffs.reshape(new_kv.num_basis, other.num_basis, 4)
         if direction == "u":
-            hnet = coeffs.reshape(ekv.num_basis, other.num_basis, 4)
-            return NurbsSurface.from_homogeneous(ekv, other, hnet)
-        hnet = coeffs.reshape(ekv.num_basis, other.num_basis, 4).transpose(1, 0, 2)
-        return NurbsSurface.from_homogeneous(other, ekv, hnet)
+            return NurbsSurface.from_homogeneous(new_kv, other, hnet)
+        return NurbsSurface.from_homogeneous(other, new_kv, hnet.transpose(1, 0, 2))
 
     def transformed(self, scale, offset):
         """Control net mapped through x -> scale * x + offset (per axis)."""
@@ -501,14 +472,24 @@ def _insert_once(knots, degree, coeffs, value):
     return np.insert(knots, k + 1, value), new
 
 
-def _elevate_coefficients(kv, elevated_kv, coeffs):
-    """Coefficients of the same piecewise polynomial in the elevated space.
+def _inserted(kv, coeffs, value, multiplicity):
+    """Knot vector and coefficient rows with `value` inserted; kv.inserted checks it."""
+    new_kv = kv.inserted(value, multiplicity)
+    knots = kv.knots
+    for _ in range(multiplicity):
+        knots, coeffs = _insert_once(knots, kv.degree, coeffs, value)
+    return new_kv, coeffs
+
+
+def _elevated(kv, coeffs):
+    """Elevated knot vector and the same piecewise polynomial's coefficients.
 
     The elevated space contains the original one, so collocating the new
     basis at its Greville abscissae and matching the old values there
     reproduces the function exactly.
     """
+    elevated_kv = kv.elevated()
     params = elevated_kv.greville()
     M = collocation_matrix(elevated_kv, params)
     rhs = collocation_matrix(kv, params) @ coeffs
-    return np.linalg.solve(M, rhs)
+    return elevated_kv, np.linalg.solve(M, rhs)

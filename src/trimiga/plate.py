@@ -13,13 +13,13 @@ to measure the relative L2 stress error against.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SingularMapError, SolveError
 from .nurbs import KnotVector
-from .quadrature import gauss_points_1d, partition_lines
+from .quadrature import gauss_panels, gauss_points_1d, partition_lines, unit_lines
 from .shapes import (
     HOLE_PARAM_RADIUS,
     PRINTED_ARC_WEIGHT,
@@ -122,16 +122,6 @@ def _bisected(kv):
     return new
 
 
-def field_basis(field, s, t, order=1):
-    """Functional alias for FieldSpace.basis."""
-    return field.basis(s, t, order)
-
-
-def refine_field(field, strategy):
-    """Functional alias for FieldSpace.refined."""
-    return field.refined(strategy)
-
-
 # ---------------------------------------------------------------------------
 # material and boundary conditions
 
@@ -191,6 +181,9 @@ def _check_bcs(bcs):
 
 # ---------------------------------------------------------------------------
 # geometry adapters (planar)
+#
+# Both adapters answer eval(s, t) with a CompositeDerivatives bundle, list
+# their s and t break lines, and report the highest degree they carry.
 
 
 class MappedGeometry:
@@ -208,6 +201,10 @@ class MappedGeometry:
 
     def t_breaklines(self):
         return []
+
+    def max_degree(self):
+        r = self.region
+        return max(*r.surface.degrees, r.curve_bottom.degree, r.curve_top.degree)
 
 
 class DirectGeometry:
@@ -234,6 +231,9 @@ class DirectGeometry:
     def t_breaklines(self):
         return list(self.surface.knot_vector_v.interior()[0])
 
+    def max_degree(self):
+        return max(self.surface.degrees)
+
 
 def _require_planar(surface):
     z = surface.control_net[..., 2]
@@ -244,18 +244,23 @@ def _require_planar(surface):
         )
 
 
+def _as_geometry(geometry):
+    """A TrimmedRegion is analysed through its composite map."""
+    if isinstance(geometry, TrimmedRegion):
+        return MappedGeometry(geometry)
+    return geometry
+
+
 def _max_degree(geometry, field):
-    degs = list(field.degrees)
-    if isinstance(geometry, MappedGeometry):
-        srf = geometry.region.surface
-        degs += [
-            geometry.region.curve_bottom.degree,
-            geometry.region.curve_top.degree,
-        ]
-    else:
-        srf = geometry.surface
-    degs += list(srf.degrees)
-    return max(degs)
+    return max(geometry.max_degree(), *field.degrees)
+
+
+def _breaklines(geometry, field):
+    """Interior (s, t) break lines of the geometry and the field space."""
+    return (
+        geometry.s_breaklines() + field.knot_vector_s.interior()[0],
+        geometry.t_breaklines() + field.knot_vector_t.interior()[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +273,7 @@ def physical_gradients(geometry, field, s, t):
     Returns (indices, values, dN_dx, dN_dy, cd) where cd is the geometry
     bundle at the point. Solves the 2x2 system J^T grad_x N = grad_st N.
     """
-    if isinstance(geometry, TrimmedRegion):
-        geometry = MappedGeometry(geometry)
-    cd = geometry.eval(s, t)
+    cd = _as_geometry(geometry).eval(s, t)
     indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
     a, b = cd.dx_ds[0], cd.dx_dt[0]
     c, d = cd.dx_ds[1], cd.dx_dt[1]
@@ -283,37 +286,26 @@ def physical_gradients(geometry, field, s, t):
     return indices, values, dN_dx, dN_dy, cd
 
 
-def _integration_regions(geometry, field):
-    s_breaks = list(geometry.s_breaklines()) + list(field.knot_vector_s.interior()[0])
-    t_breaks = list(geometry.t_breaklines()) + list(field.knot_vector_t.interior()[0])
-    return partition_lines(s_breaks, t_breaks)
-
-
 def assemble_stiffness(geometry, field, material, n_quad):
     """Dense stiffness matrix for 2 dofs per basis function."""
     n = field.dim
     K = np.zeros((2 * n, 2 * n))
     D = material.plane_stress_matrix()
-    x, w = gauss_points_1d(n_quad)
-    for r in _integration_regions(geometry, field):
-        hs, ht = r.s1 - r.s0, r.t1 - r.t0
-        for i in range(n_quad):
-            s = r.s0 + hs * x[i]
-            for j in range(n_quad):
-                t = r.t0 + ht * x[j]
-                idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-                m = idx.size
-                B = np.zeros((3, 2 * m))
-                B[0, 0::2] = dN_dx
-                B[1, 1::2] = dN_dy
-                B[2, 0::2] = dN_dy
-                B[2, 1::2] = dN_dx
-                weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
-                Ke = weight * (B.T @ D @ B)
-                dofs = np.empty(2 * m, dtype=int)
-                dofs[0::2] = 2 * idx
-                dofs[1::2] = 2 * idx + 1
-                K[np.ix_(dofs, dofs)] += Ke
+    regions = partition_lines(*_breaklines(geometry, field))
+    for panel in gauss_panels(regions, n_quad):
+        for s, t, weight in panel:
+            idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+            m = idx.size
+            B = np.zeros((3, 2 * m))
+            B[0, 0::2] = dN_dx
+            B[1, 1::2] = dN_dy
+            B[2, 0::2] = dN_dy
+            B[2, 1::2] = dN_dx
+            Ke = weight * cd.jacobian_scale * (B.T @ D @ B)
+            dofs = np.empty(2 * m, dtype=int)
+            dofs[0::2] = 2 * idx
+            dofs[1::2] = 2 * idx + 1
+            K[np.ix_(dofs, dofs)] += Ke
     return K
 
 
@@ -348,20 +340,15 @@ def _edge_geometry(geometry, edge, r):
     return s, t, xy, float(np.linalg.norm(tangent)), normal
 
 
-def _edge_breaklines(geometry, field, edge):
-    if edge in ("s0", "s1"):
-        return list(geometry.t_breaklines()) + list(field.knot_vector_t.interior()[0])
-    return list(geometry.s_breaklines()) + list(field.knot_vector_s.interior()[0])
-
-
 def assemble_tractions(geometry, field, bcs, n_quad):
     """Load vector from the Traction edges."""
     f = np.zeros(2 * field.dim)
     x, w = gauss_points_1d(n_quad)
+    s_lines, t_lines = _breaklines(geometry, field)
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        lines = _merge_unit_lines(_edge_breaklines(geometry, field, edge))
+        lines = unit_lines(t_lines if edge in ("s0", "s1") else s_lines)
         for a, b in zip(lines[:-1], lines[1:]):
             h = b - a
             for k in range(n_quad):
@@ -372,16 +359,6 @@ def assemble_tractions(geometry, field, bcs, n_quad):
                 f[2 * idx] += w[k] * h * ds * values * tvec[0]
                 f[2 * idx + 1] += w[k] * h * ds * values * tvec[1]
     return f
-
-
-def _merge_unit_lines(breaks):
-    lines = [0.0, 1.0] + [b for b in breaks if 1e-12 < b < 1.0 - 1e-12]
-    lines.sort()
-    merged = [lines[0]]
-    for v in lines[1:]:
-        if v - merged[-1] > 1e-12:
-            merged.append(v)
-    return merged
 
 
 def _edge_function_indices(field, edge):
@@ -416,8 +393,7 @@ def symmetry_constraints(geometry, field, bcs):
 def assemble(geometry, field, material, bcs, n_quad=None):
     """Stiffness matrix and traction load vector (constraints not applied)."""
     _check_bcs(bcs)
-    if isinstance(geometry, TrimmedRegion):
-        geometry = MappedGeometry(geometry)
+    geometry = _as_geometry(geometry)
     if n_quad is None:
         n_quad = _max_degree(geometry, field) + 1
     K = assemble_stiffness(geometry, field, material, n_quad)
@@ -442,12 +418,16 @@ class SolveResult:
         return values @ self.coeffs[idx]
 
     def strain(self, s, t):
-        idx, _, dN_dx, dN_dy, _ = physical_gradients(self.geometry, self.field, s, t)
+        return self._strain(s, t)[0]
+
+    def _strain(self, s, t):
+        """Strain (exx, eyy, gxy) and the geometry bundle at (s, t)."""
+        idx, _, dN_dx, dN_dy, cd = physical_gradients(self.geometry, self.field, s, t)
         u = self.coeffs[idx]
         exx = dN_dx @ u[:, 0]
         eyy = dN_dy @ u[:, 1]
         gxy = dN_dy @ u[:, 0] + dN_dx @ u[:, 1]
-        return np.array([exx, eyy, gxy])
+        return np.array([exx, eyy, gxy]), cd
 
     def stress(self, s, t):
         """Plane-stress components (sxx, syy, sxy) at (s, t)."""
@@ -457,19 +437,13 @@ class SolveResult:
 
 def solve_problem(geometry, field, material, bcs, n_quad=None):
     """Assemble, constrain, and solve; returns a SolveResult."""
-    _check_bcs(bcs)
-    if isinstance(geometry, TrimmedRegion):
-        geometry = MappedGeometry(geometry)
+    geometry = _as_geometry(geometry)
     K, f = assemble(geometry, field, material, bcs, n_quad)
     fixed = symmetry_constraints(geometry, field, bcs)
     n = K.shape[0]
     free = np.array(sorted(set(range(n)) - set(fixed)), dtype=int)
     u = np.zeros(n)
-    for dof, value in fixed.items():
-        u[dof] = value
-    rhs = f[free] - K[np.ix_(free, list(fixed))] @ np.array(
-        [fixed[d] for d in fixed]
-    ) if fixed else f[free]
+    rhs = f[free]
     Kff = K[np.ix_(free, free)]
     try:
         u[free] = np.linalg.solve(Kff, rhs)
@@ -655,26 +629,18 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     """
     far, material = config.far_stress, config.material
     a = hole_radius if hole_radius is not None else config.hole_radius
-    geometry = solution.geometry
-    field = solution.field
-    x, w = gauss_points_1d(n_quad)
+    D = solution.material.plane_stress_matrix()
+    regions = partition_lines(*_breaklines(solution.geometry, solution.field))
     num_parts, den_parts = [], []
-    for r in _integration_regions(geometry, field):
-        hs, ht = r.s1 - r.s0, r.t1 - r.t0
+    for panel in gauss_panels(regions, n_quad):
         num, den = [], []
-        for i in range(n_quad):
-            s = r.s0 + hs * x[i]
-            for j in range(n_quad):
-                t = r.t0 + ht * x[j]
-                sig_h = solution.stress(s, t)
-                cd = geometry.eval(s, t)
-                ref = kirsch_reference(cd.x[0], cd.x[1], far, a, material)
-                diff = sig_h - ref.stress
-                weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
-                num.append(weight * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
-                den.append(
-                    weight * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
-                )
+        for s, t, weight in panel:
+            strain, cd = solution._strain(s, t)
+            ref = kirsch_reference(cd.x[0], cd.x[1], far, a, material)
+            diff = D @ strain - ref.stress
+            w = weight * cd.jacobian_scale
+            num.append(w * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
+            den.append(w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2))
         num_parts.append(math.fsum(num))
         den_parts.append(math.fsum(den))
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
@@ -683,20 +649,7 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
 def convergence_study(config=None, max_stage=2):
     """Solve stages 0..max_stage; returns the list of PlateResult."""
     config = config or PlateConfig()
-    results = []
-    for stage in range(max_stage + 1):
-        cfg = PlateConfig(
-            stage=stage,
-            degree=config.degree,
-            quad_order=config.quad_order,
-            bc_mode=config.bc_mode,
-            arc_weight=config.arc_weight,
-            scale=config.scale,
-            far_stress=config.far_stress,
-            material=config.material,
-        )
-        results.append(solve_plate(cfg))
-    return results
+    return [solve_plate(replace(config, stage=stage)) for stage in range(max_stage + 1)]
 
 
 def convergence_rates(results):

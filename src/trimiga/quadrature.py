@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-_LINE_TOL = 1e-12
+from .nurbs import MERGE_TOL, merge_close
 
 
 def gauss_points_1d(n):
@@ -43,31 +42,19 @@ class IntegrationRegion:
         return (self.s1 - self.s0) * (self.t1 - self.t0)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Flat list of ((s, t), weight) pairs; weights sum to the tiled area."""
+def unit_lines(breaks):
+    """Merged break lines of [0, 1], from exactly 0.0 to exactly 1.0.
 
-    points: tuple
-
-    @property
-    def total_weight(self):
-        return math.fsum(w for _, w in self.points)
-
-
-def _merge_lines(*groups):
-    values = sorted(v for group in groups for v in group)
-    merged = []
-    for v in values:
-        if merged and abs(v - merged[-1]) <= _LINE_TOL:
-            continue
-        merged.append(v)
-    return merged
+    Breaks within MERGE_TOL of an end are dropped rather than moving it.
+    """
+    inner = sorted(b for b in breaks if MERGE_TOL < b < 1.0 - MERGE_TOL)
+    return [0.0] + merge_close(inner)[0] + [1.0]
 
 
 def partition_lines(s_breaks=(), t_breaks=()):
     """Tile the unit square by the given interior break lines."""
-    s_lines = _merge_lines([0.0, 1.0], s_breaks)
-    t_lines = _merge_lines([0.0, 1.0], t_breaks)
+    s_lines = unit_lines(s_breaks)
+    t_lines = unit_lines(t_breaks)
     regions = []
     for i in range(len(s_lines) - 1):
         for j in range(len(t_lines) - 1):
@@ -91,19 +78,23 @@ def partition_regions(region, field=None, split_breakpoints=True):
     return partition_lines(s_breaks, t_breaks)
 
 
-def region_rule(regions, n_per_dir):
-    """Tensor Gauss rule over a list of integration regions."""
+def gauss_panels(regions, n_per_dir):
+    """Tensor Gauss rule per integration region, one panel at a time.
+
+    Yields, for each region, the list of (s, t, weight) triples as plain
+    floats: s-major, t-minor, weight w_i * w_j * hs * ht multiplied in
+    that order, so per-panel fsums see the same terms in the same order.
+    """
     x, w = gauss_points_1d(n_per_dir)
-    points = []
+    x, w = x.tolist(), w.tolist()
     for r in regions:
         hs = r.s1 - r.s0
         ht = r.t1 - r.t0
-        for i in range(n_per_dir):
-            s = r.s0 + hs * x[i]
-            for j in range(n_per_dir):
-                t = r.t0 + ht * x[j]
-                points.append(((s, t), w[i] * w[j] * hs * ht))
-    return QuadratureRule(tuple(points))
+        yield [
+            (r.s0 + hs * xi, r.t0 + ht * xj, wi * wj * hs * ht)
+            for xi, wi in zip(x, w)
+            for xj, wj in zip(x, w)
+        ]
 
 
 def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
@@ -115,17 +106,11 @@ def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
     evaluation scheduling.
     """
     regions = partition_regions(region, field, split_breakpoints)
-    x, w = gauss_points_1d(n_per_dir)
     sums = []
-    for r in regions:
-        hs = r.s1 - r.s0
-        ht = r.t1 - r.t0
+    for panel in gauss_panels(regions, n_per_dir):
         terms = []
-        for i in range(n_per_dir):
-            s = r.s0 + hs * x[i]
-            for j in range(n_per_dir):
-                t = r.t0 + ht * x[j]
-                cd = region.composite_eval(s, t, order=1)
-                terms.append(w[i] * w[j] * hs * ht * f(cd) * cd.jacobian_scale)
+        for s, t, weight in panel:
+            cd = region.composite_eval(s, t, order=1)
+            terms.append(weight * f(cd) * cd.jacobian_scale)
         sums.append(math.fsum(terms))
     return math.fsum(sums)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError
-from .nurbs import NurbsCurve, NurbsSurface
+from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, merge_close
 
-_BP_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
 _SINGULAR_TOL = 1e-14
 
@@ -74,10 +73,14 @@ class Breakpoint:
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Grid sweep diagnostics produced by validate_region."""
+    """Grid sweep diagnostics produced by TrimmedRegion.validate.
+
+    The blend never leaves the unit square: the constructor keeps every
+    control point inside it, a positive-weight curve stays in the convex
+    hull of its control points, and the blend is convex in t.
+    """
 
     grid_n: int
-    containment_violations: tuple
     min_det: float
     max_det: float
     min_abs_det: float
@@ -86,7 +89,7 @@ class RegionReport:
 
     @property
     def ok(self):
-        return not self.containment_violations and not self.sign_change
+        return not self.sign_change
 
     def summary(self):
         lines = [
@@ -98,13 +101,6 @@ class RegionReport:
         ]
         if self.sign_change:
             lines.append("  jacobian sign change: fold-over or degeneracy detected")
-        if self.containment_violations:
-            s, t, u, v = self.containment_violations[0]
-            lines.append(
-                f"  {len(self.containment_violations)} blend point(s) outside the"
-                f" unit square, first at (s,t)=({s:.4g},{t:.4g}) ->"
-                f" (u,v)=({u:.6g},{v:.6g})"
-            )
         return "\n".join(lines)
 
 
@@ -146,7 +142,9 @@ class TrimmedRegion:
         return list(self._breakpoints)
 
     def _check_st(self, s, t):
-        if not (-_BP_TOL <= s <= 1.0 + _BP_TOL) or not (-_BP_TOL <= t <= 1.0 + _BP_TOL):
+        if not (-MERGE_TOL <= s <= 1.0 + MERGE_TOL) or not (
+            -MERGE_TOL <= t <= 1.0 + MERGE_TOL
+        ):
             raise DomainError(f"(s, t) = ({s}, {t}) outside the unit square")
         return min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
 
@@ -156,7 +154,7 @@ class TrimmedRegion:
         uv = (1.0 - t) * b.value + t * tp.value
         duv_ds = (1.0 - t) * b.d1 + t * tp.d1
         duv_dt = tp.value - b.value
-        flagged = any(abs(s - bp.s) <= _BP_TOL for bp in self._breakpoints)
+        flagged = any(abs(s - bp.s) <= MERGE_TOL for bp in self._breakpoints)
         if order < 2:
             return MapDerivatives(uv, duv_ds, duv_dt, on_breakpoint=flagged)
         return MapDerivatives(
@@ -225,7 +223,6 @@ class TrimmedRegion:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
         svals = np.linspace(0.0, 1.0, grid_n + 1)
         tvals = np.linspace(0.0, 1.0, grid_n + 1)
-        violations = []
         min_det = math.inf
         max_det = -math.inf
         min_abs = math.inf
@@ -236,25 +233,13 @@ class TrimmedRegion:
             min_gap = min(min_gap, float(np.linalg.norm(tp.value - b.value)))
             duv_dt = tp.value - b.value
             for t in tvals:
-                uv = (1.0 - t) * b.value + t * tp.value
                 duv_ds = (1.0 - t) * b.d1 + t * tp.d1
-                if np.any(uv < -_CONTAIN_TOL) or np.any(uv > 1.0 + _CONTAIN_TOL):
-                    if len(violations) < 16:
-                        violations.append((float(s), float(t), float(uv[0]), float(uv[1])))
                 det = float(duv_ds[0] * duv_dt[1] - duv_ds[1] * duv_dt[0])
                 min_det = min(min_det, det)
                 max_det = max(max_det, det)
                 min_abs = min(min_abs, abs(det))
         sign_change = not (min_det > 0.0 or max_det < 0.0)
-        return RegionReport(
-            grid_n,
-            tuple(violations),
-            min_det,
-            max_det,
-            min_abs,
-            sign_change,
-            min_gap,
-        )
+        return RegionReport(grid_n, min_det, max_det, min_abs, sign_change, min_gap)
 
 
 def _merge_breakpoints(bottom, top):
@@ -267,34 +252,8 @@ def _merge_breakpoints(bottom, top):
             entries.append((value, p - mult))
     entries.sort()
     merged = []
-    for value, cont in entries:
-        if merged and abs(value - merged[-1][0]) <= _BP_TOL:
-            merged[-1] = (merged[-1][0], min(merged[-1][1], cont))
-        else:
-            merged.append((value, cont))
-    return tuple(Breakpoint(s, c) for s, c in merged)
+    for value, count in zip(*merge_close(value for value, _ in entries)):
+        group, entries = entries[:count], entries[count:]
+        merged.append(Breakpoint(value, min(cont for _, cont in group)))
+    return tuple(merged)
 
-
-def map_point(region, s, t):
-    """Functional alias for TrimmedRegion.map_point."""
-    return region.map_point(s, t)
-
-
-def map_second_derivatives(region, s, t):
-    """Functional alias for TrimmedRegion.map_second_derivatives."""
-    return region.map_second_derivatives(s, t)
-
-
-def composite_eval(region, s, t, order=2):
-    """Functional alias for TrimmedRegion.composite_eval."""
-    return region.composite_eval(s, t, order)
-
-
-def validate_region(region, grid_n=32):
-    """Functional alias for TrimmedRegion.validate."""
-    return region.validate(grid_n)
-
-
-def breakpoints(region):
-    """Functional alias for TrimmedRegion.breakpoints."""
-    return region.breakpoints()

@@ -58,6 +58,21 @@ def test_byte_identical_across_processes(plate_file):
     assert first == second and first
 
 
+# stdout of `trimiga plate --stage 1 --bc exact` from a reference build:
+# a refactor must leave the numbers and their formatting byte-identical
+PLATE_STAGE1_EXACT = (
+    "stage,dofs,l2_stress_error,rim_stress,rate\n"
+    "0,132,0.0469430067596,3.11804888027,\n"
+    "1,380,0.0207060941848,3.10562438514,1.18085480935\n"
+)
+
+
+def test_plate_stage1_exact_golden_bytes(capsys):
+    code, out, _ = run(capsys, "plate", "--stage", "1", "--bc", "exact")
+    assert code == 0
+    assert out == PLATE_STAGE1_EXACT
+
+
 def test_area_identity(capsys, identity_file):
     code, out, _ = run(capsys, "area", "--region", identity_file, "--order", "4")
     assert code == 0

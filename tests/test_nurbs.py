@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trimiga.errors import DomainError, InvalidGeometryError, InvalidRefinementError
-from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface, basis_functions
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 
 from conftest import segment
 
@@ -36,6 +36,13 @@ class TestKnotVector:
         with pytest.raises(InvalidGeometryError):
             KnotVector([0, 0, 0.5, 0.5, 1, 1], 1)
 
+    def test_rejects_interior_knot_at_an_end(self):
+        # within tolerance of an end, an interior knot raises that end's
+        # multiplicity above degree + 1
+        for knots in ([0, 0, 1 - 5e-13, 1, 1], [0, 0, 5e-13, 1, 1], [0, 0, 1, 1, 1]):
+            with pytest.raises(InvalidGeometryError):
+                KnotVector(knots, 1)
+
     def test_span_is_right_adjacent_at_interior_knot(self):
         kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
         span = kv.find_span(0.5)
@@ -54,23 +61,23 @@ class TestKnotVector:
 class TestBasisFunctions:
     def test_linear_hats(self):
         kv = KnotVector([0, 0, 1, 1], 1)
-        _, ders = basis_functions(kv, 0.3)
+        _, ders = kv.basis(0.3)
         assert np.allclose(ders[0], [0.7, 0.3], atol=1e-15)
 
     def test_quadratic_bernstein_midpoint(self):
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-        _, ders = basis_functions(kv, 0.5)
+        _, ders = kv.basis(0.5)
         assert np.allclose(ders[0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_quadratic_bernstein_first_derivatives(self):
         # d/du of the Bernstein triple (1-u)^2, 2u(1-u), u^2 at u = 0.5
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-        _, ders = basis_functions(kv, 0.5, order=1)
+        _, ders = kv.basis(0.5, order=1)
         assert np.allclose(ders[1], [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_returns_degree_plus_one_values(self):
         kv = KnotVector([0, 0, 0, 0, 0.3, 0.7, 1, 1, 1, 1], 3)
-        _, ders = basis_functions(kv, 0.4, order=2)
+        _, ders = kv.basis(0.4, order=2)
         assert ders.shape == (3, 4)
 
     def test_partition_of_unity(self, rng):
@@ -212,6 +219,14 @@ class TestKnotInsertion:
         arc_c0 = arc_curve.insert_knot(0.5, multiplicity=2)
         with pytest.raises(InvalidRefinementError):
             arc_c0.insert_knot(0.5)
+
+    def test_zero_multiplicity_is_rejected(self, arc_curve, curved_surface):
+        with pytest.raises(InvalidRefinementError):
+            arc_curve.knot_vector.inserted(0.5, 0)
+        with pytest.raises(InvalidRefinementError):
+            arc_curve.insert_knot(0.5, multiplicity=0)
+        with pytest.raises(InvalidRefinementError):
+            curved_surface.insert_knot(0.5, "u", multiplicity=0)
 
     def test_surface_insertion_both_directions(self, curved_surface, rng):
         refined = curved_surface.insert_knot(0.3, "u").insert_knot(0.7, "v")

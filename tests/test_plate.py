@@ -17,10 +17,8 @@ from trimiga.plate import (
     assemble,
     convergence_rates,
     convergence_study,
-    field_basis,
     kirsch_reference,
     physical_gradients,
-    refine_field,
     solve_plate,
     solve_problem,
 )
@@ -54,7 +52,7 @@ class TestFieldSpace:
 
     def test_bilinear_basis_at_center(self):
         field = unit_field(1)
-        idx, values, _, _ = field_basis(field, 0.5, 0.5, order=0)
+        idx, values, _, _ = field.basis(0.5, 0.5, order=0)
         assert len(values) == 4
         assert np.allclose(values, 0.25, atol=1e-15)
 
@@ -92,7 +90,7 @@ class TestFieldSpace:
 
     def test_h_refinement_is_nested(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2)
-        fine = refine_field(field, "h")
+        fine = field.refined("h")
         params = np.linspace(0.0, 1.0, 211)
         for coarse_kv, fine_kv in (
             (field.knot_vector_s, fine.knot_vector_s),
@@ -106,7 +104,7 @@ class TestFieldSpace:
 
     def test_p_refinement_dimension_arithmetic(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2)
-        fine = refine_field(field, "p")
+        fine = field.refined("p")
         assert fine.degrees == (3, 3)
         # every distinct knot gains one multiplicity: new dim follows directly
         for coarse_kv, fine_kv in (
@@ -122,7 +120,7 @@ class TestFieldSpace:
     def test_refinement_leaves_geometry_untouched(self, plate_region, rng):
         field = FieldSpace.conforming(plate_region, 2, 2)
         before = [plate_region.composite_eval(s, t).x for s, t in rng.random((20, 2))]
-        refine_field(refine_field(field, "h"), "p")
+        field.refined("h").refined("p")
         rng2 = np.random.default_rng(20240615)
         after = [plate_region.composite_eval(s, t).x for s, t in rng2.random((20, 2))]
         for a, b in zip(before, after):
@@ -130,7 +128,7 @@ class TestFieldSpace:
 
     def test_bad_strategy(self):
         with pytest.raises(DomainError):
-            refine_field(unit_field(), "q")
+            unit_field().refined("q")
 
 
 class TestPhysicalGradients:

@@ -7,10 +7,11 @@ from trimiga.errors import DomainError, SingularMapError
 from trimiga.nurbs import KnotVector
 from trimiga.plate import FieldSpace
 from trimiga.quadrature import (
+    gauss_panels,
     gauss_points_1d,
     integrate,
+    partition_lines,
     partition_regions,
-    region_rule,
 )
 from trimiga.shapes import unit_square_surface
 from trimiga.trimming import TrimmedRegion
@@ -103,9 +104,27 @@ class TestPartition:
 
     def test_rule_weights_sum_to_area(self, plate_region):
         regions = partition_regions(plate_region)
-        rule = region_rule(regions, 4)
-        assert abs(rule.total_weight - 1.0) < 1e-13
-        assert all(w > 0.0 for _, w in rule.points)
+        panels = list(gauss_panels(regions, 4))
+        assert [len(panel) for panel in panels] == [16] * len(regions)
+        weights = [w for panel in panels for _, _, w in panel]
+        assert abs(math.fsum(weights) - 1.0) < 1e-13
+        assert all(w > 0.0 for w in weights)
+
+    def test_panel_points_are_plain_floats_in_s_major_order(self):
+        x, _ = gauss_points_1d(2)
+        (panel,) = gauss_panels(partition_lines(), 2)
+        assert [(s, t) for s, t, _ in panel] == [
+            (x[0], x[0]), (x[0], x[1]), (x[1], x[0]), (x[1], x[1])
+        ]
+        assert all(type(v) is float for point in panel for v in point)
+
+    def test_tiling_ends_exactly_at_the_unit_edges(self):
+        for near_end in (1.0 - 5e-13, 5e-13):
+            regions = partition_lines([0.5, near_end], [near_end])
+            assert max(r.s1 for r in regions) == 1.0
+            assert max(r.t1 for r in regions) == 1.0
+            assert min(r.s0 for r in regions) == 0.0
+            assert sorted({r.s0 for r in regions}) == [0.0, 0.5]
 
 
 class TestIntegrate:

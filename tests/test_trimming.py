@@ -4,7 +4,7 @@ import pytest
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.shapes import identity_region, unit_square_surface
-from trimiga.trimming import TrimmedRegion, validate_region
+from trimiga.trimming import TrimmedRegion
 
 from conftest import segment
 
@@ -263,7 +263,7 @@ class TestValidateRegion:
             plate_region.curve_bottom,
             plate_region.curve_top.reversed(),
         )
-        report = validate_region(folded, 16)
+        report = folded.validate(16)
         assert report.sign_change
         assert not report.ok
         assert report.min_det < 0.0 < report.max_det
