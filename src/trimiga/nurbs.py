@@ -13,6 +13,7 @@ Conventions:
   * all objects are immutable; refinement returns new objects.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ from .errors import DomainError, InvalidGeometryError, InvalidRefinementError
 
 #: values closer than this are one value: knots, break lines, breakpoints
 MERGE_TOL = 1e-12
+
+#: a map is singular where its area measure is below SINGULAR_TOL * L**2 or
+#: its edge tangent below SINGULAR_TOL * L, L the surface's control net
+#: bounding-box diagonal (see NurbsSurface.singular_area)
+SINGULAR_TOL = 1e-14
 
 
 def merge_close(values):
@@ -82,6 +88,7 @@ class KnotVector:
         self.degree = p
         self.knots = knots
         self.knots.flags.writeable = False
+        self._knot_list = knots.tolist()
 
     @property
     def num_basis(self):
@@ -96,82 +103,91 @@ class KnotVector:
         """Distinct breakpoints [0, ..., 1] delimiting the non-empty spans."""
         return merge_close(self.knots)[0]
 
-    def find_span(self, u):
-        """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span."""
+    def _clamped(self, u):
+        """u moved into [0, 1]; DomainError further than MERGE_TOL outside.
+
+        A scalar comes back as a Python float, an array as a float array.
+        """
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)
+            outside = (u < -MERGE_TOL) | (u > 1.0 + MERGE_TOL)
+            if outside.any():
+                raise DomainError(f"parameter {u[outside][0]} outside [0, 1]")
+            return np.minimum(np.maximum(u, 0.0), 1.0)
         if u < -MERGE_TOL or u > 1.0 + MERGE_TOL:
             raise DomainError(f"parameter {u} outside [0, 1]")
-        u = min(max(u, 0.0), 1.0)
-        n = self.num_basis
-        if u >= 1.0:
-            return n - 1
-        lo, hi = self.degree, n
-        mid = (lo + hi) // 2
-        while u < self.knots[mid] or u >= self.knots[mid + 1]:
-            if u < self.knots[mid]:
-                hi = mid
-            else:
-                lo = mid
-            mid = (lo + hi) // 2
-        return mid
+        return min(max(float(u), 0.0), 1.0)
+
+    def find_span(self, u):
+        """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span.
+
+        Elementwise for an array of parameters.
+        """
+        u = self._clamped(u)
+        last = self.num_basis - 1
+        if np.ndim(u):
+            return np.minimum(np.searchsorted(self.knots, u, side="right") - 1, last)
+        return min(bisect_right(self._knot_list, u) - 1, last)
 
     def basis(self, u, order=0):
-        """Nonzero basis functions and derivatives at u.
+        """Nonzero basis functions and derivatives at u (NURBS Book A2.3).
 
         Returns (span, ders) where ders[k, j] is the k-th derivative of
         basis function span-degree+j, k = 0..order. Order-0 values are
-        non-negative and sum to one.
+        non-negative and sum to one. For an array u, span has u's shape and
+        ders has shape u.shape + (order + 1, degree + 1); the arithmetic is
+        the scalar one, applied elementwise.
         """
         if order < 0 or order > 2:
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
+        u = self._clamped(u)
         span = self.find_span(u)
-        u = min(max(u, 0.0), 1.0)
         p = self.degree
-        U = self.knots
+        U = self.knots if np.ndim(u) else self._knot_list
         # Triangular table of basis values and knot differences (Cox-de Boor).
-        ndu = np.empty((p + 1, p + 1))
-        left = np.empty(p + 1)
-        right = np.empty(p + 1)
-        ndu[0, 0] = 1.0
+        ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
+        left = [0.0] * (p + 1)
+        right = [0.0] * (p + 1)
+        ndu[0][0] = 1.0
         for j in range(1, p + 1):
             left[j] = u - U[span + 1 - j]
             right[j] = U[span + j] - u
             saved = 0.0
             for r in range(j):
-                ndu[j, r] = right[r + 1] + left[j - r]
-                temp = ndu[r, j - 1] / ndu[j, r]
-                ndu[r, j] = saved + right[r + 1] * temp
+                ndu[j][r] = right[r + 1] + left[j - r]
+                temp = ndu[r][j - 1] / ndu[j][r]
+                ndu[r][j] = saved + right[r + 1] * temp
                 saved = left[j - r] * temp
-            ndu[j, j] = saved
-        ders = np.zeros((order + 1, p + 1))
-        ders[0, :] = ndu[:, p]
+            ndu[j][j] = saved
+        ders = np.empty(np.shape(u) + (order + 1, p + 1))
+        for r in range(p + 1):
+            ders[..., 0, r] = ndu[r][p]
         if order == 0:
             return span, ders
         # Derivatives from the stored knot differences.
-        a = np.zeros((2, p + 1))
+        a = [[0.0] * (p + 1), [0.0] * (p + 1)]
         for r in range(p + 1):
             s1, s2 = 0, 1
-            a[0, 0] = 1.0
+            a[0][0] = 1.0
+            fac = float(p)
             for k in range(1, order + 1):
                 d = 0.0
                 rk = r - k
                 pk = p - k
                 if r >= k:
-                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                    d = a[s2, 0] * ndu[rk, pk]
+                    a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                    d = a[s2][0] * ndu[rk][pk]
                 j1 = 1 if rk >= -1 else -rk
                 j2 = k - 1 if r - 1 <= pk else p - r
                 for j in range(j1, j2 + 1):
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a[s2, j] * ndu[rk + j, pk]
+                    a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                    d += a[s2][j] * ndu[rk + j][pk]
                 if r <= pk:
-                    a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d += a[s2, k] * ndu[r, pk]
-                ders[k, r] = d
+                    a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                    d += a[s2][k] * ndu[r][pk]
+                ders[..., k, r] = d * fac
+                fac *= p - k
                 s1, s2 = s2, s1
-        fac = float(p)
-        for k in range(1, order + 1):
-            ders[k, :] *= fac
-            fac *= p - k
         return span, ders
 
     def greville(self):
@@ -221,12 +237,21 @@ class KnotVector:
 
 def collocation_matrix(kv, params):
     """Dense matrix of all basis functions evaluated at the given parameters."""
-    n = kv.num_basis
-    M = np.zeros((len(params), n))
-    for row, u in enumerate(params):
-        span, ders = kv.basis(u, 0)
-        M[row, span - kv.degree : span + 1] = ders[0]
+    span, ders = kv.basis(np.asarray(params, dtype=float), 0)
+    M = np.zeros((span.size, kv.num_basis))
+    rows = np.arange(span.size)[:, None]
+    M[rows, _support(span, kv.degree)] = ders[:, 0]
     return M
+
+
+def _support(span, degree):
+    """Indices span-degree..span of the nonzero functions.
+
+    A slice for one span; for an array of spans, indices in a new last axis.
+    """
+    if np.ndim(span) == 0:
+        return slice(span - degree, span + 1)
+    return span[..., None] + np.arange(-degree, 1)
 
 
 @dataclass(frozen=True)
@@ -284,6 +309,10 @@ class NurbsCurve:
         self.weights = _check_weights(weights, n)
         self.control_points.flags.writeable = False
         self.weights.flags.writeable = False
+        self._homogeneous = np.hstack(
+            [self.control_points * self.weights[:, None], self.weights[:, None]]
+        )
+        self._homogeneous.flags.writeable = False
 
     @property
     def degree(self):
@@ -294,10 +323,8 @@ class NurbsCurve:
         return self.control_points.shape[1]
 
     def homogeneous(self):
-        """(n, dim+1) array of weighted points with the weight appended."""
-        return np.hstack(
-            [self.control_points * self.weights[:, None], self.weights[:, None]]
-        )
+        """(n, dim+1) read-only array of weighted points with the weight appended."""
+        return self._homogeneous
 
     @classmethod
     def from_homogeneous(cls, knot_vector, hpoints):
@@ -305,20 +332,23 @@ class NurbsCurve:
         return cls(knot_vector, hpoints[:, :-1] / w[:, None], w)
 
     def evaluate(self, s, order=2):
-        """Rational point and derivatives at s via the quotient rule."""
+        """Rational point and derivatives at s via the quotient rule.
+
+        For an array s every field gains s's shape in front of its last axis.
+        """
         kv = self.knot_vector
         span, ders = kv.basis(s, order)
-        p = kv.degree
-        H = self.homogeneous()[span - p : span + 1]
+        H = self._homogeneous[_support(span, kv.degree)]
         A = ders @ H  # rows: (order+1) homogeneous derivatives
-        w = A[:, -1]
-        Ad = A[:, :-1]
-        value = Ad[0] / w[0]
+        w = A[..., -1:]
+        Ad = A[..., :-1]
+        w0 = w[..., 0, :]
+        value = Ad[..., 0, :] / w0
         d1 = d2 = None
         if order >= 1:
-            d1 = (Ad[1] - w[1] * value) / w[0]
+            d1 = (Ad[..., 1, :] - w[..., 1, :] * value) / w0
         if order >= 2:
-            d2 = (Ad[2] - 2.0 * w[1] * d1 - w[2] * value) / w[0]
+            d2 = (Ad[..., 2, :] - 2.0 * w[..., 1, :] * d1 - w[..., 2, :] * value) / w0
         return CurveDerivatives(value, d1, d2)
 
     def insert_knot(self, value, multiplicity=1):
@@ -376,17 +406,23 @@ class NurbsSurface:
         self.weights = weights
         self.control_net.flags.writeable = False
         self.weights.flags.writeable = False
+        self._homogeneous = np.concatenate(
+            [net * weights[..., None], weights[..., None]], axis=2
+        )
+        self._homogeneous.flags.writeable = False
+        points = net.reshape(-1, 3)
+        size = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+        #: singular-map thresholds for edge tangents and area measures
+        self.singular_length = SINGULAR_TOL * size
+        self.singular_area = SINGULAR_TOL * size * size
 
     @property
     def degrees(self):
         return self.knot_vector_u.degree, self.knot_vector_v.degree
 
     def homogeneous(self):
-        """(A, B, 4) array of weighted points with the weight appended."""
-        return np.concatenate(
-            [self.control_net * self.weights[..., None], self.weights[..., None]],
-            axis=2,
-        )
+        """(A, B, 4) read-only array of weighted points with the weight appended."""
+        return self._homogeneous
 
     @classmethod
     def from_homogeneous(cls, kv_u, kv_v, hnet):
@@ -394,27 +430,43 @@ class NurbsSurface:
         return cls(kv_u, kv_v, hnet[..., :-1] / w[..., None], w)
 
     def evaluate(self, u, v, order=2):
-        """Rational point and partials at (u, v) via the quotient rule."""
+        """Rational point and partials at (u, v) via the quotient rule.
+
+        u and v may be arrays that broadcast together; every field then
+        gains their broadcast shape in front of its last axis.
+        """
         p, q = self.degrees
         span_u, du = self.knot_vector_u.basis(u, order)
         span_v, dv = self.knot_vector_v.basis(v, order)
-        H = self.homogeneous()[span_u - p : span_u + 1, span_v - q : span_v + 1]
+        if np.ndim(span_u) or np.ndim(span_v):
+            span_u, span_v = np.broadcast_arrays(span_u, span_v)
+            H = self._homogeneous[
+                _support(span_u, p)[..., :, None], _support(span_v, q)[..., None, :]
+            ]
+        else:
+            H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
         # A[k, l] = sum_ij du[k, i] dv[l, j] H[i, j] for needed (k, l).
-        A = np.einsum("ki,lj,ijc->klc", du, dv, H)
-        w = A[..., -1]
+        A = np.einsum("...ki,...lj,...ijc->...klc", du, dv, H)
+        w = A[..., -1:]
         Ad = A[..., :-1]
-        value = Ad[0, 0] / w[0, 0]
+        w0 = w[..., 0, 0, :]
+        value = Ad[..., 0, 0, :] / w0
         out = {"value": value}
         if order >= 1:
-            su = (Ad[1, 0] - w[1, 0] * value) / w[0, 0]
-            sv = (Ad[0, 1] - w[0, 1] * value) / w[0, 0]
+            su = (Ad[..., 1, 0, :] - w[..., 1, 0, :] * value) / w0
+            sv = (Ad[..., 0, 1, :] - w[..., 0, 1, :] * value) / w0
             out["du"], out["dv"] = su, sv
         if order >= 2:
-            out["duu"] = (Ad[2, 0] - 2 * w[1, 0] * su - w[2, 0] * value) / w[0, 0]
-            out["dvv"] = (Ad[0, 2] - 2 * w[0, 1] * sv - w[0, 2] * value) / w[0, 0]
+            out["duu"] = (
+                Ad[..., 2, 0, :] - 2 * w[..., 1, 0, :] * su - w[..., 2, 0, :] * value
+            ) / w0
+            out["dvv"] = (
+                Ad[..., 0, 2, :] - 2 * w[..., 0, 1, :] * sv - w[..., 0, 2, :] * value
+            ) / w0
             out["duv"] = (
-                Ad[1, 1] - w[1, 0] * sv - w[0, 1] * su - w[1, 1] * value
-            ) / w[0, 0]
+                Ad[..., 1, 1, :] - w[..., 1, 0, :] * sv - w[..., 0, 1, :] * su
+                - w[..., 1, 1, :] * value
+            ) / w0
         return SurfaceDerivatives(**out)
 
     def insert_knot(self, value, direction, multiplicity=1):

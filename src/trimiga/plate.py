@@ -1,5 +1,11 @@
 """2D plane-stress isogeometric Galerkin solver over a trimmed region.
 
+Point functions (field basis, gradients, strains, the reference field)
+take arrays of (s, t) or (x, y) that broadcast together, such as a Gauss
+panel's (n, 1) s-nodes and (1, n) t-nodes; a scalar query is a batch of
+one. Stiffness is assembled one element block per panel into a sparse
+matrix, and the constrained system is solved by sparse LU.
+
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
 touches the map. Where a trimming curve is merely C0, the field space
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .errors import AssemblyError, DomainError, SingularMapError, SolveError
+from .errors import AssemblyError, DomainError, SolveError
 from .nurbs import KnotVector
 from .quadrature import gauss_panels, gauss_points_1d, partition_lines, unit_lines
 from .shapes import (
@@ -25,7 +31,7 @@ from .shapes import (
     PRINTED_ARC_WEIGHT,
     plate_with_hole_region,
 )
-from .trimming import CompositeDerivatives, TrimmedRegion
+from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
 
 _PLANAR_TOL = 1e-9
 _EDGES = ("s0", "s1", "t0", "t1")
@@ -89,20 +95,26 @@ class FieldSpace:
         """Nonzero functions at (s, t): flat indices, values and derivatives.
 
         Returns (indices, N, dN_ds, dN_dt); the derivative arrays are None
-        for order 0. Flat index = i_s * n_t + i_t.
+        for order 0. Flat index = i_s * n_t + i_t. Each array has the
+        broadcast shape of s and t followed by one axis over the
+        (degree_s + 1) * (degree_t + 1) functions, s-major.
         """
         span_s, ds = self.knot_vector_s.basis(s, order)
         span_t, dt = self.knot_vector_t.basis(t, order)
         ps, pt = self.degrees
         _, nt = self.shape
-        is_ = np.arange(span_s - ps, span_s + 1)
-        it = np.arange(span_t - pt, span_t + 1)
-        indices = (is_[:, None] * nt + it[None, :]).ravel()
-        values = np.outer(ds[0], dt[0]).ravel()
+        is_ = np.asarray(span_s)[..., None] + np.arange(-ps, 1)
+        it = np.asarray(span_t)[..., None] + np.arange(-pt, 1)
+
+        def flat(grid):  # (..., ps + 1, pt + 1) -> (..., (ps + 1) * (pt + 1))
+            return grid.reshape(grid.shape[:-2] + (-1,))
+
+        indices = flat(is_[..., :, None] * nt + it[..., None, :])
+        values = flat(ds[..., 0, :, None] * dt[..., 0, None, :])
         if order == 0:
             return indices, values, None, None
-        dN_ds = np.outer(ds[1], dt[0]).ravel()
-        dN_dt = np.outer(ds[0], dt[1]).ravel()
+        dN_ds = flat(ds[..., 1, :, None] * dt[..., 0, None, :])
+        dN_dt = flat(ds[..., 0, :, None] * dt[..., 1, None, :])
         return indices, values, dN_ds, dN_dt
 
     def greville_grid(self):
@@ -183,7 +195,8 @@ def _check_bcs(bcs):
 # geometry adapters (planar)
 #
 # Both adapters answer eval(s, t) with a CompositeDerivatives bundle, list
-# their s and t break lines, and report the highest degree they carry.
+# their s and t break lines, report the highest degree they carry, and hold
+# the surface whose size sets the singular-map thresholds.
 
 
 class MappedGeometry:
@@ -192,6 +205,7 @@ class MappedGeometry:
     def __init__(self, region):
         _require_planar(region.surface)
         self.region = region
+        self.surface = region.surface
 
     def eval(self, s, t):
         return self.region.composite_eval(s, t, order=1)
@@ -220,9 +234,8 @@ class DirectGeometry:
 
     def eval(self, s, t):
         sd = self.surface.evaluate(s, t, order=1)
-        scale = float(np.linalg.norm(np.cross(sd.du, sd.dv)))
-        if scale < 1e-14:
-            raise SingularMapError(s, t, scale)
+        scale = cross_norm(sd.du, sd.dv)
+        check_regular(scale, self.surface.singular_area, s, t)
         return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
 
     def s_breaklines(self):
@@ -268,18 +281,18 @@ def _breaklines(geometry, field):
 
 
 def physical_gradients(geometry, field, s, t):
-    """Field-function gradients w.r.t. physical (x, y) at one (s, t).
+    """Field-function gradients w.r.t. physical (x, y) at (s, t).
 
     Returns (indices, values, dN_dx, dN_dy, cd) where cd is the geometry
-    bundle at the point. Solves the 2x2 system J^T grad_x N = grad_st N.
+    bundle at the points. Solves the 2x2 system J^T grad_x N = grad_st N.
     """
-    cd = _as_geometry(geometry).eval(s, t)
+    geometry = _as_geometry(geometry)
+    cd = geometry.eval(s, t)
     indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
-    a, b = cd.dx_ds[0], cd.dx_dt[0]
-    c, d = cd.dx_ds[1], cd.dx_dt[1]
+    a, b = cd.dx_ds[..., 0, None], cd.dx_dt[..., 0, None]
+    c, d = cd.dx_ds[..., 1, None], cd.dx_dt[..., 1, None]
     det = a * d - b * c
-    if abs(det) < 1e-14:
-        raise SingularMapError(s, t, abs(det))
+    check_regular(np.abs(det[..., 0]), geometry.surface.singular_area, s, t)
     # inverse of J^T applied to (dN_ds, dN_dt)
     dN_dx = (d * dN_ds - c * dN_dt) / det
     dN_dy = (-b * dN_ds + a * dN_dt) / det
@@ -287,26 +300,40 @@ def physical_gradients(geometry, field, s, t):
 
 
 def assemble_stiffness(geometry, field, material, n_quad):
-    """Dense stiffness matrix for 2 dofs per basis function."""
-    n = field.dim
-    K = np.zeros((2 * n, 2 * n))
+    """Sparse (CSR) stiffness matrix for 2 dofs per basis function.
+
+    Each Gauss panel adds one element block, the sum over its points of
+    w |J| B^T D B; its points must share one field span.
+    """
+    from scipy import sparse
+
     D = material.plane_stress_matrix()
     regions = partition_lines(*_breaklines(geometry, field))
-    for panel in gauss_panels(regions, n_quad):
-        for s, t, weight in panel:
-            idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-            m = idx.size
-            B = np.zeros((3, 2 * m))
-            B[0, 0::2] = dN_dx
-            B[1, 1::2] = dN_dy
-            B[2, 0::2] = dN_dy
-            B[2, 1::2] = dN_dx
-            Ke = weight * cd.jacobian_scale * (B.T @ D @ B)
-            dofs = np.empty(2 * m, dtype=int)
-            dofs[0::2] = 2 * idx
-            dofs[1::2] = 2 * idx + 1
-            K[np.ix_(dofs, dofs)] += Ke
-    return K
+    dofs, blocks = [], []
+    for s, t, weights in gauss_panels(regions, n_quad):
+        idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+        m = idx.shape[-1]
+        idx = idx.reshape(-1, m)
+        if np.any(idx != idx[0]):
+            raise AssemblyError(
+                f"the Gauss panel at (s, t) = ({s[0, 0]:.6g}, {t[0, 0]:.6g}) "
+                "spans more than one field knot span"
+            )
+        q = idx.shape[0]
+        B = np.zeros((q, 3, 2 * m))
+        B[:, 0, 0::2] = dN_dx.reshape(q, m)
+        B[:, 1, 1::2] = dN_dy.reshape(q, m)
+        B[:, 2, 0::2] = dN_dy.reshape(q, m)
+        B[:, 2, 1::2] = dN_dx.reshape(q, m)
+        wDB = (weights * cd.jacobian_scale).reshape(q, 1, 1) * (D @ B)
+        blocks.append(B.reshape(3 * q, 2 * m).T @ wDB.reshape(3 * q, 2 * m))
+        dofs.append(np.stack([2 * idx[0], 2 * idx[0] + 1], axis=-1).ravel())
+    dofs = np.array(dofs)
+    size = dofs.shape[1]
+    rows = np.repeat(dofs, size, axis=1).ravel()
+    cols = np.tile(dofs, (1, size)).ravel()
+    n = 2 * field.dim
+    return sparse.csr_array((np.ravel(blocks), (rows, cols)), shape=(n, n))
 
 
 def _edge_point(edge, r):
@@ -331,9 +358,8 @@ def _edge_geometry(geometry, edge, r):
         tangent = cd.dx_ds[:2]
         outward = -cd.dx_dt[:2] if edge == "t0" else cd.dx_dt[:2]
     normal = np.array([tangent[1], -tangent[0]])
-    norm = np.linalg.norm(normal)
-    if norm < 1e-14:
-        raise SingularMapError(s, t, norm)
+    norm = float(np.linalg.norm(normal))
+    check_regular(norm, geometry.surface.singular_length, s, t)
     normal /= norm
     if normal @ outward < 0.0:
         normal = -normal
@@ -415,39 +441,43 @@ class SolveResult:
 
     def displacement(self, s, t):
         idx, values, _, _ = self.field.basis(s, t, 0)
-        return values @ self.coeffs[idx]
+        return np.einsum("...i,...ic->...c", values, self.coeffs[idx])
 
     def strain(self, s, t):
         return self._strain(s, t)[0]
 
     def _strain(self, s, t):
-        """Strain (exx, eyy, gxy) and the geometry bundle at (s, t)."""
+        """Strain (exx, eyy, gxy) in a last axis, and the geometry bundle."""
         idx, _, dN_dx, dN_dy, cd = physical_gradients(self.geometry, self.field, s, t)
         u = self.coeffs[idx]
-        exx = dN_dx @ u[:, 0]
-        eyy = dN_dy @ u[:, 1]
-        gxy = dN_dy @ u[:, 0] + dN_dx @ u[:, 1]
-        return np.array([exx, eyy, gxy]), cd
+        grad_x = np.einsum("...i,...ic->...c", dN_dx, u)  # (dux/dx, duy/dx)
+        grad_y = np.einsum("...i,...ic->...c", dN_dy, u)  # (dux/dy, duy/dy)
+        strain = np.stack(
+            [grad_x[..., 0], grad_y[..., 1], grad_y[..., 0] + grad_x[..., 1]], axis=-1
+        )
+        return strain, cd
 
     def stress(self, s, t):
-        """Plane-stress components (sxx, syy, sxy) at (s, t)."""
-        sig = self.material.plane_stress_matrix() @ self.strain(s, t)
-        return sig
+        """Plane-stress components (sxx, syy, sxy) in a last axis at (s, t)."""
+        return self.strain(s, t) @ self.material.plane_stress_matrix().T
 
 
 def solve_problem(geometry, field, material, bcs, n_quad=None):
-    """Assemble, constrain, and solve; returns a SolveResult."""
+    """Assemble, constrain, and solve by sparse LU; returns a SolveResult."""
+    from scipy.sparse.linalg import splu
+
     geometry = _as_geometry(geometry)
     K, f = assemble(geometry, field, material, bcs, n_quad)
     fixed = symmetry_constraints(geometry, field, bcs)
     n = K.shape[0]
-    free = np.array(sorted(set(range(n)) - set(fixed)), dtype=int)
+    free = np.ones(n, dtype=bool)
+    free[list(fixed)] = False
     u = np.zeros(n)
     rhs = f[free]
-    Kff = K[np.ix_(free, free)]
+    Kff = K[free][:, free]
     try:
-        u[free] = np.linalg.solve(Kff, rhs)
-    except np.linalg.LinAlgError as exc:
+        u[free] = splu(Kff.tocsc()).solve(rhs)
+    except RuntimeError as exc:  # splu's report of an exactly singular factor
         raise SolveError(f"linear solve failed: {exc}") from None
     res = float(np.linalg.norm(Kff @ u[free] - rhs))
     ref = float(np.linalg.norm(rhs))
@@ -463,17 +493,21 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
 
 @dataclass(frozen=True)
 class ReferencePoint:
-    """Closed-form stresses and displacements at one physical point."""
+    """Closed-form stresses and displacements at physical points.
 
-    sxx: float
-    syy: float
-    sxy: float
-    ux: float
-    uy: float
+    Each field has the broadcast shape of the queried x and y.
+    """
+
+    sxx: float | np.ndarray
+    syy: float | np.ndarray
+    sxy: float | np.ndarray
+    ux: float | np.ndarray
+    uy: float | np.ndarray
 
     @property
     def stress(self):
-        return np.array([self.sxx, self.syy, self.sxy])
+        """(sxx, syy, sxy) in a last axis."""
+        return np.stack([self.sxx, self.syy, self.sxy], axis=-1)
 
 
 def kirsch_reference(x, y, far_stress, hole_radius, material):
@@ -485,16 +519,18 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
     a = hole_radius
     if a <= 0 or far_stress <= 0:
         raise DomainError("hole radius and far stress must be positive")
-    r = math.hypot(x, y)
-    if r < a * (1.0 - 1e-12):
-        raise DomainError(f"point ({x}, {y}) lies inside the hole of radius {a}")
-    r = max(r, a)
-    theta = math.atan2(y, x)
+    r = np.hypot(x, y)
+    inside = r < a * (1.0 - 1e-12)
+    if np.any(inside):
+        xi, yi = (np.broadcast_to(v, r.shape)[inside][0] for v in (x, y))
+        raise DomainError(f"point ({xi}, {yi}) lies inside the hole of radius {a}")
+    r = np.maximum(r, a)
+    theta = np.arctan2(y, x)
     T = far_stress
     a2 = (a / r) ** 2
     a4 = a2 * a2
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-    c4, s4 = math.cos(4 * theta), math.sin(4 * theta)
+    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+    c4, s4 = np.cos(4 * theta), np.sin(4 * theta)
     sxx = T * (1.0 - a2 * (1.5 * c2 + c4) + 1.5 * a4 * c4)
     syy = T * (-a2 * (0.5 * c2 - c4) - 1.5 * a4 * c4)
     sxy = T * (-a2 * (0.5 * s2 + s4) + 1.5 * a4 * s4)
@@ -503,8 +539,8 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
     ra = r / a
     ar = a / r
     ar3 = ar ** 3
-    c1, s1 = math.cos(theta), math.sin(theta)
-    c3, s3 = math.cos(3 * theta), math.sin(3 * theta)
+    c1, s1 = np.cos(theta), np.sin(theta)
+    c3, s3 = np.cos(3 * theta), np.sin(3 * theta)
     pref = T * a / (8.0 * mu)
     ux = pref * (ra * (kappa + 1.0) * c1 + 2.0 * ar * ((1.0 + kappa) * c1 + c3) - 2.0 * ar3 * c3)
     uy = pref * (ra * (kappa - 3.0) * s1 + 2.0 * ar * ((1.0 - kappa) * s1 + s3) - 2.0 * ar3 * s3)
@@ -632,17 +668,15 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     D = solution.material.plane_stress_matrix()
     regions = partition_lines(*_breaklines(solution.geometry, solution.field))
     num_parts, den_parts = [], []
-    for panel in gauss_panels(regions, n_quad):
-        num, den = [], []
-        for s, t, weight in panel:
-            strain, cd = solution._strain(s, t)
-            ref = kirsch_reference(cd.x[0], cd.x[1], far, a, material)
-            diff = D @ strain - ref.stress
-            w = weight * cd.jacobian_scale
-            num.append(w * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
-            den.append(w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2))
-        num_parts.append(math.fsum(num))
-        den_parts.append(math.fsum(den))
+    for s, t, weights in gauss_panels(regions, n_quad):
+        strain, cd = solution._strain(s, t)
+        ref = kirsch_reference(cd.x[..., 0], cd.x[..., 1], far, a, material)
+        diff = strain @ D.T - ref.stress
+        w = weights * cd.jacobian_scale
+        num = w * (diff[..., 0] ** 2 + diff[..., 1] ** 2 + 2.0 * diff[..., 2] ** 2)
+        den = w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
+        num_parts.append(math.fsum(num.ravel().tolist()))
+        den_parts.append(math.fsum(den.ravel().tolist()))
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
 
 

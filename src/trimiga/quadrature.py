@@ -81,36 +81,35 @@ def partition_regions(region, field=None, split_breakpoints=True):
 def gauss_panels(regions, n_per_dir):
     """Tensor Gauss rule per integration region, one panel at a time.
 
-    Yields, for each region, the list of (s, t, weight) triples as plain
-    floats: s-major, t-minor, weight w_i * w_j * hs * ht multiplied in
-    that order, so per-panel fsums see the same terms in the same order.
+    Yields, for each region, (s, t, weights) as arrays: s-nodes of shape
+    (n, 1), t-nodes of shape (1, n) and weights of shape (n, n), so s is the
+    major axis of the broadcast panel. Weight [i, j] is w_i * w_j * hs * ht
+    multiplied in that order, so per-panel fsums see the same terms.
     """
     x, w = gauss_points_1d(n_per_dir)
-    x, w = x.tolist(), w.tolist()
+    ww = np.outer(w, w)
     for r in regions:
         hs = r.s1 - r.s0
         ht = r.t1 - r.t0
-        yield [
-            (r.s0 + hs * xi, r.t0 + ht * xj, wi * wj * hs * ht)
-            for xi, wi in zip(x, w)
-            for xj, wj in zip(x, w)
-        ]
+        yield (r.s0 + hs * x)[:, None], (r.t0 + ht * x)[None, :], ww * hs * ht
 
 
 def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
     """Integral of f over the trimmed region in the physical measure.
 
-    f maps a CompositeDerivatives bundle to a number; the jacobian scale of
-    the composite map multiplies the parametric Gauss weight. Region sums
-    are accumulated with fsum in a fixed order, so results do not depend on
-    evaluation scheduling.
+    f maps a CompositeDerivatives bundle of one point to a number; the
+    jacobian scale of the composite map multiplies the parametric Gauss
+    weight. Region sums are accumulated with fsum in a fixed order, so
+    results do not depend on evaluation scheduling.
     """
     regions = partition_regions(region, field, split_breakpoints)
     sums = []
-    for panel in gauss_panels(regions, n_per_dir):
+    for s, t, weights in gauss_panels(regions, n_per_dir):
+        s, t = np.broadcast_arrays(s, t)
         terms = []
-        for s, t, weight in panel:
-            cd = region.composite_eval(s, t, order=1)
+        for si, ti, weight in zip(s.ravel().tolist(), t.ravel().tolist(),
+                                  weights.ravel().tolist()):
+            cd = region.composite_eval(si, ti, order=1)
             terms.append(weight * f(cd) * cd.jacobian_scale)
         sums.append(math.fsum(terms))
     return math.fsum(sums)

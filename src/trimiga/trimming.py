@@ -22,16 +22,17 @@ from .errors import DomainError, InvalidGeometryError, SingularMapError
 from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, merge_close
 
 _CONTAIN_TOL = 1e-9
-_SINGULAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class MapDerivatives:
-    """Blend map value and derivatives at one (s, t).
+    """Blend map value and derivatives at (s, t).
 
     d2uv_dt2 is identically zero because the blend is linear in t. When the
     query sits exactly on an interior knot of a trimming curve, the s
-    derivatives are the right-sided limits and on_breakpoint is set.
+    derivatives are the right-sided limits and on_breakpoint is set. For
+    array queries every field gains the points' shape in front of its last
+    axis, and on_breakpoint is a boolean array over the s values.
     """
 
     uv: np.ndarray
@@ -45,14 +46,20 @@ class MapDerivatives:
     @property
     def det(self):
         """Signed parameter-space Jacobian det d(u,v)/d(s,t)."""
-        return float(
-            self.duv_ds[0] * self.duv_dt[1] - self.duv_ds[1] * self.duv_dt[0]
+        det = (
+            self.duv_ds[..., 0] * self.duv_dt[..., 1]
+            - self.duv_ds[..., 1] * self.duv_dt[..., 0]
         )
+        return float(det) if np.ndim(det) == 0 else det
 
 
 @dataclass(frozen=True)
 class CompositeDerivatives:
-    """Model-space point and derivatives of the composite map at one (s, t)."""
+    """Model-space point and derivatives of the composite map at (s, t).
+
+    For array queries every field gains the points' shape in front of its
+    last axis; jacobian_scale has the points' shape.
+    """
 
     x: np.ndarray
     dx_ds: np.ndarray
@@ -60,7 +67,7 @@ class CompositeDerivatives:
     d2x_ds2: np.ndarray | None = None
     d2x_dt2: np.ndarray | None = None
     d2x_dsdt: np.ndarray | None = None
-    jacobian_scale: float = 0.0
+    jacobian_scale: float | np.ndarray = 0.0
 
 
 @dataclass(frozen=True)
@@ -136,12 +143,21 @@ class TrimmedRegion:
         self.curve_bottom = bottom
         self.curve_top = top
         self._breakpoints = _merge_breakpoints(bottom, top)
+        self._breakpoint_s = np.array([bp.s for bp in self._breakpoints])
 
     def breakpoints(self):
         """Interior s-knots of both curves, deduplicated, worst continuity."""
         return list(self._breakpoints)
 
     def _check_st(self, s, t):
+        if np.ndim(s) or np.ndim(t):
+            s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+            outside = (s < -MERGE_TOL) | (s > 1.0 + MERGE_TOL)
+            outside = outside | (t < -MERGE_TOL) | (t > 1.0 + MERGE_TOL)
+            if outside.any():
+                s0, t0 = _first_where(outside, s, t)
+                raise DomainError(f"(s, t) = ({s0}, {t0}) outside the unit square")
+            return np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
         if not (-MERGE_TOL <= s <= 1.0 + MERGE_TOL) or not (
             -MERGE_TOL <= t <= 1.0 + MERGE_TOL
         ):
@@ -149,12 +165,19 @@ class TrimmedRegion:
         return min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
 
     def _blend(self, s, t, order):
+        """Blend map at (s, t); the curves are evaluated at s's values only."""
         b = self.curve_bottom.evaluate(s, order)
         tp = self.curve_top.evaluate(s, order)
+        if np.ndim(s):
+            flagged = np.any(
+                np.abs(s[..., None] - self._breakpoint_s) <= MERGE_TOL, axis=-1
+            )
+        else:
+            flagged = any(abs(s - bp.s) <= MERGE_TOL for bp in self._breakpoints)
+        t = np.asarray(t)[..., None]
         uv = (1.0 - t) * b.value + t * tp.value
         duv_ds = (1.0 - t) * b.d1 + t * tp.d1
         duv_dt = tp.value - b.value
-        flagged = any(abs(s - bp.s) <= MERGE_TOL for bp in self._breakpoints)
         if order < 2:
             return MapDerivatives(uv, duv_ds, duv_dt, on_breakpoint=flagged)
         return MapDerivatives(
@@ -178,26 +201,30 @@ class TrimmedRegion:
         return self._blend(s, t, 2)
 
     def composite_eval(self, s, t, order=2):
-        """Model-space point and chained derivatives of x(u(s,t), v(s,t))."""
+        """Model-space point and chained derivatives of x(u(s,t), v(s,t)).
+
+        s and t may be arrays that broadcast together, such as a panel's
+        (n, 1) s-nodes and (1, n) t-nodes: the trimming curves are then
+        evaluated at the s values only. SingularMapError names the first
+        singular point in C (s-major) order.
+        """
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         s, t = self._check_st(s, t)
-        m = self._blend(s, t, max(order, 1) if order < 2 else 2)
+        m = self._blend(s, t, max(order, 1))
         # the blend can overshoot [0,1] by roundoff only
-        u = min(max(float(m.uv[0]), 0.0), 1.0)
-        v = min(max(float(m.uv[1]), 0.0), 1.0)
-        sd = self.surface.evaluate(u, v, max(order, 1) if order < 2 else 2)
-        us, vs = m.duv_ds
-        ut, vt = m.duv_dt
+        uv = np.clip(m.uv, 0.0, 1.0)
+        sd = self.surface.evaluate(uv[..., 0], uv[..., 1], max(order, 1))
+        us, vs = m.duv_ds[..., 0, None], m.duv_ds[..., 1, None]
+        ut, vt = m.duv_dt[..., 0, None], m.duv_dt[..., 1, None]
         dx_ds = sd.du * us + sd.dv * vs
         dx_dt = sd.du * ut + sd.dv * vt
-        scale = float(np.linalg.norm(np.cross(dx_ds, dx_dt)))
-        if scale < _SINGULAR_TOL:
-            raise SingularMapError(s, t, scale)
+        scale = cross_norm(dx_ds, dx_dt)
+        check_regular(scale, self.surface.singular_area, s, t)
         if order < 2:
             return CompositeDerivatives(sd.value, dx_ds, dx_dt, jacobian_scale=scale)
-        uss, vss = m.d2uv_ds2
-        ust, vst = m.d2uv_dsdt
+        uss, vss = m.d2uv_ds2[..., 0, None], m.d2uv_ds2[..., 1, None]
+        ust, vst = m.d2uv_dsdt[..., 0, None], m.d2uv_dsdt[..., 1, None]
         d2x_ds2 = (
             sd.duu * us * us
             + 2.0 * sd.duv * us * vs
@@ -240,6 +267,32 @@ class TrimmedRegion:
                 min_abs = min(min_abs, abs(det))
         sign_change = not (min_det > 0.0 or max_det < 0.0)
         return RegionReport(grid_n, min_det, max_det, min_abs, sign_change, min_gap)
+
+
+def cross_norm(a, b):
+    """|a x b| of 3-vectors along the last axis; a float for single vectors."""
+    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    return float(norm) if np.ndim(norm) == 0 else norm
+
+
+def _first_where(mask, *values):
+    """The values at the first True of mask in C order (s-major on a panel)."""
+    k = int(np.argmax(mask))
+    return [float(np.broadcast_to(v, np.shape(mask)).flat[k]) for v in values]
+
+
+def check_regular(measure, tol, s, t):
+    """SingularMapError at the first point (s-major) whose measure is <= tol.
+
+    tol comes from the surface's model size (NurbsSurface.singular_area or
+    singular_length), so the test does not depend on the model's units.
+    """
+    singular = measure <= tol
+    if np.any(singular):
+        raise SingularMapError(*_first_where(singular, s, t, measure))
 
 
 def _merge_breakpoints(bottom, top):

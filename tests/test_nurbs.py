@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trimiga.errors import DomainError, InvalidGeometryError, InvalidRefinementError
-from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
+from trimiga.nurbs import MERGE_TOL, KnotVector, NurbsCurve, NurbsSurface
 
 from conftest import segment
 
@@ -96,6 +96,65 @@ class TestBasisFunctions:
         kv = KnotVector([0, 0, 1, 1], 1)
         with pytest.raises(DomainError):
             kv.basis(0.5, order=3)
+
+
+class TestArrayEvaluation:
+    """The array path equals the scalar path point by point."""
+
+    VECTORS = [
+        ([0, 0, 1, 1], 1),
+        ([0, 0, 0, 0.25, 0.5, 0.5, 1, 1, 1], 2),
+        ([0, 0, 0, 0, 0.3, 0.6, 1, 1, 1, 1], 3),
+        ([0, 1], 0),
+    ]
+
+    def params(self, kv, rng):
+        # interior knots exactly (right-adjacent span), both ends, values
+        # within MERGE_TOL outside [0, 1] (clamped) and random points
+        edges = [0.0, 1.0, -0.5 * MERGE_TOL, 1.0 + 0.5 * MERGE_TOL]
+        return np.array(kv.interior()[0] + edges + rng.random(12).tolist())
+
+    def test_basis_matches_scalar_calls(self, rng):
+        for knots, degree in self.VECTORS:
+            kv = KnotVector(knots, degree)
+            u = self.params(kv, rng)
+            for order in (0, 1, 2):
+                for grid in (u, u.reshape(2, -1)):
+                    spans, ders = kv.basis(grid, order)
+                    assert spans.shape == grid.shape
+                    assert ders.shape == grid.shape + (order + 1, degree + 1)
+                    for index in np.ndindex(grid.shape):
+                        span, expected = kv.basis(float(grid[index]), order)
+                        assert spans[index] == span
+                        assert np.array_equal(ders[index], expected)
+
+    def test_interior_knot_and_end_spans(self):
+        kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+        spans = kv.find_span(np.array([0.0, 0.5, 1.0, 1.0 + 0.5 * MERGE_TOL]))
+        assert spans.tolist() == [2, 3, 3, 3]
+        spans, ders = kv.basis(np.array([]), 1)
+        assert spans.shape == (0,) and ders.shape == (0, 2, 3)
+
+    def test_array_outside_the_unit_interval_raises(self):
+        kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+        for bad in (1.5, -0.2, 1.0 + 10 * MERGE_TOL):
+            with pytest.raises(DomainError, match=str(bad)):
+                kv.basis(np.array([0.2, bad, 0.7]), 1)
+
+    def test_surface_broadcast_matches_scalar_calls(self, curved_surface, rng):
+        u = rng.random((5, 1))
+        v = np.array([[0.0, 0.5, 1.0, 0.25]])
+        sd = curved_surface.evaluate(u, v, 2)
+        for i, j in np.ndindex(5, 4):
+            one = curved_surface.evaluate(float(u[i, 0]), float(v[0, j]), 2)
+            for name in ("value", "du", "dv", "duu", "duv", "dvv"):
+                assert np.array_equal(getattr(sd, name)[i, j], getattr(one, name))
+
+    def test_homogeneous_is_stored_read_only(self, arc_curve, curved_surface):
+        for geometry in (arc_curve, curved_surface):
+            h = geometry.homogeneous()
+            assert h is geometry.homogeneous()
+            assert not h.flags.writeable
 
 
 class TestCurveEval:

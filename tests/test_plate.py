@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from trimiga import plate
 from trimiga.errors import AssemblyError, DomainError
 from trimiga.nurbs import KnotVector, NurbsSurface, collocation_matrix
 from trimiga.plate import (
@@ -15,14 +18,17 @@ from trimiga.plate import (
     Symmetry,
     Traction,
     assemble,
+    assemble_stiffness,
     convergence_rates,
     convergence_study,
     kirsch_reference,
     physical_gradients,
+    plate_field,
     solve_plate,
     solve_problem,
 )
-from trimiga.shapes import identity_region, unit_square_surface
+from trimiga.quadrature import gauss_points_1d, partition_lines
+from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
 
 MAT = Material(1e5, 0.3)
 
@@ -249,6 +255,45 @@ class TestAssembly:
     def test_nonplanar_surface_is_rejected(self, curved_surface):
         with pytest.raises(AssemblyError):
             MappedGeometry(identity_region(curved_surface))
+
+    def test_stiffness_matches_a_dense_point_by_point_sum(self):
+        # stage 0 of the plate benchmark, summed one Gauss point at a time
+        config = PlateConfig(stage=0)
+        geometry = MappedGeometry(plate_with_hole_region(config.scale))
+        field = plate_field(geometry.region, config)
+        K = assemble_stiffness(geometry, field, MAT, 3)
+        D = MAT.plane_stress_matrix()
+        dense = np.zeros(K.shape)
+        x, w = gauss_points_1d(3)
+        s_breaks = geometry.s_breaklines() + field.knot_vector_s.interior()[0]
+        for r in partition_lines(s_breaks, field.knot_vector_t.interior()[0]):
+            hs, ht = r.s1 - r.s0, r.t1 - r.t0
+            for i, j in np.ndindex(3, 3):
+                s, t = r.s0 + hs * x[i], r.t0 + ht * x[j]
+                idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+                B = np.zeros((3, 2 * idx.size))
+                B[0, 0::2] = B[2, 1::2] = dN_dx
+                B[1, 1::2] = B[2, 0::2] = dN_dy
+                dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).ravel()
+                weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
+                dense[np.ix_(dofs, dofs)] += weight * (B.T @ D @ B)
+        assert K.shape == (132, 132)  # the 132 dofs of stage 0
+        assert np.abs(K.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_panel_across_a_field_knot_is_an_error(self, plate_region, monkeypatch):
+        # tiling without the field's knot lines puts one panel over many spans
+        monkeypatch.setattr(plate, "_breaklines", lambda geometry, field: ([], []))
+        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        with pytest.raises(AssemblyError, match="field knot span"):
+            assemble_stiffness(MappedGeometry(plate_region), field, MAT, 3)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported by the solve; importing it with the package
+        # would double the import time
+        code = "import sys, trimiga; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestKirschReference:

@@ -105,18 +105,30 @@ class TestPartition:
     def test_rule_weights_sum_to_area(self, plate_region):
         regions = partition_regions(plate_region)
         panels = list(gauss_panels(regions, 4))
-        assert [len(panel) for panel in panels] == [16] * len(regions)
-        weights = [w for panel in panels for _, _, w in panel]
+        assert len(panels) == len(regions)
+        for s, t, w in panels:
+            assert (s.shape, t.shape, w.shape) == ((4, 1), (1, 4), (4, 4))
+        weights = [w for _, _, panel_w in panels for w in panel_w.ravel().tolist()]
         assert abs(math.fsum(weights) - 1.0) < 1e-13
         assert all(w > 0.0 for w in weights)
 
     def test_panel_points_are_plain_floats_in_s_major_order(self):
-        x, _ = gauss_points_1d(2)
-        (panel,) = gauss_panels(partition_lines(), 2)
-        assert [(s, t) for s, t, _ in panel] == [
-            (x[0], x[0]), (x[0], x[1]), (x[1], x[0]), (x[1], x[1])
-        ]
-        assert all(type(v) is float for point in panel for v in point)
+        # the panel arrays broadcast to an s-major grid whose flattened points
+        # and weights are the scalar rule's, term for term
+        x, w = gauss_points_1d(2)
+        regions = partition_lines([0.25], [0.5])
+        for region, (s, t, weights) in zip(regions, gauss_panels(regions, 2)):
+            hs, ht = region.s1 - region.s0, region.t1 - region.t0
+            s, t = np.broadcast_arrays(s, t)
+            points = list(zip(s.ravel().tolist(), t.ravel().tolist(),
+                              weights.ravel().tolist()))
+            assert points == [
+                (region.s0 + hs * float(xi), region.t0 + ht * float(xj),
+                 float(wi) * float(wj) * hs * ht)
+                for xi, wi in zip(x, w)
+                for xj, wj in zip(x, w)
+            ]
+        assert all(arr.dtype == np.float64 for arr in (s, t, weights))
 
     def test_tiling_ends_exactly_at_the_unit_edges(self):
         for near_end in (1.0 - 5e-13, 5e-13):
@@ -189,15 +201,13 @@ class TestIntegrate:
         region = identity_region(srf)
         n = 400
         step = 1.0 / n
+        v = (np.arange(n) + 0.5) * step
         cells = []
         for i in range(n):
-            u = (i + 0.5) * step
-            row = 0.0
-            for j in range(n):
-                v = (j + 0.5) * step
-                sd = srf.evaluate(u, v, 1)
-                row += np.linalg.norm(np.cross(sd.du, sd.dv)) * step * step
-            cells.append(row)
+            # one array evaluation per row of midpoints
+            sd = srf.evaluate((i + 0.5) * step, v, 1)
+            cells.append(float(np.sum(np.linalg.norm(np.cross(sd.du, sd.dv), axis=-1)
+                                      * step * step)))
         oracle = math.fsum(cells)
         area = integrate(region, lambda cd: 1.0, 12)
         assert abs(area - oracle) / oracle < 1e-5

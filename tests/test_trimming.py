@@ -250,6 +250,88 @@ class TestCompositeEval:
             assert rel(cd.d2x_dsdt - fd_st, cd.d2x_dsdt) < 1e-5
 
 
+def seeded_regions(rng, count=4):
+    """Random quadratic trimming pairs over the curved surface's square."""
+    kv = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
+    regions = []
+    for _ in range(count):
+        xs = np.concatenate([[0.0], np.sort(rng.random(2)), [1.0]])
+        bottom = NurbsCurve(kv, np.column_stack([xs, 0.3 * rng.random(4)]),
+                            0.5 + rng.random(4))
+        top = NurbsCurve(kv, np.column_stack([xs, 0.7 + 0.3 * rng.random(4)]),
+                         0.5 + rng.random(4))
+        regions.append((bottom, top))
+    return regions
+
+
+class TestArrayCompositeEval:
+    """Broadcast (s, t) grids give the scalar calls' values point by point."""
+
+    FIELDS = {
+        0: ("x", "dx_ds", "dx_dt", "jacobian_scale"),
+        1: ("x", "dx_ds", "dx_dt", "jacobian_scale"),
+        2: ("x", "dx_ds", "dx_dt", "d2x_ds2", "d2x_dt2", "d2x_dsdt", "jacobian_scale"),
+    }
+
+    def test_grid_matches_scalar_calls(self, curved_surface, plate_region, rng):
+        regions = [plate_region] + [
+            TrimmedRegion(curved_surface, bottom, top)
+            for bottom, top in seeded_regions(rng)
+        ]
+        # s hits the curves' interior knots 0.4 and 0.5 and both ends
+        s = np.concatenate([[0.0, 0.4, 0.5, 1.0], rng.random(3)])[:, None]
+        t = np.concatenate([[0.0, 1.0], rng.random(3)])[None, :]
+        for region in regions:
+            for order in (0, 1, 2):
+                grid = region.composite_eval(s, t, order)
+                assert grid.jacobian_scale.shape == (7, 5)
+                for i, j in np.ndindex(7, 5):
+                    one = region.composite_eval(float(s[i, 0]), float(t[0, j]), order)
+                    for name in self.FIELDS[order]:
+                        ref = getattr(one, name)
+                        got = getattr(grid, name)[i, j]
+                        assert rel(got - ref, ref) <= 1e-13, (order, name, i, j)
+
+    def test_map_point_flags_breakpoints_per_s(self, plate_region):
+        m = plate_region.map_point(np.array([[0.25], [0.5]]), np.array([[0.0, 1.0]]))
+        assert m.uv.shape == (2, 2, 2)
+        assert m.on_breakpoint.ravel().tolist() == [False, True]
+        assert np.array_equal(m.det, [[plate_region.map_point(s, t).det for t in (0.0, 1.0)]
+                                      for s in (0.25, 0.5)])
+
+    def test_array_domain_error(self, plate_region):
+        with pytest.raises(DomainError):
+            plate_region.composite_eval(np.array([[0.5], [1.2]]), np.array([[0.5]]))
+
+    def test_first_singular_point_in_s_major_order(self):
+        # the top curve meets the bottom one at s = 0.75: the map collapses
+        # there for every t, so the first singular point is (0.75, t[0])
+        bottom = segment([0.0, 0.25], [1.0, 0.25])
+        top = NurbsCurve(KnotVector([0, 0, 0.75, 1, 1], 1),
+                         [[0.0, 0.75], [0.75, 0.25], [1.0, 0.75]])
+        region = TrimmedRegion(unit_square_surface(), bottom, top)
+        with pytest.raises(SingularMapError) as err:
+            region.composite_eval(np.array([[0.25], [0.75], [0.75]]),
+                                  np.array([[0.125, 0.5]]), 1)
+        assert (err.value.s, err.value.t, err.value.scale) == (0.75, 0.125, 0.0)
+
+
+class TestSingularThreshold:
+    """The singular-map test is relative to the surface's size."""
+
+    def test_small_model_is_regular(self):
+        region = identity_region(unit_square_surface(1e-8))
+        cd = region.composite_eval(0.5, 0.5, 1)
+        assert abs(cd.jacobian_scale - 1e-16) <= 1e-28
+
+    def test_degenerate_region_is_singular_at_any_scale(self):
+        curve = segment([0.0, 0.5], [1.0, 0.5])
+        for scale in (1e-8, 1.0, 1e8):
+            region = TrimmedRegion(unit_square_surface(scale), curve, curve)
+            with pytest.raises(SingularMapError):
+                region.composite_eval(0.5, 0.5, 1)
+
+
 class TestValidateRegion:
     def test_plate_region_is_valid(self, plate_region):
         report = plate_region.validate(32)
