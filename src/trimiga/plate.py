@@ -1,10 +1,14 @@
 """2D plane-stress isogeometric Galerkin solver over a trimmed region.
 
 Point functions (field basis, gradients, strains, the reference field)
-take arrays of (s, t) or (x, y) that broadcast together, such as a Gauss
-panel's (n, 1) s-nodes and (1, n) t-nodes; a scalar query is a batch of
-one. Stiffness is assembled one element block per panel into a sparse
-matrix, and the constrained system is solved by sparse LU.
+take arrays of (s, t) or (x, y) that broadcast together; a scalar query is
+a batch of one. Integrals are evaluated one column of Gauss panels at a
+time (quadrature.gauss_panels): the (1, n, 1) s-nodes of one s-tile against
+the (T, 1, n) t-nodes of its T panels, so the trimming curves are evaluated
+once per s-tile. Stiffness is assembled one element block per panel into a
+sparse matrix, the error norm keeps one fsum per panel, and the traction
+edges are evaluated one edge per call. The constrained system is solved by
+sparse LU.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -303,7 +307,8 @@ def assemble_stiffness(geometry, field, material, n_quad):
     """Sparse (CSR) stiffness matrix for 2 dofs per basis function.
 
     Each Gauss panel adds one element block, the sum over its points of
-    w |J| B^T D B; its points must share one field span.
+    w |J| B^T D B; its points must share one field span. The blocks of a
+    column of panels are formed together.
     """
     from scipy import sparse
 
@@ -312,58 +317,63 @@ def assemble_stiffness(geometry, field, material, n_quad):
     dofs, blocks = [], []
     for s, t, weights in gauss_panels(regions, n_quad):
         idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-        m = idx.shape[-1]
-        idx = idx.reshape(-1, m)
-        if np.any(idx != idx[0]):
+        T, m = weights.shape[0], idx.shape[-1]
+        idx = idx.reshape(T, -1, m)
+        split = np.any(idx != idx[:, :1], axis=(1, 2))
+        if split.any():
+            k = int(np.argmax(split))
             raise AssemblyError(
-                f"the Gauss panel at (s, t) = ({s[0, 0]:.6g}, {t[0, 0]:.6g}) "
+                f"the Gauss panel at (s, t) = ({s.flat[0]:.6g}, {t[k].flat[0]:.6g}) "
                 "spans more than one field knot span"
             )
-        q = idx.shape[0]
-        B = np.zeros((q, 3, 2 * m))
-        B[:, 0, 0::2] = dN_dx.reshape(q, m)
-        B[:, 1, 1::2] = dN_dy.reshape(q, m)
-        B[:, 2, 0::2] = dN_dy.reshape(q, m)
-        B[:, 2, 1::2] = dN_dx.reshape(q, m)
-        wDB = (weights * cd.jacobian_scale).reshape(q, 1, 1) * (D @ B)
-        blocks.append(B.reshape(3 * q, 2 * m).T @ wDB.reshape(3 * q, 2 * m))
-        dofs.append(np.stack([2 * idx[0], 2 * idx[0] + 1], axis=-1).ravel())
-    dofs = np.array(dofs)
+        q = idx.shape[1]
+        B = np.zeros((T, q, 3, 2 * m))
+        B[..., 0, 0::2] = dN_dx.reshape(T, q, m)
+        B[..., 1, 1::2] = dN_dy.reshape(T, q, m)
+        B[..., 2, 0::2] = dN_dy.reshape(T, q, m)
+        B[..., 2, 1::2] = dN_dx.reshape(T, q, m)
+        wDB = (weights * cd.jacobian_scale).reshape(T, q, 1, 1) * (D @ B)
+        BT = B.reshape(T, 3 * q, 2 * m).transpose(0, 2, 1)
+        blocks.append(np.matmul(BT, wDB.reshape(T, 3 * q, 2 * m)))
+        first = idx[:, 0]
+        dofs.append(np.stack([2 * first, 2 * first + 1], axis=-1).reshape(T, -1))
+    dofs = np.concatenate(dofs)
     size = dofs.shape[1]
     rows = np.repeat(dofs, size, axis=1).ravel()
     cols = np.tile(dofs, (1, size)).ravel()
     n = 2 * field.dim
-    return sparse.csr_array((np.ravel(blocks), (rows, cols)), shape=(n, n))
+    return sparse.csr_array((np.concatenate(blocks).ravel(), (rows, cols)), shape=(n, n))
 
 
 def _edge_point(edge, r):
-    if edge == "s0":
-        return 0.0, r
-    if edge == "s1":
-        return 1.0, r
-    if edge == "t0":
-        return r, 0.0
-    return r, 1.0
+    if edge in ("s0", "s1"):
+        return np.full_like(r, float(edge == "s1")), r
+    return r, np.full_like(r, float(edge == "t1"))
 
 
 def _edge_geometry(geometry, edge, r):
-    """Position, tangent along the edge, outward unit normal, at edge param r."""
+    """Positions, tangent lengths and outward unit normals at edge params r.
+
+    r is an array of parameters along the edge; returns (s, t, xy, |tangent|,
+    normal) with r's shape in front of the vector axis.
+    """
+    r = np.asarray(r, dtype=float)
     s, t = _edge_point(edge, r)
     cd = geometry.eval(s, t)
-    xy = cd.x[:2]
+    xy = cd.x[..., :2]
     if edge in ("s0", "s1"):
-        tangent = cd.dx_dt[:2]
-        outward = -cd.dx_ds[:2] if edge == "s0" else cd.dx_ds[:2]
+        tangent = cd.dx_dt[..., :2]
+        outward = -cd.dx_ds[..., :2] if edge == "s0" else cd.dx_ds[..., :2]
     else:
-        tangent = cd.dx_ds[:2]
-        outward = -cd.dx_dt[:2] if edge == "t0" else cd.dx_dt[:2]
-    normal = np.array([tangent[1], -tangent[0]])
-    norm = float(np.linalg.norm(normal))
+        tangent = cd.dx_ds[..., :2]
+        outward = -cd.dx_dt[..., :2] if edge == "t0" else cd.dx_dt[..., :2]
+    normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+    norm = np.sqrt(normal[..., 0] ** 2 + normal[..., 1] ** 2)
     check_regular(norm, geometry.surface.singular_length, s, t)
-    normal /= norm
-    if normal @ outward < 0.0:
-        normal = -normal
-    return s, t, xy, float(np.linalg.norm(tangent)), normal
+    normal = normal / norm[..., None]
+    inward = np.sum(normal * outward, axis=-1) < 0.0
+    normal = np.where(inward[..., None], -normal, normal)
+    return s, t, xy, norm, normal
 
 
 def assemble_tractions(geometry, field, bcs, n_quad):
@@ -374,16 +384,15 @@ def assemble_tractions(geometry, field, bcs, n_quad):
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        lines = unit_lines(t_lines if edge in ("s0", "s1") else s_lines)
-        for a, b in zip(lines[:-1], lines[1:]):
-            h = b - a
-            for k in range(n_quad):
-                r = a + h * x[k]
-                s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
-                tvec = np.asarray(bc.fn(xy, normal), dtype=float)
-                idx, values, _, _ = field.basis(s, t, 0)
-                f[2 * idx] += w[k] * h * ds * values * tvec[0]
-                f[2 * idx + 1] += w[k] * h * ds * values * tvec[1]
+        lines = np.array(unit_lines(t_lines if edge in ("s0", "s1") else s_lines))
+        h = (lines[1:] - lines[:-1])[:, None]
+        r = (lines[:-1, None] + h * x).ravel()
+        s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
+        tvec = np.array([bc.fn(p, n) for p, n in zip(xy, normal)], dtype=float)
+        idx, values, _, _ = field.basis(s, t, 0)
+        scale = ((w * h).ravel() * ds)[:, None] * values
+        np.add.at(f, 2 * idx, scale * tvec[:, :1])
+        np.add.at(f, 2 * idx + 1, scale * tvec[:, 1:])
     return f
 
 
@@ -404,9 +413,9 @@ def symmetry_constraints(geometry, field, bcs):
     for edge, bc in bcs.items():
         if not isinstance(bc, Symmetry):
             continue
-        normals = [_edge_geometry(geometry, edge, r)[4] for r in (0.25, 0.5, 0.75)]
+        normals = _edge_geometry(geometry, edge, [0.25, 0.5, 0.75])[4]
         comp = int(np.argmax(np.abs(normals[1])))
-        if any(abs(n[1 - comp]) > 1e-6 for n in normals):
+        if np.any(np.abs(normals[:, 1 - comp]) > 1e-6):
             raise AssemblyError(
                 f"edge {edge}: symmetry condition needs an axis-aligned normal, "
                 f"got {normals[1]}"
@@ -675,8 +684,9 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         w = weights * cd.jacobian_scale
         num = w * (diff[..., 0] ** 2 + diff[..., 1] ** 2 + 2.0 * diff[..., 2] ** 2)
         den = w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
-        num_parts.append(math.fsum(num.ravel().tolist()))
-        den_parts.append(math.fsum(den.ravel().tolist()))
+        T = weights.shape[0]
+        num_parts.extend(math.fsum(row) for row in num.reshape(T, -1).tolist())
+        den_parts.extend(math.fsum(row) for row in den.reshape(T, -1).tolist())
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
 
 

@@ -13,6 +13,7 @@ smoothness. Single-span surfaces (the usual trimming scenario) are immune.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -79,19 +80,27 @@ def partition_regions(region, field=None, split_breakpoints=True):
 
 
 def gauss_panels(regions, n_per_dir):
-    """Tensor Gauss rule per integration region, one panel at a time.
+    """Tensor Gauss rule per integration region, one column of panels at a time.
 
-    Yields, for each region, (s, t, weights) as arrays: s-nodes of shape
-    (n, 1), t-nodes of shape (1, n) and weights of shape (n, n), so s is the
-    major axis of the broadcast panel. Weight [i, j] is w_i * w_j * hs * ht
-    multiplied in that order, so per-panel fsums see the same terms.
+    A column is a run of consecutive regions sharing (s0, s1), which is one
+    s-tile of an s-major tiling such as partition_lines'. Yields, per column
+    of T panels, (s, t, weights) as arrays: s-nodes of shape (1, n, 1),
+    t-nodes of shape (T, 1, n) with one row per panel, and weights of shape
+    (T, n, n). The broadcast (T, n, n) grid is panel-major and s-major within
+    a panel, so [k] holds panel k in the regions' order. Weight [k, i, j] is
+    w_i * w_j * hs * ht_k multiplied in that order, so per-panel fsums see
+    the same terms.
     """
     x, w = gauss_points_1d(n_per_dir)
     ww = np.outer(w, w)
-    for r in regions:
-        hs = r.s1 - r.s0
-        ht = r.t1 - r.t0
-        yield (r.s0 + hs * x)[:, None], (r.t0 + ht * x)[None, :], ww * hs * ht
+    for (s0, s1), column in groupby(regions, key=lambda r: (r.s0, r.s1)):
+        column = list(column)
+        hs = s1 - s0
+        t0 = np.array([r.t0 for r in column])
+        ht = np.array([r.t1 - r.t0 for r in column])
+        s = (s0 + hs * x)[None, :, None]
+        t = (t0[:, None] + ht[:, None] * x)[:, None, :]
+        yield s, t, (ww * hs)[None] * ht[:, None, None]
 
 
 def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
@@ -106,10 +115,11 @@ def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
     sums = []
     for s, t, weights in gauss_panels(regions, n_per_dir):
         s, t = np.broadcast_arrays(s, t)
-        terms = []
-        for si, ti, weight in zip(s.ravel().tolist(), t.ravel().tolist(),
-                                  weights.ravel().tolist()):
-            cd = region.composite_eval(si, ti, order=1)
-            terms.append(weight * f(cd) * cd.jacobian_scale)
-        sums.append(math.fsum(terms))
+        for sk, tk, wk in zip(s, t, weights):
+            terms = []
+            for si, ti, weight in zip(sk.ravel().tolist(), tk.ravel().tolist(),
+                                      wk.ravel().tolist()):
+                cd = region.composite_eval(si, ti, order=1)
+                terms.append(weight * f(cd) * cd.jacobian_scale)
+            sums.append(math.fsum(terms))
     return math.fsum(sums)

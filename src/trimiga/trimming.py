@@ -32,7 +32,9 @@ class MapDerivatives:
     query sits exactly on an interior knot of a trimming curve, the s
     derivatives are the right-sided limits and on_breakpoint is set. For
     array queries every field gains the points' shape in front of its last
-    axis, and on_breakpoint is a boolean array over the s values.
+    axis, except that the fields independent of t (duv_dt, d2uv_dt2 and
+    d2uv_dsdt) gain s's shape only, which broadcasts against the points';
+    on_breakpoint is a boolean array over the s values.
     """
 
     uv: np.ndarray
@@ -180,13 +182,14 @@ class TrimmedRegion:
         duv_dt = tp.value - b.value
         if order < 2:
             return MapDerivatives(uv, duv_ds, duv_dt, on_breakpoint=flagged)
+        d2uv_dsdt = tp.d1 - b.d1
         return MapDerivatives(
             uv,
             duv_ds,
             duv_dt,
             d2uv_ds2=(1.0 - t) * b.d2 + t * tp.d2,
-            d2uv_dt2=np.zeros(2),
-            d2uv_dsdt=tp.d1 - b.d1,
+            d2uv_dt2=np.zeros_like(d2uv_dsdt),
+            d2uv_dsdt=d2uv_dsdt,
             on_breakpoint=flagged,
         )
 

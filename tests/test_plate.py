@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimiga import plate
-from trimiga.errors import AssemblyError, DomainError
+from trimiga.errors import AssemblyError, DomainError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsSurface, collocation_matrix
 from trimiga.plate import (
     DirectGeometry,
@@ -19,16 +19,20 @@ from trimiga.plate import (
     Traction,
     assemble,
     assemble_stiffness,
+    assemble_tractions,
     convergence_rates,
     convergence_study,
     kirsch_reference,
     physical_gradients,
+    plate_boundary_conditions,
     plate_field,
     solve_plate,
     solve_problem,
+    stress_error_l2,
 )
-from trimiga.quadrature import gauss_points_1d, partition_lines
+from trimiga.quadrature import gauss_points_1d, partition_lines, unit_lines
 from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
+from trimiga.trimming import CompositeDerivatives
 
 MAT = Material(1e5, 0.3)
 
@@ -287,6 +291,20 @@ class TestAssembly:
         with pytest.raises(AssemblyError, match="field knot span"):
             assemble_stiffness(MappedGeometry(plate_region), field, MAT, 3)
 
+    def test_singular_point_is_reported_in_panel_order(self):
+        # one column of three panels (t-tiles [0, .25], [.25, .5], [.5, 1]);
+        # the first singular point met panel by panel is in panel 1 on s-row
+        # 2, ahead of one in panel 2 on s-row 0
+        x, _ = gauss_points_1d(3)
+        first = (x[2], 0.25 + 0.25 * x[0])
+        later = (x[0], 0.5 + 0.5 * x[1])
+        geometry = SingularAt([first, later])
+        field = FieldSpace(KnotVector([0, 0, 1, 1], 1),
+                           KnotVector([0, 0, 0.25, 0.5, 1, 1], 1))
+        with pytest.raises(SingularMapError) as err:
+            assemble_stiffness(geometry, field, MAT, 3)
+        assert (err.value.s, err.value.t) == first
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported by the solve; importing it with the package
         # would double the import time
@@ -294,6 +312,89 @@ class TestAssembly:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "False"
+
+
+class SingularAt:
+    """The unit square seen directly, singular at the given (s, t) points."""
+
+    surface = unit_square_surface()
+
+    def __init__(self, points):
+        self.points = points
+
+    def eval(self, s, t):
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), t)
+        hit = np.zeros(s.shape, dtype=bool)
+        for ps, pt in self.points:
+            hit |= (s == ps) & (t == pt)
+        x = np.stack([s, t, np.zeros_like(s)], axis=-1)
+        dx_ds = np.where(hit[..., None], 0.0, np.array([1.0, 0.0, 0.0]))
+        dx_dt = np.broadcast_to(np.array([0.0, 1.0, 0.0]), x.shape)
+        return CompositeDerivatives(x, dx_ds, dx_dt, jacobian_scale=np.where(hit, 0.0, 1.0))
+
+    def s_breaklines(self):
+        return []
+
+    def t_breaklines(self):
+        return []
+
+    def max_degree(self):
+        return 1
+
+
+class TestColumnsMatchPointLoops:
+    """Stage 1 of the plate benchmark against one scalar call per point."""
+
+    CONFIG = PlateConfig(stage=1, bc_mode="exact")
+
+    def test_tractions_match_bitwise(self):
+        config = self.CONFIG
+        geometry = MappedGeometry(plate_with_hole_region(config.scale))
+        field = plate_field(geometry.region, config)
+        bcs = plate_boundary_conditions(config)
+        f = assemble_tractions(geometry, field, bcs, 3)
+        ref = np.zeros_like(f)
+        x, w = gauss_points_1d(3)
+        lines = unit_lines(geometry.s_breaklines() + field.knot_vector_s.interior()[0])
+        for a, b in zip(lines[:-1], lines[1:]):
+            h = b - a
+            for k in range(3):
+                s = a + h * x[k]
+                cd = geometry.eval(s, 1.0)
+                tangent = cd.dx_ds[:2]
+                normal = np.array([tangent[1], -tangent[0]]) / np.linalg.norm(tangent)
+                if normal @ cd.dx_dt[:2] < 0.0:
+                    normal = -normal
+                tvec = bcs["t1"].fn(cd.x[:2], normal)
+                idx, values, _, _ = field.basis(s, 1.0, 0)
+                ds = float(np.linalg.norm(tangent))
+                ref[2 * idx] += w[k] * h * ds * values * tvec[0]
+                ref[2 * idx + 1] += w[k] * h * ds * values * tvec[1]
+        assert np.count_nonzero(f) > 0
+        assert np.array_equal(f, ref)
+
+    def test_stress_error_matches_a_point_loop(self):
+        config = self.CONFIG
+        result = solve_plate(config)
+        solution = result.solution
+        D = config.material.plane_stress_matrix()
+        x, w = gauss_points_1d(5)
+        s_lines = solution.geometry.s_breaklines() + solution.field.knot_vector_s.interior()[0]
+        num, den = [], []
+        for r in partition_lines(s_lines, solution.field.knot_vector_t.interior()[0]):
+            hs, ht = r.s1 - r.s0, r.t1 - r.t0
+            for i, j in np.ndindex(5, 5):
+                strain, cd = solution._strain(r.s0 + hs * x[i], r.t0 + ht * x[j])
+                ref = kirsch_reference(cd.x[0], cd.x[1], config.far_stress,
+                                       config.hole_radius, config.material)
+                diff = D @ strain - ref.stress
+                weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
+                num.append(weight * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
+                den.append(weight * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2))
+        expected = math.sqrt(math.fsum(num) / math.fsum(den))
+        got = stress_error_l2(solution, config, n_quad=5)
+        assert got == result.l2_stress_error
+        assert abs(got - expected) <= 1e-13 * expected
 
 
 class TestKirschReference:

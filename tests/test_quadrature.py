@@ -103,32 +103,42 @@ class TestPartition:
         assert all(0.0 <= v < 1.0 for v in starts)
 
     def test_rule_weights_sum_to_area(self, plate_region):
-        regions = partition_regions(plate_region)
-        panels = list(gauss_panels(regions, 4))
-        assert len(panels) == len(regions)
-        for s, t, w in panels:
-            assert (s.shape, t.shape, w.shape) == ((4, 1), (1, 4), (4, 4))
-        weights = [w for _, _, panel_w in panels for w in panel_w.ravel().tolist()]
+        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        regions = partition_regions(plate_region, field)
+        columns = list(gauss_panels(regions, 4))
+        assert len(columns) == len({(r.s0, r.s1) for r in regions}) == 4
+        for s, t, w in columns:
+            T = t.shape[0]
+            assert T == 2
+            assert (s.shape, t.shape, w.shape) == ((1, 4, 1), (T, 1, 4), (T, 4, 4))
+        assert sum(t.shape[0] for _, t, _ in columns) == len(regions)
+        weights = [w for _, _, col_w in columns for w in col_w.ravel().tolist()]
         assert abs(math.fsum(weights) - 1.0) < 1e-13
         assert all(w > 0.0 for w in weights)
 
     def test_panel_points_are_plain_floats_in_s_major_order(self):
-        # the panel arrays broadcast to an s-major grid whose flattened points
-        # and weights are the scalar rule's, term for term
+        # each column broadcasts to a panel-major grid whose flattened points
+        # and weights are the scalar rule's, panel by panel in the tiling's
+        # order and s-major within a panel, term for term
         x, w = gauss_points_1d(2)
-        regions = partition_lines([0.25], [0.5])
-        for region, (s, t, weights) in zip(regions, gauss_panels(regions, 2)):
-            hs, ht = region.s1 - region.s0, region.t1 - region.t0
+        regions = partition_lines([0.25], [0.5, 0.75])
+        columns = list(gauss_panels(regions, 2))
+        assert len(columns) == 2
+        points, expected = [], []
+        for s, t, weights in columns:
+            assert all(arr.dtype == np.float64 for arr in (s, t, weights))
             s, t = np.broadcast_arrays(s, t)
-            points = list(zip(s.ravel().tolist(), t.ravel().tolist(),
-                              weights.ravel().tolist()))
-            assert points == [
+            points += list(zip(s.ravel().tolist(), t.ravel().tolist(),
+                               weights.ravel().tolist()))
+        for region in regions:
+            hs, ht = region.s1 - region.s0, region.t1 - region.t0
+            expected += [
                 (region.s0 + hs * float(xi), region.t0 + ht * float(xj),
                  float(wi) * float(wj) * hs * ht)
                 for xi, wi in zip(x, w)
                 for xj, wj in zip(x, w)
             ]
-        assert all(arr.dtype == np.float64 for arr in (s, t, weights))
+        assert points == expected
 
     def test_tiling_ends_exactly_at_the_unit_edges(self):
         for near_end in (1.0 - 5e-13, 5e-13):

@@ -71,6 +71,18 @@ class TestSecondDerivatives:
             m = plate_region.map_second_derivatives(s, t)
             assert np.all(m.d2uv_dt2 == 0.0)
 
+    def test_fields_broadcast_on_a_grid(self, plate_region):
+        # the t-independent fields keep s's shape, d2uv_dt2 included
+        s = np.array([[0.1], [0.5], [0.9]])
+        t = np.array([[0.0, 0.3, 0.7, 1.0]])
+        m = plate_region.map_second_derivatives(s, t)
+        for name in ("uv", "duv_ds", "d2uv_ds2"):
+            assert getattr(m, name).shape == (3, 4, 2)
+        for name in ("duv_dt", "d2uv_dt2", "d2uv_dsdt"):
+            assert getattr(m, name).shape == (3, 1, 2)
+        assert np.all(m.d2uv_dt2 == 0.0)
+        assert np.broadcast_shapes(m.d2uv_dt2.shape, m.uv.shape) == (3, 4, 2)
+
     def test_identity_trim_is_affine(self, square_region):
         m = square_region.map_second_derivatives(0.37, 0.81)
         assert np.allclose(m.duv_ds, [1.0, 0.0], atol=1e-15)
