@@ -385,7 +385,7 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         if not isinstance(bc, Traction):
             continue
         lines = np.array(unit_lines(t_lines if edge in ("s0", "s1") else s_lines))
-        h = (lines[1:] - lines[:-1])[:, None]
+        h = np.diff(lines)[:, None]
         r = (lines[:-1, None] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
         tvec = np.array([bc.fn(p, n) for p, n in zip(xy, normal)], dtype=float)
