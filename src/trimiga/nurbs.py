@@ -123,7 +123,10 @@ class KnotVector:
 
         Elementwise for an array of parameters.
         """
-        u = self._clamped(u)
+        return self._span(self._clamped(u))
+
+    def _span(self, u):
+        """find_span for a u already clamped into [0, 1]."""
         last = self.num_basis - 1
         if np.ndim(u):
             return np.minimum(np.searchsorted(self.knots, u, side="right") - 1, last)
@@ -141,7 +144,7 @@ class KnotVector:
         if order < 0 or order > 2:
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         u = self._clamped(u)
-        span = self.find_span(u)
+        span = self._span(u)
         p = self.degree
         U = self.knots if np.ndim(u) else self._knot_list
         # Triangular table of basis values and knot differences (Cox-de Boor).
@@ -445,8 +448,10 @@ class NurbsSurface:
             ]
         else:
             H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
-        # A[k, l] = sum_ij du[k, i] dv[l, j] H[i, j] for needed (k, l).
-        A = np.einsum("...ki,...lj,...ijc->...klc", du, dv, H)
+        # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j]
+        G = dv[..., None, :, :] @ H
+        A = du @ G.reshape(G.shape[:-3] + (p + 1, -1))
+        A = A.reshape(A.shape[:-1] + (order + 1, -1))
         w = A[..., -1:]
         Ad = A[..., :-1]
         w0 = w[..., 0, 0, :]

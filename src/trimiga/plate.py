@@ -8,7 +8,7 @@ the (T, 1, n) t-nodes of its T panels, so the trimming curves are evaluated
 once per s-tile. Stiffness is assembled one element block per panel into a
 sparse matrix, the error norm keeps one fsum per panel, and the traction
 edges are evaluated one edge per call. The constrained system is solved by
-sparse LU.
+sparse LU under a symmetric minimum-degree ordering.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -450,7 +450,7 @@ class SolveResult:
 
     def displacement(self, s, t):
         idx, values, _, _ = self.field.basis(s, t, 0)
-        return np.einsum("...i,...ic->...c", values, self.coeffs[idx])
+        return (values[..., None, :] @ self.coeffs[idx])[..., 0, :]
 
     def strain(self, s, t):
         return self._strain(s, t)[0]
@@ -459,8 +459,8 @@ class SolveResult:
         """Strain (exx, eyy, gxy) in a last axis, and the geometry bundle."""
         idx, _, dN_dx, dN_dy, cd = physical_gradients(self.geometry, self.field, s, t)
         u = self.coeffs[idx]
-        grad_x = np.einsum("...i,...ic->...c", dN_dx, u)  # (dux/dx, duy/dx)
-        grad_y = np.einsum("...i,...ic->...c", dN_dy, u)  # (dux/dy, duy/dy)
+        grad_x = (dN_dx[..., None, :] @ u)[..., 0, :]  # (dux/dx, duy/dx)
+        grad_y = (dN_dy[..., None, :] @ u)[..., 0, :]  # (dux/dy, duy/dy)
         strain = np.stack(
             [grad_x[..., 0], grad_y[..., 1], grad_y[..., 0] + grad_x[..., 1]], axis=-1
         )
@@ -484,8 +484,14 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     u = np.zeros(n)
     rhs = f[free]
     Kff = K[free][:, free]
-    try:
-        u[free] = splu(Kff.tocsc()).solve(rhs)
+    try:  # Kff is symmetric positive definite: symmetric order, diagonal pivots
+        lu = splu(
+            Kff.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        u[free] = lu.solve(rhs)
     except RuntimeError as exc:  # splu's report of an exactly singular factor
         raise SolveError(f"linear solve failed: {exc}") from None
     res = float(np.linalg.norm(Kff @ u[free] - rhs))

@@ -233,6 +233,66 @@ class TestSurfaceEval:
             d_uv = np.einsum("i,j,ijc->c", du[1], dv[1], window)
             assert np.abs(sd.duv - d_uv).max() < 1e-11
 
+    KNOTS = {
+        1: [0, 0, 0.4, 1, 1],
+        2: [0, 0, 0, 0.5, 1, 1, 1],
+        3: [0, 0, 0, 0, 0.3, 0.7, 1, 1, 1, 1],
+    }
+
+    @staticmethod
+    def double_loop(srf, u, v):
+        """Partials up to order 2 at one point: homogeneous sums by a plain
+        double loop, then the rational quotient rule (NURBS Book A4.4)."""
+        p, q = srf.degrees
+        su, du = srf.knot_vector_u.basis(u, 2)
+        sv, dv = srf.knot_vector_v.basis(v, 2)
+        H = srf.homogeneous()
+        A = {}
+        for k in range(3):
+            for l in range(3 - k):
+                total = np.zeros(4)
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        total += du[k, i] * dv[l, j] * H[su - p + i, sv - q + j]
+                A[k, l] = total
+        S = {}
+        for k in range(3):
+            for l in range(3 - k):
+                d = A[k, l][:3].copy()
+                for j in range(1, l + 1):
+                    d -= math.comb(l, j) * A[0, j][3] * S[k, l - j]
+                for i in range(1, k + 1):
+                    d -= math.comb(k, i) * A[i, 0][3] * S[k - i, l]
+                    for j in range(1, l + 1):
+                        d -= math.comb(k, i) * math.comb(l, j) * A[i, j][3] * S[k - i, l - j]
+                S[k, l] = d / A[0, 0][3]
+        return {"value": S[0, 0], "du": S[1, 0], "dv": S[0, 1],
+                "duu": S[2, 0], "duv": S[1, 1], "dvv": S[0, 2]}
+
+    def test_rational_partials_match_a_double_loop(self, rng):
+        # scalar points and a broadcast (T, 1, n) x (1, n, 1) grid
+        for p in (1, 2, 3):
+            for q in (1, 2, 3):
+                kv_u = KnotVector(self.KNOTS[p], p)
+                kv_v = KnotVector(self.KNOTS[q], q)
+                shape = (kv_u.num_basis, kv_v.num_basis)
+                srf = NurbsSurface(
+                    kv_u, kv_v, rng.random(shape + (3,)), 0.5 + 1.5 * rng.random(shape)
+                )
+                u = np.append(rng.random(5), [0.0, 0.5, 1.0]).reshape(2, 1, 4)
+                v = np.append(rng.random(3), [0.3, 1.0]).reshape(1, 5, 1)
+                grid = srf.evaluate(u, v, 2)
+                for index in np.ndindex(2, 5, 4):
+                    point = (float(u[index[0], 0, index[2]]), float(v[0, index[1], 0]))
+                    want = self.double_loop(srf, *point)
+                    one = srf.evaluate(*point, 2)
+                    # relative to the largest partial: a rational surface of
+                    # degree 1 has small second partials made by cancellation
+                    tol = 1e-14 * max(np.abs(w).max() for w in want.values())
+                    for name, w in want.items():
+                        assert np.abs(getattr(one, name) - w).max() <= tol, (p, q, name)
+                        assert np.abs(getattr(grid, name)[index] - w).max() <= tol
+
     def test_derivatives_match_finite_differences(self, curved_surface, rng):
         h = 1e-5
         srf = curved_surface

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimiga import plate
-from trimiga.errors import AssemblyError, DomainError, SingularMapError
+from trimiga.errors import AssemblyError, DomainError, SingularMapError, SolveError
 from trimiga.nurbs import KnotVector, NurbsSurface, collocation_matrix
 from trimiga.plate import (
     DirectGeometry,
@@ -29,6 +29,7 @@ from trimiga.plate import (
     solve_plate,
     solve_problem,
     stress_error_l2,
+    symmetry_constraints,
 )
 from trimiga.quadrature import gauss_points_1d, partition_lines, unit_lines
 from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
@@ -520,6 +521,28 @@ class TestSolver:
     def test_solver_residual_is_tracked(self, square_region):
         result = solve_problem(square_region, unit_field(1), MAT, tension_bcs(0))
         assert result.residual < 1e-10
+
+    def test_sparse_solve_matches_a_dense_solve(self):
+        config = PlateConfig(stage=1, bc_mode="exact")
+        geometry = MappedGeometry(plate_with_hole_region(config.scale))
+        field = plate_field(geometry.region, config)
+        bcs = plate_boundary_conditions(config)
+        result = solve_problem(geometry, field, MAT, bcs)
+        K, f = assemble(geometry, field, MAT, bcs)
+        free = np.ones(K.shape[0], dtype=bool)
+        free[list(symmetry_constraints(geometry, field, bcs))] = False
+        dense = np.zeros(K.shape[0])
+        dense[free] = np.linalg.solve(K.toarray()[np.ix_(free, free)], f[free])
+        coeffs = result.coeffs.ravel()
+        assert np.abs(coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_unconstrained_plate_is_a_solve_error(self):
+        # without the symmetry edges the rigid motions leave K singular
+        config = PlateConfig(stage=0, bc_mode="exact")
+        region = plate_with_hole_region(config.scale)
+        bcs = {**plate_boundary_conditions(config), "s0": Free(), "s1": Free()}
+        with pytest.raises(SolveError):
+            solve_problem(region, plate_field(region, config), MAT, bcs)
 
     def test_plate_stage_zero(self):
         result = solve_plate(PlateConfig(stage=0, bc_mode="exact"))
