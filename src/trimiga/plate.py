@@ -485,12 +485,8 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     rhs = f[free]
     Kff = K[free][:, free]
     try:  # Kff is symmetric positive definite: symmetric order, diagonal pivots
-        lu = splu(
-            Kff.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = splu(Kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
         u[free] = lu.solve(rhs)
     except RuntimeError as exc:  # splu's report of an exactly singular factor
         raise SolveError(f"linear solve failed: {exc}") from None
