@@ -37,6 +37,7 @@ class DirectoryEntry:
     form: int
     status: str
     params: list = field(default_factory=list)
+    first_param_line: int | None = None  # file line of the first parameter record
 
 
 @dataclass
@@ -46,6 +47,7 @@ class TrimmedSurfaceRecord:
     de: int
     surface_de: int
     boundary_des: tuple
+    inner_loops: int  # N2, the count of inner boundaries (holes)
 
 
 @dataclass
@@ -225,14 +227,14 @@ def _take(params, count, entry, what):
         raise IgesParseError(
             f"entity {entry.etype} (D{entry.de}): parameter record ended while "
             f"reading {what}",
-            getattr(entry, "first_param_line", None),
+            entry.first_param_line,
             "P",
         )
     return params[:count], params[count:]
 
 
 def _build_curve_126(entry):
-    lineno = getattr(entry, "first_param_line", None)
+    lineno = entry.first_param_line
     head, rest = _take(entry.params, 6, entry, "curve header")
     K = _num(head[0], lineno, "P", int)
     M = _num(head[1], lineno, "P", int)
@@ -257,7 +259,7 @@ def _build_curve_126(entry):
 
 
 def _build_surface_128(entry):
-    lineno = getattr(entry, "first_param_line", None)
+    lineno = entry.first_param_line
     head, rest = _take(entry.params, 9, entry, "surface header")
     K1 = _num(head[0], lineno, "P", int)
     K2 = _num(head[1], lineno, "P", int)
@@ -291,9 +293,8 @@ def _build_surface_128(entry):
     return surface, (ku[0], ku[-1], kvv[0], kvv[-1])
 
 
-def _pointer(token, entry, what):
-    lineno = getattr(entry, "first_param_line", None)
-    value = _num(token, lineno, "P", int)
+def _pointer(token, entry):
+    value = _num(token, entry.first_param_line, "P", int)
     if value < 0:
         value = -value  # negative pointers flag alternate use; the target is the same
     return value
@@ -329,42 +330,42 @@ def parse(text):
             model.surface_ranges[de] = rng
         elif entry.etype == 102:
             head, rest = _take(entry.params, 1, entry, "composite count")
-            n = _num(head[0], getattr(entry, "first_param_line", None), "P", int)
+            n = _num(head[0], entry.first_param_line, "P", int)
             if n < 1:
                 raise IgesParseError(
                     f"entity 102 (D{de}): needs at least one member", section="P"
                 )
             ptr_txt, _ = _take(rest, n, entry, "composite members")
-            model.composites[de] = tuple(_pointer(t, entry, "member") for t in ptr_txt)
+            model.composites[de] = tuple(_pointer(t, entry) for t in ptr_txt)
         elif entry.etype == 142:
             head, _ = _take(entry.params, 5, entry, "curve-on-surface record")
-            sptr = _pointer(head[1], entry, "surface")
-            bptr = _pointer(head[2], entry, "parameter curve")
+            sptr = _pointer(head[1], entry)
+            bptr = _pointer(head[2], entry)
             # the model-space pointer and preference flag are ignored: the
             # parameter-space representation is always used
             model.curves_on_surface[de] = (sptr, bptr)
         elif entry.etype == 144:
             head, rest = _take(entry.params, 4, entry, "trimmed surface record")
-            pts = _pointer(head[0], entry, "surface")
-            n1 = _num(head[1], getattr(entry, "first_param_line", None), "P", int)
-            n2 = _num(head[2], getattr(entry, "first_param_line", None), "P", int)
-            pto = _pointer(head[3], entry, "outer boundary")
+            pts = _pointer(head[0], entry)
+            n1 = _num(head[1], entry.first_param_line, "P", int)
+            n2 = _num(head[2], entry.first_param_line, "P", int)
+            pto = _pointer(head[3], entry)
             if n2 > 0:
                 model.diagnostics.append(
-                    f"trimmed surface D{de}: {n2} inner boundary(ies) ignored"
+                    f"trimmed surface D{de}: {n2} inner boundary(ies) not supported"
                 )
-            model.trimmed.append((de, pts, n1, pto))
+            model.trimmed.append((de, pts, n1, n2, pto))
         else:
             model.skipped[entry.etype] = model.skipped.get(entry.etype, 0) + 1
 
     resolved = []
-    for de, pts, n1, pto in model.trimmed:
+    for de, pts, n1, n2, pto in model.trimmed:
         if pts not in model.surfaces:
             raise IgesParseError(
                 f"trimmed surface D{de}: dangling surface pointer D{pts}"
             )
         if n1 == 0 or pto == 0:
-            resolved.append(TrimmedSurfaceRecord(de, pts, ()))
+            resolved.append(TrimmedSurfaceRecord(de, pts, (), n2))
             continue
         if pto not in model.curves_on_surface:
             raise IgesParseError(
@@ -386,7 +387,7 @@ def parse(text):
                     f"trimmed surface D{de}: boundary member D{member} is not a "
                     "supported curve entity"
                 )
-        resolved.append(TrimmedSurfaceRecord(de, pts, tuple(members)))
+        resolved.append(TrimmedSurfaceRecord(de, pts, tuple(members), n2))
     model.trimmed = resolved
     return model
 
@@ -422,17 +423,23 @@ def _is_straight(curve):
 
 
 def _mean_point(curve, n=33):
-    svals = np.linspace(0.0, 1.0, n)
-    return np.mean([curve.evaluate(s, 0).value for s in svals], axis=0)
+    return curve.evaluate(np.linspace(0.0, 1.0, n), 0).value.mean(axis=0)
 
 
-def extract_region(model, trimmed_index=0, grid_n=16):
+def _parameter_curves(model, record):
+    """The record's boundary curves in the unit parameter square."""
+    ranges = model.surface_ranges[record.surface_de]
+    return [_to_parameter_curve(model.curves[de], ranges) for de in record.boundary_des]
+
+
+def extract_region(model, trimmed_index=0):
     """Build a TrimmedRegion from the indexed trimmed-surface record.
 
-    The boundary must reduce to exactly two non-straight curves once
-    straight closing edges are removed. Bottom/top follow the mean
-    v-coordinate (ties broken by mean u); the top curve is reversed when
-    needed so both advance in the same s-direction.
+    The outer boundary must reduce to exactly two non-straight curves once
+    straight closing edges are removed, and there must be no inner boundary
+    (a two-curve map has no holes). Bottom/top follow the mean v-coordinate
+    (ties broken by mean u); the top curve is reversed when needed so both
+    advance in the same s-direction.
     """
     if not 0 <= trimmed_index < len(model.trimmed):
         raise UnsupportedTopologyError(
@@ -440,11 +447,12 @@ def extract_region(model, trimmed_index=0, grid_n=16):
             f"(model has {len(model.trimmed)})"
         )
     record = model.trimmed[trimmed_index]
-    surface = model.surfaces[record.surface_de]
-    ranges = model.surface_ranges[record.surface_de]
-    curves = [
-        _to_parameter_curve(model.curves[de], ranges) for de in record.boundary_des
-    ]
+    if record.inner_loops:
+        raise UnsupportedTopologyError(
+            f"trimmed surface D{record.de}: {record.inner_loops} inner boundary(ies); "
+            "holes are not supported"
+        )
+    curves = _parameter_curves(model, record)
     if len(curves) < 2:
         raise UnsupportedTopologyError(
             f"trimmed surface D{record.de}: boundary has {len(curves)} curve(s); "
@@ -472,8 +480,8 @@ def extract_region(model, trimmed_index=0, grid_n=16):
     flip = np.linalg.norm(t1 - b0) + np.linalg.norm(t0 - b1)
     if flip < keep:
         top = top.reversed()
-    region = TrimmedRegion(surface, bottom, top)
-    report = region.validate(grid_n)
+    region = TrimmedRegion(model.surfaces[record.surface_de], bottom, top)
+    report = region.validate(16)
     if not report.ok:
         raise UnsupportedTopologyError(
             f"trimmed surface D{record.de}: extracted region fails validation\n"
@@ -492,10 +500,7 @@ def boundary_gap_diagnostics(model, tol=_GAP_TOL):
     for record in model.trimmed:
         if len(record.boundary_des) <= 2:
             continue
-        curves = [
-            _to_parameter_curve(model.curves[de], model.surface_ranges[record.surface_de])
-        for de in record.boundary_des
-        ]
+        curves = _parameter_curves(model, record)
         for k in range(len(curves)):
             here = curves[k].evaluate(1.0, 0).value
             there = curves[(k + 1) % len(curves)].evaluate(0.0, 0).value
@@ -525,7 +530,6 @@ class _Writer:
     def add(self, etype, params, status="00000000", form=0):
         de = self.next_de
         body = [str(etype)] + params
-        text = ",".join(body) + ";"
         chunks = self._pack(body)
         pd_pointer = len(self.plines) + 1
         for chunk in chunks:
@@ -584,11 +588,11 @@ class _Writer:
         return "\n".join(out) + "\n"
 
 
-def _curve_params(curve, planar_z=True):
+def _curve_params(curve):
     n = curve.control_points.shape[0]
     K = n - 1
     M = curve.degree
-    params = [str(K), str(M), "1" if planar_z else "0", "0", "0", "0"]
+    params = [str(K), str(M), "1", "0", "0", "0"]
     params += [_fmt_real(k) for k in curve.knot_vector.knots]
     params += [_fmt_real(w) for w in curve.weights]
     for pt in curve.control_points:
@@ -628,13 +632,6 @@ def region_to_iges(region):
     )
     w.add(144, [str(srf_de), "1", "0", str(cos_de)])
     return w.render("trimmed surface region")
-
-
-def curve_to_iges(curve):
-    """IGES text holding a single 126 entity."""
-    w = _Writer()
-    w.add(126, _curve_params(curve))
-    return w.render("single curve")
 
 
 def save_region_iges(region, path):

@@ -175,11 +175,6 @@ def parse_region(text):
     return TrimmedRegion(surface, bottom, top)
 
 
-def load_entities(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_entities(fh.read())
-
-
 def load_region(path):
     with open(path, encoding="utf-8") as fh:
         return parse_region(fh.read())

@@ -370,14 +370,6 @@ class NurbsCurve:
         kv = KnotVector(1.0 - self.knot_vector.knots[::-1], self.degree)
         return NurbsCurve(kv, self.control_points[::-1], self.weights[::-1])
 
-    def transformed(self, scale, offset):
-        """Control points mapped through x -> scale * x + offset (per axis)."""
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), (self.dim,))
-        offset = np.broadcast_to(np.asarray(offset, dtype=float), (self.dim,))
-        return NurbsCurve(
-            self.knot_vector, self.control_points * scale + offset, self.weights
-        )
-
 
 class NurbsSurface:
     """Tensor-product rational B-spline surface with a 3D control net."""
@@ -499,17 +491,6 @@ class NurbsSurface:
         if direction == "u":
             return NurbsSurface.from_homogeneous(new_kv, other, hnet)
         return NurbsSurface.from_homogeneous(other, new_kv, hnet.transpose(1, 0, 2))
-
-    def transformed(self, scale, offset):
-        """Control net mapped through x -> scale * x + offset (per axis)."""
-        scale = np.broadcast_to(np.asarray(scale, dtype=float), (3,))
-        offset = np.broadcast_to(np.asarray(offset, dtype=float), (3,))
-        return NurbsSurface(
-            self.knot_vector_u,
-            self.knot_vector_v,
-            self.control_net * scale + offset,
-            self.weights,
-        )
 
 
 def _insert_once(knots, degree, coeffs, value):

@@ -23,13 +23,13 @@ to measure the relative L2 stress error against.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SolveError
 from .nurbs import KnotVector
-from .quadrature import gauss_panels, gauss_points_1d, partition_lines, unit_lines
+from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import (
     HOLE_PARAM_RADIUS,
     PRINTED_ARC_WEIGHT,
@@ -88,13 +88,6 @@ class FieldSpace:
         """Raise both degrees by one, keeping every continuity class."""
         return FieldSpace(self.knot_vector_s.elevated(), self.knot_vector_t.elevated())
 
-    def refined(self, strategy):
-        if strategy == "h":
-            return self.refined_h()
-        if strategy == "p":
-            return self.refined_p()
-        raise DomainError(f"refinement strategy must be 'h' or 'p', got {strategy!r}")
-
     def basis(self, s, t, order=1):
         """Nonzero functions at (s, t): flat indices, values and derivatives.
 
@@ -120,10 +113,6 @@ class FieldSpace:
         dN_ds = flat(ds[..., 1, :, None] * dt[..., 0, None, :])
         dN_dt = flat(ds[..., 0, :, None] * dt[..., 1, None, :])
         return indices, values, dN_ds, dN_dt
-
-    def greville_grid(self):
-        """(s, t) Greville abscissae as two 1D arrays."""
-        return self.knot_vector_s.greville(), self.knot_vector_t.greville()
 
 
 def _open_knots(degree):
@@ -199,8 +188,9 @@ def _check_bcs(bcs):
 # geometry adapters (planar)
 #
 # Both adapters answer eval(s, t) with a CompositeDerivatives bundle, list
-# their s and t break lines, report the highest degree they carry, and hold
-# the surface whose size sets the singular-map thresholds.
+# their (s, t) break lines for quadrature.partition_regions, report the
+# highest degree they carry, and hold the surface whose size sets the
+# singular-map thresholds.
 
 
 class MappedGeometry:
@@ -214,11 +204,8 @@ class MappedGeometry:
     def eval(self, s, t):
         return self.region.composite_eval(s, t, order=1)
 
-    def s_breaklines(self):
-        return [bp.s for bp in self.region.breakpoints()]
-
-    def t_breaklines(self):
-        return []
+    def breaklines(self):
+        return self.region.breaklines()
 
     def max_degree(self):
         r = self.region
@@ -242,11 +229,9 @@ class DirectGeometry:
         check_regular(scale, self.surface.singular_area, s, t)
         return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
 
-    def s_breaklines(self):
-        return list(self.surface.knot_vector_u.interior()[0])
-
-    def t_breaklines(self):
-        return list(self.surface.knot_vector_v.interior()[0])
+    def breaklines(self):
+        surface = self.surface
+        return surface.knot_vector_u.interior()[0], surface.knot_vector_v.interior()[0]
 
     def max_degree(self):
         return max(self.surface.degrees)
@@ -270,14 +255,6 @@ def _as_geometry(geometry):
 
 def _max_degree(geometry, field):
     return max(geometry.max_degree(), *field.degrees)
-
-
-def _breaklines(geometry, field):
-    """Interior (s, t) break lines of the geometry and the field space."""
-    return (
-        geometry.s_breaklines() + field.knot_vector_s.interior()[0],
-        geometry.t_breaklines() + field.knot_vector_t.interior()[0],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +290,7 @@ def assemble_stiffness(geometry, field, material, n_quad):
     from scipy import sparse
 
     D = material.plane_stress_matrix()
-    regions = partition_lines(*_breaklines(geometry, field))
+    regions = partition_regions(geometry, field)
     dofs, blocks = [], []
     for s, t, weights in gauss_panels(regions, n_quad):
         idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
@@ -377,16 +354,19 @@ def _edge_geometry(geometry, edge, r):
 
 
 def assemble_tractions(geometry, field, bcs, n_quad):
-    """Load vector from the Traction edges."""
+    """Load vector from the Traction edges, on the edge tiles of the tiling."""
     f = np.zeros(2 * field.dim)
     x, w = gauss_points_1d(n_quad)
-    s_lines, t_lines = _breaklines(geometry, field)
+    regions = partition_regions(geometry, field)
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        lines = np.array(unit_lines(t_lines if edge in ("s0", "s1") else s_lines))
-        h = np.diff(lines)[:, None]
-        r = (lines[:-1, None] + h * x).ravel()
+        if edge in ("s0", "s1"):
+            ends = np.array([(r.t0, r.t1) for r in regions if r.s0 == 0.0])
+        else:
+            ends = np.array([(r.s0, r.s1) for r in regions if r.t0 == 0.0])
+        h = (ends[:, 1] - ends[:, 0])[:, None]
+        r = (ends[:, :1] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
         tvec = np.array([bc.fn(p, n) for p, n in zip(xy, normal)], dtype=float)
         idx, values, _, _ = field.basis(s, t, 0)
@@ -677,7 +657,7 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     far, material = config.far_stress, config.material
     a = hole_radius if hole_radius is not None else config.hole_radius
     D = solution.material.plane_stress_matrix()
-    regions = partition_lines(*_breaklines(solution.geometry, solution.field))
+    regions = partition_regions(solution.geometry, solution.field)
     num_parts, den_parts = [], []
     for s, t, weights in gauss_panels(regions, n_quad):
         strain, cd = solution._strain(s, t)
@@ -690,12 +670,6 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         num_parts.extend(math.fsum(row) for row in num.reshape(T, -1).tolist())
         den_parts.extend(math.fsum(row) for row in den.reshape(T, -1).tolist())
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
-
-
-def convergence_study(config=None, max_stage=2):
-    """Solve stages 0..max_stage; returns the list of PlateResult."""
-    config = config or PlateConfig()
-    return [solve_plate(replace(config, stage=stage)) for stage in range(max_stage + 1)]
 
 
 def convergence_rates(results):

@@ -1,11 +1,14 @@
 """Gauss-Legendre quadrature over the (s, t) unit square.
 
-Rules are assembled per rectangular integration region. Regions are split
-at every interior knot of the trimming curves (in s) and of the field space
-(in s and t) so that each Gauss panel sees a smooth integrand; the blend is
-linear in t, so trimming curves never force t-splits.
+Every integral, the area of `integrate` as well as the plate's stiffness,
+error norm and edge tractions, runs on the one tiling of partition_regions:
+the square is split at the geometry's break lines (the interior knots of
+the trimming curves in s, the surface's knots for a direct geometry) and
+at the field space's interior knot lines, so that each Gauss panel sees a
+smooth integrand. The blend is linear in t, so trimming curves never force
+t-splits.
 
-Interior knots of the surface itself are not tracked: the blend bends their
+Interior knots of a trimmed surface are not tracked: the blend bends their
 (u, v) knot lines into curves that no (s, t)-aligned split can follow, so a
 multi-span surface caps the attainable quadrature accuracy at its reduced
 smoothness. Single-span surfaces (the usual trimming scenario) are immune.
@@ -52,38 +55,31 @@ def unit_lines(breaks):
     return [0.0] + merge_close(inner)[0] + [1.0]
 
 
-def partition_lines(s_breaks=(), t_breaks=()):
-    """Tile the unit square by the given interior break lines."""
-    s_lines = unit_lines(s_breaks)
-    t_lines = unit_lines(t_breaks)
-    regions = []
-    for i in range(len(s_lines) - 1):
-        for j in range(len(t_lines) - 1):
-            regions.append(
-                IntegrationRegion(s_lines[i], s_lines[i + 1], t_lines[j], t_lines[j + 1])
-            )
-    return regions
+def partition_regions(geometry, field=None, split_breakpoints=True):
+    """Integration regions for a geometry and an optional field space.
 
-
-def partition_regions(region, field=None, split_breakpoints=True):
-    """Integration regions for a trimmed region and an optional field space.
-
-    Boundaries align with the union of the trimming-curve breakpoints and
-    the field-space interior knot lines; coincident lines are deduplicated.
+    Boundaries align with the union of the geometry's break lines
+    (geometry.breaklines(), skipped when split_breakpoints is false) and
+    the field space's interior knot lines; coincident lines are merged.
+    The list is s-major: one column of t-tiles per s-tile.
     """
-    s_breaks = [bp.s for bp in region.breakpoints()] if split_breakpoints else []
-    t_breaks = []
+    s_breaks, t_breaks = geometry.breaklines() if split_breakpoints else ([], [])
     if field is not None:
-        s_breaks = s_breaks + list(field.knot_vector_s.interior()[0])
-        t_breaks = list(field.knot_vector_t.interior()[0])
-    return partition_lines(s_breaks, t_breaks)
+        s_breaks = s_breaks + field.knot_vector_s.interior()[0]
+        t_breaks = t_breaks + field.knot_vector_t.interior()[0]
+    s_lines, t_lines = unit_lines(s_breaks), unit_lines(t_breaks)
+    return [
+        IntegrationRegion(s0, s1, t0, t1)
+        for s0, s1 in zip(s_lines[:-1], s_lines[1:])
+        for t0, t1 in zip(t_lines[:-1], t_lines[1:])
+    ]
 
 
 def gauss_panels(regions, n_per_dir):
     """Tensor Gauss rule per integration region, one column of panels at a time.
 
     A column is a run of consecutive regions sharing (s0, s1), which is one
-    s-tile of an s-major tiling such as partition_lines'. Yields, per column
+    s-tile of an s-major tiling such as partition_regions'. Yields, per column
     of T panels, (s, t, weights) as arrays: s-nodes of shape (1, n, 1),
     t-nodes of shape (T, 1, n) with one row per panel, and weights of shape
     (T, n, n). The broadcast (T, n, n) grid is panel-major and s-major within
@@ -103,7 +99,7 @@ def gauss_panels(regions, n_per_dir):
         yield s, t, (ww * hs)[None] * ht[:, None, None]
 
 
-def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
+def integrate(region, f, n_per_dir, split_breakpoints=True):
     """Integral of f over the trimmed region in the physical measure.
 
     f maps a CompositeDerivatives bundle of one point to a number; the
@@ -111,7 +107,7 @@ def integrate(region, f, n_per_dir, field=None, split_breakpoints=True):
     weight. Region sums are accumulated with fsum in a fixed order, so
     results do not depend on evaluation scheduling.
     """
-    regions = partition_regions(region, field, split_breakpoints)
+    regions = partition_regions(region, split_breakpoints=split_breakpoints)
     sums = []
     for s, t, weights in gauss_panels(regions, n_per_dir):
         s, t = np.broadcast_arrays(s, t)

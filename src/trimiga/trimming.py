@@ -30,11 +30,10 @@ class MapDerivatives:
 
     d2uv_dt2 is identically zero because the blend is linear in t. When the
     query sits exactly on an interior knot of a trimming curve, the s
-    derivatives are the right-sided limits and on_breakpoint is set. For
-    array queries every field gains the points' shape in front of its last
-    axis, except that the fields independent of t (duv_dt, d2uv_dt2 and
-    d2uv_dsdt) gain s's shape only, which broadcasts against the points';
-    on_breakpoint is a boolean array over the s values.
+    derivatives are the right-sided limits. For array queries every field
+    gains the points' shape in front of its last axis, except that the
+    fields independent of t (duv_dt, d2uv_dt2 and d2uv_dsdt) gain s's shape
+    only, which broadcasts against the points'.
     """
 
     uv: np.ndarray
@@ -43,7 +42,6 @@ class MapDerivatives:
     d2uv_ds2: np.ndarray | None = None
     d2uv_dt2: np.ndarray | None = None
     d2uv_dsdt: np.ndarray | None = None
-    on_breakpoint: bool = False
 
     @property
     def det(self):
@@ -145,11 +143,14 @@ class TrimmedRegion:
         self.curve_bottom = bottom
         self.curve_top = top
         self._breakpoints = _merge_breakpoints(bottom, top)
-        self._breakpoint_s = np.array([bp.s for bp in self._breakpoints])
 
     def breakpoints(self):
         """Interior s-knots of both curves, deduplicated, worst continuity."""
         return list(self._breakpoints)
+
+    def breaklines(self):
+        """Interior (s, t) break lines of the map: the breakpoints, no t-lines."""
+        return [bp.s for bp in self._breakpoints], []
 
     def _check_st(self, s, t):
         if np.ndim(s) or np.ndim(t):
@@ -170,18 +171,12 @@ class TrimmedRegion:
         """Blend map at (s, t); the curves are evaluated at s's values only."""
         b = self.curve_bottom.evaluate(s, order)
         tp = self.curve_top.evaluate(s, order)
-        if np.ndim(s):
-            flagged = np.any(
-                np.abs(s[..., None] - self._breakpoint_s) <= MERGE_TOL, axis=-1
-            )
-        else:
-            flagged = any(abs(s - bp.s) <= MERGE_TOL for bp in self._breakpoints)
         t = np.asarray(t)[..., None]
         uv = (1.0 - t) * b.value + t * tp.value
         duv_ds = (1.0 - t) * b.d1 + t * tp.d1
         duv_dt = tp.value - b.value
         if order < 2:
-            return MapDerivatives(uv, duv_ds, duv_dt, on_breakpoint=flagged)
+            return MapDerivatives(uv, duv_ds, duv_dt)
         d2uv_dsdt = tp.d1 - b.d1
         return MapDerivatives(
             uv,
@@ -190,7 +185,6 @@ class TrimmedRegion:
             d2uv_ds2=(1.0 - t) * b.d2 + t * tp.d2,
             d2uv_dt2=np.zeros_like(d2uv_dsdt),
             d2uv_dsdt=d2uv_dsdt,
-            on_breakpoint=flagged,
         )
 
     def map_point(self, s, t):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trimiga import iges
+from trimiga.cli import main as cli_main
 from trimiga.errors import IgesParseError, TrimigaError, UnsupportedTopologyError
 from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.shapes import (
@@ -99,7 +100,9 @@ class TestRoundTrip:
 
 class TestSingleEntities:
     def test_single_curve_file(self):
-        model = iges.parse(iges.curve_to_iges(hole_arc_curve()))
+        w = iges._Writer()
+        w.add(126, iges._curve_params(hole_arc_curve()))
+        model = iges.parse(w.render())
         assert len(model.curves) == 1
         assert model.trimmed == []
         (curve,) = model.curves.values()
@@ -172,6 +175,35 @@ class TestExtraction:
         with pytest.raises(UnsupportedTopologyError):
             iges.extract_region(model)
 
+    def test_inner_loop_is_rejected(self, tmp_path, capsys):
+        # the plate's two curves as the outer loop, a square hole as N2 = 1
+        w = iges._Writer()
+        srf_de = w.add(128, iges._surface_params(unit_square_surface()))
+        curve_des = [w.add(126, iges._curve_params(c), status="00010500")
+                     for c in (hole_arc_curve(), outer_polyline_curve())]
+        comp_de = w.add(102, ["2"] + [str(d) for d in curve_des], status="00010500")
+        outer_de = w.add(142, ["1", str(srf_de), str(comp_de), "0", "1"],
+                         status="00010500")
+        square = NurbsCurve(KnotVector([0, 0, 0.25, 0.5, 0.75, 1, 1], 1),
+                            [[0.5, 0.5, 0], [0.7, 0.5, 0], [0.7, 0.7, 0],
+                             [0.5, 0.7, 0], [0.5, 0.5, 0]])
+        hole_de = w.add(126, iges._curve_params(square), status="00010500")
+        inner_de = w.add(142, ["1", str(srf_de), str(hole_de), "0", "1"],
+                         status="00010500")
+        w.add(144, [str(srf_de), "1", "1", str(outer_de), str(inner_de)])
+        text = w.render()
+        model = iges.parse(text)
+        assert model.trimmed[0].inner_loops == 1
+        with pytest.raises(UnsupportedTopologyError, match="inner boundary"):
+            iges.extract_region(model)
+        path = tmp_path / "holed.igs"
+        path.write_text(text)
+        assert cli_main(["area", "--iges", str(path)]) == 1
+        out = tmp_path / "holed.trim"
+        assert cli_main(["iges-extract", "--iges", str(path), "--out", str(out)]) == 1
+        assert "inner boundary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_index_out_of_range(self, plate_region):
         model = iges.parse(iges.region_to_iges(plate_region))
         with pytest.raises(UnsupportedTopologyError):
@@ -209,7 +241,7 @@ class TestNormalization:
     def test_trim_coordinates_rescale_with_surface_range(self, plate_region):
         # surface with knots spanning 0..5: trim curves arrive in 0..5 too
         scaled_curves = [
-            c.transformed(5.0, 0.0)
+            NurbsCurve(c.knot_vector, 5.0 * c.control_points, c.weights)
             for c in (hole_arc_curve(), outer_polyline_curve())
         ]
         lifted = [

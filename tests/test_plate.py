@@ -21,7 +21,6 @@ from trimiga.plate import (
     assemble_stiffness,
     assemble_tractions,
     convergence_rates,
-    convergence_study,
     kirsch_reference,
     physical_gradients,
     plate_boundary_conditions,
@@ -31,7 +30,7 @@ from trimiga.plate import (
     stress_error_l2,
     symmetry_constraints,
 )
-from trimiga.quadrature import gauss_points_1d, partition_lines, unit_lines
+from trimiga.quadrature import gauss_points_1d, partition_regions, unit_lines
 from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
 from trimiga.trimming import CompositeDerivatives
 
@@ -101,7 +100,7 @@ class TestFieldSpace:
 
     def test_h_refinement_is_nested(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2)
-        fine = field.refined("h")
+        fine = field.refined_h()
         params = np.linspace(0.0, 1.0, 211)
         for coarse_kv, fine_kv in (
             (field.knot_vector_s, fine.knot_vector_s),
@@ -115,7 +114,7 @@ class TestFieldSpace:
 
     def test_p_refinement_dimension_arithmetic(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2)
-        fine = field.refined("p")
+        fine = field.refined_p()
         assert fine.degrees == (3, 3)
         # every distinct knot gains one multiplicity: new dim follows directly
         for coarse_kv, fine_kv in (
@@ -131,15 +130,11 @@ class TestFieldSpace:
     def test_refinement_leaves_geometry_untouched(self, plate_region, rng):
         field = FieldSpace.conforming(plate_region, 2, 2)
         before = [plate_region.composite_eval(s, t).x for s, t in rng.random((20, 2))]
-        field.refined("h").refined("p")
+        field.refined_h().refined_p()
         rng2 = np.random.default_rng(20240615)
         after = [plate_region.composite_eval(s, t).x for s, t in rng2.random((20, 2))]
         for a, b in zip(before, after):
             assert np.all(a == b)
-
-    def test_bad_strategy(self):
-        with pytest.raises(DomainError):
-            unit_field().refined("q")
 
 
 class TestPhysicalGradients:
@@ -156,7 +151,7 @@ class TestPhysicalGradients:
         # in the conforming field space, so Greville collocation is exact
         region = poly_plate_region
         field = FieldSpace.conforming(region, 2, 2)
-        gs, gt = field.greville_grid()
+        gs, gt = field.knot_vector_s.greville(), field.knot_vector_t.greville()
         V = np.array(
             [[region.composite_eval(s, t, 0).x[:2] for t in gt] for s in gs]
         )
@@ -270,8 +265,7 @@ class TestAssembly:
         D = MAT.plane_stress_matrix()
         dense = np.zeros(K.shape)
         x, w = gauss_points_1d(3)
-        s_breaks = geometry.s_breaklines() + field.knot_vector_s.interior()[0]
-        for r in partition_lines(s_breaks, field.knot_vector_t.interior()[0]):
+        for r in partition_regions(geometry, field):
             hs, ht = r.s1 - r.s0, r.t1 - r.t0
             for i, j in np.ndindex(3, 3):
                 s, t = r.s0 + hs * x[i], r.t0 + ht * x[j]
@@ -287,7 +281,8 @@ class TestAssembly:
 
     def test_panel_across_a_field_knot_is_an_error(self, plate_region, monkeypatch):
         # tiling without the field's knot lines puts one panel over many spans
-        monkeypatch.setattr(plate, "_breaklines", lambda geometry, field: ([], []))
+        monkeypatch.setattr(plate, "partition_regions",
+                            lambda geometry, field: partition_regions(geometry))
         field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
         with pytest.raises(AssemblyError, match="field knot span"):
             assemble_stiffness(MappedGeometry(plate_region), field, MAT, 3)
@@ -333,11 +328,8 @@ class SingularAt:
         dx_dt = np.broadcast_to(np.array([0.0, 1.0, 0.0]), x.shape)
         return CompositeDerivatives(x, dx_ds, dx_dt, jacobian_scale=np.where(hit, 0.0, 1.0))
 
-    def s_breaklines(self):
-        return []
-
-    def t_breaklines(self):
-        return []
+    def breaklines(self):
+        return [], []
 
     def max_degree(self):
         return 1
@@ -356,7 +348,7 @@ class TestColumnsMatchPointLoops:
         f = assemble_tractions(geometry, field, bcs, 3)
         ref = np.zeros_like(f)
         x, w = gauss_points_1d(3)
-        lines = unit_lines(geometry.s_breaklines() + field.knot_vector_s.interior()[0])
+        lines = unit_lines(geometry.breaklines()[0] + field.knot_vector_s.interior()[0])
         for a, b in zip(lines[:-1], lines[1:]):
             h = b - a
             for k in range(3):
@@ -380,9 +372,8 @@ class TestColumnsMatchPointLoops:
         solution = result.solution
         D = config.material.plane_stress_matrix()
         x, w = gauss_points_1d(5)
-        s_lines = solution.geometry.s_breaklines() + solution.field.knot_vector_s.interior()[0]
         num, den = [], []
-        for r in partition_lines(s_lines, solution.field.knot_vector_t.interior()[0]):
+        for r in partition_regions(solution.geometry, solution.field):
             hs, ht = r.s1 - r.s0, r.t1 - r.t0
             for i, j in np.ndindex(5, 5):
                 strain, cd = solution._strain(r.s0 + hs * x[i], r.t0 + ht * x[j])
@@ -558,7 +549,7 @@ class TestSolver:
         assert paper.l2_stress_error != exact.l2_stress_error
 
     def test_two_stage_decrease(self):
-        results = convergence_study(PlateConfig(bc_mode="exact"), 1)
+        results = [solve_plate(PlateConfig(stage=k, bc_mode="exact")) for k in range(2)]
         assert results[1].l2_stress_error < results[0].l2_stress_error
         (rate,) = convergence_rates(results)
         assert rate > 0.5
@@ -567,8 +558,8 @@ class TestSolver:
         # the uniform right-edge pull differs from the reference tractions,
         # so the error saturates at the modeling gap but still shrinks
         errors = [
-            r.l2_stress_error
-            for r in convergence_study(PlateConfig(bc_mode="paper"), 2)
+            solve_plate(PlateConfig(stage=k, bc_mode="paper")).l2_stress_error
+            for k in range(3)
         ]
         assert errors[0] > errors[1] > errors[2]
 

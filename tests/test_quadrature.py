@@ -5,14 +5,8 @@ import pytest
 
 from trimiga.errors import DomainError, SingularMapError
 from trimiga.nurbs import KnotVector
-from trimiga.plate import FieldSpace
-from trimiga.quadrature import (
-    gauss_panels,
-    gauss_points_1d,
-    integrate,
-    partition_lines,
-    partition_regions,
-)
+from trimiga.plate import DirectGeometry, FieldSpace
+from trimiga.quadrature import gauss_panels, gauss_points_1d, integrate, partition_regions
 from trimiga.shapes import unit_square_surface
 from trimiga.trimming import TrimmedRegion
 
@@ -25,6 +19,16 @@ EXACT_AREA = 1.0 - math.pi * 0.2**2 / 4.0
 # contour oracle evaluated with 64-point Gauss per smooth span (stable to
 # the last digit between 48 and 64 points); see test_matches_contour_oracle
 PRINTED_AREA = 0.968584928816930
+
+
+class BreakLines:
+    """A geometry reduced to the one call partition_regions makes of it."""
+
+    def __init__(self, s_breaks, t_breaks):
+        self.lines = list(s_breaks), list(t_breaks)
+
+    def breaklines(self):
+        return self.lines
 
 
 def contour_area(region, n=64):
@@ -89,6 +93,18 @@ class TestPartition:
         regions = partition_regions(square_region, field)
         assert len(regions) == 3
 
+    def test_direct_geometry_splits_at_surface_knots(self):
+        # two spans in u and in v; the field adds s = 0.5 and repeats t = 0.6
+        surface = unit_square_surface().insert_knot(0.4, "u").insert_knot(0.6, "v")
+        field = FieldSpace(KnotVector([0, 0, 0.5, 1, 1], 1),
+                           KnotVector([0, 0, 0.6, 1, 1], 1))
+        regions = partition_regions(DirectGeometry(surface), field)
+        assert [(r.s0, r.s1, r.t0, r.t1) for r in regions] == [
+            (s0, s1, t0, t1)
+            for s0, s1 in ((0.0, 0.4), (0.4, 0.5), (0.5, 1.0))
+            for t0, t1 in ((0.0, 0.6), (0.6, 1.0))
+        ]
+
     def test_coincident_lines_deduplicate(self, plate_region):
         kv_s = KnotVector([0, 0, 0.5, 1, 1], 1)
         field = FieldSpace(kv_s, KnotVector([0, 0, 1, 1], 1))
@@ -121,7 +137,7 @@ class TestPartition:
         # and weights are the scalar rule's, panel by panel in the tiling's
         # order and s-major within a panel, term for term
         x, w = gauss_points_1d(2)
-        regions = partition_lines([0.25], [0.5, 0.75])
+        regions = partition_regions(BreakLines([0.25], [0.5, 0.75]))
         columns = list(gauss_panels(regions, 2))
         assert len(columns) == 2
         points, expected = [], []
@@ -142,7 +158,7 @@ class TestPartition:
 
     def test_tiling_ends_exactly_at_the_unit_edges(self):
         for near_end in (1.0 - 5e-13, 5e-13):
-            regions = partition_lines([0.5, near_end], [near_end])
+            regions = partition_regions(BreakLines([0.5, near_end], [near_end]))
             assert max(r.s1 for r in regions) == 1.0
             assert max(r.t1 for r in regions) == 1.0
             assert min(r.s0 for r in regions) == 0.0

@@ -95,7 +95,6 @@ class TestSecondDerivatives:
         # straddling s = 0.5 remain valid even though the polyline kinks there
         h = 1e-4
         m = plate_region.map_second_derivatives(0.5, 0.0)
-        assert m.on_breakpoint
         fd = (
             plate_region.map_point(0.5 + h, 0.0).uv
             - 2.0 * plate_region.map_point(0.5, 0.0).uv
@@ -304,10 +303,9 @@ class TestArrayCompositeEval:
                         got = getattr(grid, name)[i, j]
                         assert rel(got - ref, ref) <= 1e-13, (order, name, i, j)
 
-    def test_map_point_flags_breakpoints_per_s(self, plate_region):
+    def test_map_point_broadcasts_over_s_and_t(self, plate_region):
         m = plate_region.map_point(np.array([[0.25], [0.5]]), np.array([[0.0, 1.0]]))
         assert m.uv.shape == (2, 2, 2)
-        assert m.on_breakpoint.ravel().tolist() == [False, True]
         assert np.array_equal(m.det, [[plate_region.map_point(s, t).det for t in (0.0, 1.0)]
                                       for s in (0.25, 0.5)])
 
@@ -425,7 +423,3 @@ class TestConstruction:
         lifted = NurbsCurve(kv, [[0.0, 0.0, 0.2], [1.0, 0.0, 0.2]])
         with pytest.raises(InvalidGeometryError):
             TrimmedRegion(unit_square_surface(), lifted, segment([0, 1], [1, 1]))
-
-    def test_breakpoint_flag_only_at_knots(self, plate_region):
-        assert plate_region.map_second_derivatives(0.5, 0.3).on_breakpoint
-        assert not plate_region.map_second_derivatives(0.4, 0.3).on_breakpoint
