@@ -170,8 +170,6 @@ def cmd_iges_dump(args):
 def cmd_iges_extract(args):
     model = iges.parse_file(args.iges)
     region = iges.extract_region(model, args.index)
-    if not args.out:
-        raise TrimigaError("iges-extract requires --out for the native geometry file")
     native.save_region(region, args.out, comment=f"extracted from {args.iges}")
     report = region.validate(16)
     print(report.summary(), file=sys.stderr)
@@ -299,7 +297,7 @@ def build_parser():
                        help="extract a trimmed region to the native format")
     p.add_argument("--iges", required=True)
     p.add_argument("--index", type=int, default=0, help="trimmed surface index")
-    p.add_argument("--out", help="native geometry file to write")
+    p.add_argument("--out", required=True, help="native geometry file to write")
     p.set_defaults(fn=cmd_iges_extract)
 
     p = sub.add_parser("plate", help="plate-with-a-hole convergence study")

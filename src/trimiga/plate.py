@@ -2,12 +2,13 @@
 
 Point functions (field basis, gradients, strains, the reference field)
 take arrays of (s, t) or (x, y) that broadcast together; a scalar query is
-a batch of one. Integrals are evaluated one column of Gauss panels at a
-time (quadrature.gauss_panels): the (1, n, 1) s-nodes of one s-tile against
-the (T, 1, n) t-nodes of its T panels, so the trimming curves are evaluated
-once per s-tile. Stiffness is assembled one element block per panel into a
-sparse matrix, the error norm keeps one fsum per panel, and the traction
-edges are evaluated one edge per call. The constrained system is solved by
+a batch of one. Integrals are evaluated one batch of whole columns of Gauss
+panels at a time (quadrature.gauss_panels): the (C, 1, n, 1) s-nodes of C
+s-tiles against the (1, T, 1, n) t-nodes of their T panels each, so the
+trimming curves are evaluated at the batch's s-nodes only. Stiffness is
+assembled one element block per panel straight into the data of its CSR
+pattern, the error norm keeps one fsum per panel, and the traction edges
+are evaluated one edge per call. The constrained system is solved by
 sparse LU under a symmetric minimum-degree ordering.
 
 The displacement field lives in a tensor-product B-spline space over the
@@ -121,10 +122,8 @@ def _open_knots(degree):
 
 def _bisected(kv):
     spans = kv.spans()
-    new = kv
-    for a, b in zip(spans[:-1], spans[1:]):
-        new = new.inserted(0.5 * (a + b), 1)
-    return new
+    mids = [0.5 * (a + b) for a, b in zip(spans[:-1], spans[1:])]
+    return KnotVector(np.sort(np.concatenate([kv.knots, mids])), kv.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -280,46 +279,101 @@ def physical_gradients(geometry, field, s, t):
     return indices, values, dN_dx, dN_dy, cd
 
 
+#: strain row of each (displacement component, derivative direction) pair:
+#: (x, x) -> exx, (y, y) -> eyy, and the mixed pairs -> gxy
+_STRAIN_ROW = np.array([[0, 2], [2, 1]])
+
+
+def _coupling(kv):
+    """First coupled function and count per function of one direction.
+
+    Two functions couple when they share a non-empty knot span; on span k
+    the functions k - degree .. k are nonzero, so each row is one range.
+    """
+    p = kv.degree
+    spans = np.flatnonzero(np.diff(kv.knots) > 0)
+    i = np.arange(kv.num_basis)
+    first = spans[np.searchsorted(spans, i)] - p
+    last = spans[np.searchsorted(spans, i + p, side="right") - 1]
+    return first, last - first + 1
+
+
+def _stiffness_pattern(field):
+    """CSR pattern of the stiffness, kron(P_s, P_t) with 2 x 2 dof blocks.
+
+    Returns (indptr, indices, positions). A row lists its function's
+    coupled s-range, then t-range, then the two components, ascending.
+    positions(g) maps the (P, m) function indices of P element blocks to
+    the data positions of their entries, of shape (2, 2, P, m, m) over the
+    components (c, e) and the functions (a, b).
+    """
+    (first_s, count_s), (first_t, count_t) = map(
+        _coupling, (field.knot_vector_s, field.knot_vector_t)
+    )
+    ns, nt = field.shape
+    row_len = np.repeat(2 * np.outer(count_s, count_t).ravel(), 2)
+    indptr = np.zeros(row_len.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(row_len)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    i, j = np.divmod(np.repeat(np.arange(ns * nt), 2), nt)
+    for u in range(int(count_s.max())):
+        for v in range(int(count_t.max())):
+            rows = np.flatnonzero((u < count_s[i]) & (v < count_t[j]))
+            slot = indptr[rows] + 2 * (u * count_t[j[rows]] + v)
+            col = 2 * ((first_s[i[rows]] + u) * nt + first_t[j[rows]] + v)
+            indices[slot] = col
+            indices[slot + 1] = col + 1
+
+    def positions(g):
+        ia, ja = (k[:, :, None] for k in np.divmod(g, nt))
+        ib, jb = (k[:, None, :] for k in np.divmod(g, nt))
+        slot = 2 * ((ib - first_s[ia]) * count_t[ja] + jb - first_t[ja])
+        start = indptr[2 * g + np.arange(2)[:, None, None]]
+        return start[:, None, :, :, None] + slot + np.arange(2)[:, None, None, None]
+
+    return indptr, indices, positions
+
+
 def assemble_stiffness(geometry, field, material, n_quad):
     """Sparse (CSR) stiffness matrix for 2 dofs per basis function.
 
     Each Gauss panel adds one element block, the sum over its points of
-    w |J| B^T D B; its points must share one field span. The blocks of a
-    column of panels are formed together.
+    w |J| B^T D B; its points must share one field span. The block is
+    formed from the three Gram products sum w dN_x^T dN_x, sum w dN_x^T dN_y
+    and sum w dN_y^T dN_y, and added straight into the data of the CSR
+    pattern, one batch of panels at a time.
     """
     from scipy import sparse
 
     D = material.plane_stress_matrix()
-    regions = partition_regions(geometry, field)
-    dofs, blocks = [], []
-    for s, t, weights in gauss_panels(regions, n_quad):
+    r = _STRAIN_ROW
+    # coef[(c, e), (d, f)] weighs sum w dN_d^T dN_f in block entry (c, e)
+    coef = D[r[:, None, :, None], r[None, :, None, :]].reshape(4, 4)
+    indptr, indices, positions = _stiffness_pattern(field)
+    data = np.zeros(indices.size)
+    for s, t, weights in gauss_panels(partition_regions(geometry, field), n_quad):
         idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-        T, m = weights.shape[0], idx.shape[-1]
-        idx = idx.reshape(T, -1, m)
-        split = np.any(idx != idx[:, :1], axis=(1, 2))
+        T, m = weights.shape[1], idx.shape[-1]
+        # a point's first function index names its span pair
+        span = idx[..., 0].reshape(-1, weights[0, 0].size)
+        split = np.any(span != span[:, :1], axis=1)
         if split.any():
-            k = int(np.argmax(split))
+            c, k = divmod(int(np.argmax(split)), T)
             raise AssemblyError(
-                f"the Gauss panel at (s, t) = ({s.flat[0]:.6g}, {t[k].flat[0]:.6g}) "
+                f"the Gauss panel at (s, t) = ({s[c].flat[0]:.6g}, {t[0, k].flat[0]:.6g}) "
                 "spans more than one field knot span"
             )
-        q = idx.shape[1]
-        B = np.zeros((T, q, 3, 2 * m))
-        B[..., 0, 0::2] = dN_dx.reshape(T, q, m)
-        B[..., 1, 1::2] = dN_dy.reshape(T, q, m)
-        B[..., 2, 0::2] = dN_dy.reshape(T, q, m)
-        B[..., 2, 1::2] = dN_dx.reshape(T, q, m)
-        wDB = (weights * cd.jacobian_scale).reshape(T, q, 1, 1) * (D @ B)
-        BT = B.reshape(T, 3 * q, 2 * m).transpose(0, 2, 1)
-        blocks.append(np.matmul(BT, wDB.reshape(T, 3 * q, 2 * m)))
-        first = idx[:, 0]
-        dofs.append(np.stack([2 * first, 2 * first + 1], axis=-1).reshape(T, -1))
-    dofs = np.concatenate(dofs)
-    size = dofs.shape[1]
-    rows = np.repeat(dofs, size, axis=1).ravel()
-    cols = np.tile(dofs, (1, size)).ravel()
+        P, q = span.shape
+        w = (weights * cd.jacobian_scale).reshape(P, q, 1)
+        dx, dy = dN_dx.reshape(P, q, m), dN_dy.reshape(P, q, m)
+        wdx = np.swapaxes(w * dx, 1, 2)
+        xy = wdx @ dy
+        gram = np.stack([wdx @ dx, xy, np.swapaxes(xy, 1, 2), np.swapaxes(w * dy, 1, 2) @ dy])
+        blocks = coef @ gram.reshape(4, -1)
+        pos = positions(idx[:, :, 0, 0].reshape(P, m))
+        data += np.bincount(pos.ravel(), blocks.ravel(), minlength=data.size)
     n = 2 * field.dim
-    return sparse.csr_array((np.concatenate(blocks).ravel(), (rows, cols)), shape=(n, n))
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def _edge_point(edge, r):
@@ -666,9 +720,9 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         w = weights * cd.jacobian_scale
         num = w * (diff[..., 0] ** 2 + diff[..., 1] ** 2 + 2.0 * diff[..., 2] ** 2)
         den = w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
-        T = weights.shape[0]
-        num_parts.extend(math.fsum(row) for row in num.reshape(T, -1).tolist())
-        den_parts.extend(math.fsum(row) for row in den.reshape(T, -1).tolist())
+        panel = (-1, weights[0, 0].size)
+        num_parts.extend(math.fsum(row) for row in num.reshape(panel).tolist())
+        den_parts.extend(math.fsum(row) for row in den.reshape(panel).tolist())
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
 
 

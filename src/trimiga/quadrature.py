@@ -75,28 +75,40 @@ def partition_regions(geometry, field=None, split_breakpoints=True):
     ]
 
 
-def gauss_panels(regions, n_per_dir):
-    """Tensor Gauss rule per integration region, one column of panels at a time.
+#: the most Gauss points gauss_panels puts in one batch of whole columns
+BATCH_POINTS = 1 << 15
 
-    A column is a run of consecutive regions sharing (s0, s1), which is one
-    s-tile of an s-major tiling such as partition_regions'. Yields, per column
-    of T panels, (s, t, weights) as arrays: s-nodes of shape (1, n, 1),
-    t-nodes of shape (T, 1, n) with one row per panel, and weights of shape
-    (T, n, n). The broadcast (T, n, n) grid is panel-major and s-major within
-    a panel, so [k] holds panel k in the regions' order. Weight [k, i, j] is
-    w_i * w_j * hs * ht_k multiplied in that order, so per-panel fsums see
-    the same terms.
+
+def gauss_panels(regions, n_per_dir):
+    """Tensor Gauss rule per integration region, in batches of whole columns.
+
+    regions must be a tensor-product tiling in s-major order, such as
+    partition_regions': C s-tiles, each a column of the same T t-tiles.
+    Yields, per run of consecutive columns, (s, t, weights) as arrays:
+    s-nodes of shape (c, 1, n, 1), t-nodes of shape (1, T, 1, n) and weights
+    of shape (c, T, n, n). A batch holds as many columns as fit in
+    BATCH_POINTS points, and at least one. The broadcast (c, T, n, n) grid
+    is panel-major and s-major within a panel, so its C-order flattening
+    follows the regions' order. Weight [k, l, i, j] is w_i * w_j * hs_k *
+    ht_l multiplied in that order, so per-panel fsums see the same terms
+    however the columns are batched.
     """
+    columns = [list(col) for _, col in groupby(regions, key=lambda r: (r.s0, r.s1))]
+    tiles = [(r.t0, r.t1) for r in columns[0]]
+    if any([(r.t0, r.t1) for r in col] != tiles for col in columns):
+        raise DomainError("gauss_panels needs a tensor-product tiling")
     x, w = gauss_points_1d(n_per_dir)
     ww = np.outer(w, w)
-    for (s0, s1), column in groupby(regions, key=lambda r: (r.s0, r.s1)):
-        column = list(column)
-        hs = s1 - s0
-        t0 = np.array([r.t0 for r in column])
-        ht = np.array([r.t1 - r.t0 for r in column])
-        s = (s0 + hs * x)[None, :, None]
-        t = (t0[:, None] + ht[:, None] * x)[:, None, :]
-        yield s, t, (ww * hs)[None] * ht[:, None, None]
+    s0 = np.array([col[0].s0 for col in columns])
+    hs = np.array([col[0].s1 - col[0].s0 for col in columns])
+    t0, t1 = np.array(tiles).T
+    ht = t1 - t0
+    t = (t0[:, None] + ht[:, None] * x)[None, :, None, :]
+    step = max(1, BATCH_POINTS // (len(tiles) * n_per_dir * n_per_dir))
+    for k in range(0, len(columns), step):
+        c0, c1 = s0[k:k + step, None], hs[k:k + step, None]
+        s = (c0 + c1 * x)[:, None, :, None]
+        yield s, t, (ww * c1[:, :, None, None]) * ht[None, :, None, None]
 
 
 def integrate(region, f, n_per_dir, split_breakpoints=True):
@@ -110,11 +122,11 @@ def integrate(region, f, n_per_dir, split_breakpoints=True):
     regions = partition_regions(region, split_breakpoints=split_breakpoints)
     sums = []
     for s, t, weights in gauss_panels(regions, n_per_dir):
-        s, t = np.broadcast_arrays(s, t)
-        for sk, tk, wk in zip(s, t, weights):
+        panel = (-1, weights[0, 0].size)
+        s, t = (a.reshape(panel).tolist() for a in np.broadcast_arrays(s, t))
+        for sk, tk, wk in zip(s, t, weights.reshape(panel).tolist()):
             terms = []
-            for si, ti, weight in zip(sk.ravel().tolist(), tk.ravel().tolist(),
-                                      wk.ravel().tolist()):
+            for si, ti, weight in zip(sk, tk, wk):
                 cd = region.composite_eval(si, ti, order=1)
                 terms.append(weight * f(cd) * cd.jacobian_scale)
             sums.append(math.fsum(terms))

@@ -200,11 +200,11 @@ class TrimmedRegion:
     def composite_eval(self, s, t, order=2):
         """Model-space point and chained derivatives of x(u(s,t), v(s,t)).
 
-        s and t may be arrays that broadcast together, such as a column of
-        Gauss panels' (1, n, 1) s-nodes and (T, 1, n) t-nodes: the trimming
-        curves are then evaluated at the s values only. SingularMapError
-        names the first singular point in C order (panel by panel, s-major
-        within a panel, on a column).
+        s and t may be arrays that broadcast together, such as a batch of
+        Gauss panels' (C, 1, n, 1) s-nodes and (1, T, 1, n) t-nodes: the
+        trimming curves are then evaluated at the s values only.
+        SingularMapError names the first singular point in C order (column
+        by column, panel by panel, s-major within a panel, on a batch).
         """
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")

@@ -181,6 +181,8 @@ def test_usage_error_exits_2(capsys):
     assert main(["not-a-command"]) == 2
     assert main([]) == 2
     assert main(["map", "--at", "0,0", "--bogus"]) == 2
+    # --out is checked by the parser, before the IGES file is opened
+    assert main(["iges-extract", "--iges", "/nonexistent.igs"]) == 2
 
 
 def test_missing_file_exits_1(capsys):

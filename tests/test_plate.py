@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trimiga import plate
+from trimiga import plate, quadrature
 from trimiga.errors import AssemblyError, DomainError, SingularMapError, SolveError
 from trimiga.nurbs import KnotVector, NurbsSurface, collocation_matrix
 from trimiga.plate import (
@@ -111,6 +111,22 @@ class TestFieldSpace:
             sol, *_ = np.linalg.lstsq(C_new, C_old, rcond=None)
             residual = np.abs(C_new @ sol - C_old).max()
             assert residual < 1e-12
+
+    def test_bisection_matches_one_insertion_per_span(self, plate_region):
+        field = FieldSpace.conforming(plate_region, 2, 2)
+        for _ in range(4):
+            fine = field.refined_h()
+            for coarse_kv, fine_kv in (
+                (field.knot_vector_s, fine.knot_vector_s),
+                (field.knot_vector_t, fine.knot_vector_t),
+            ):
+                spans = coarse_kv.spans()
+                one_at_a_time = coarse_kv
+                for a, b in zip(spans[:-1], spans[1:]):
+                    one_at_a_time = one_at_a_time.inserted(0.5 * (a + b), 1)
+                assert fine_kv.degree == coarse_kv.degree
+                assert np.array_equal(fine_kv.knots, one_at_a_time.knots)
+            field = fine
 
     def test_p_refinement_dimension_arithmetic(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2)
@@ -256,28 +272,53 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             MappedGeometry(identity_region(curved_surface))
 
+    def test_stiffness_is_canonical_csr_with_int32_indices(self):
+        for stage, nnz in ((0, 4512), (3, 214512)):
+            config = PlateConfig(stage=stage)
+            geometry = MappedGeometry(plate_with_hole_region(config.scale))
+            K = assemble_stiffness(geometry, plate_field(geometry.region, config), MAT, 3)
+            assert K.has_canonical_format
+            assert K.indices.dtype == np.int32
+            assert K.nnz == nnz
+
     def test_stiffness_matches_a_dense_point_by_point_sum(self):
-        # stage 0 of the plate benchmark, summed one Gauss point at a time
-        config = PlateConfig(stage=0)
+        # stage 1 of the plate benchmark, with its double knot at s = 0.5
+        config = PlateConfig(stage=1)
         geometry = MappedGeometry(plate_with_hole_region(config.scale))
         field = plate_field(geometry.region, config)
         K = assemble_stiffness(geometry, field, MAT, 3)
-        D = MAT.plane_stress_matrix()
-        dense = np.zeros(K.shape)
-        x, w = gauss_points_1d(3)
-        for r in partition_regions(geometry, field):
-            hs, ht = r.s1 - r.s0, r.t1 - r.t0
-            for i, j in np.ndindex(3, 3):
-                s, t = r.s0 + hs * x[i], r.t0 + ht * x[j]
-                idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-                B = np.zeros((3, 2 * idx.size))
-                B[0, 0::2] = B[2, 1::2] = dN_dx
-                B[1, 1::2] = B[2, 0::2] = dN_dy
-                dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).ravel()
-                weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
-                dense[np.ix_(dofs, dofs)] += weight * (B.T @ D @ B)
-        assert K.shape == (132, 132)  # the 132 dofs of stage 0
-        assert np.abs(K.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert K.shape == (380, 380)  # the 380 dofs of stage 1
+        assert_matches_point_sum(K, geometry, field, 3)
+
+    def test_direct_stiffness_matches_a_dense_point_by_point_sum(self, rng):
+        # a planar biquadratic surface of two spans by three, seen directly;
+        # the field's spans differ from the surface's in both directions
+        kv_u = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
+        kv_v = KnotVector([0, 0, 0, 0.3, 0.7, 1, 1, 1], 2)
+        net = np.zeros((4, 5, 3))
+        net[..., 0] = np.arange(4)[:, None] + 0.2 * rng.random((4, 5))
+        net[..., 1] = np.arange(5)[None, :] + 0.2 * rng.random((4, 5))
+        surface = NurbsSurface(kv_u, kv_v, net, 0.8 + 0.4 * rng.random((4, 5)))
+        field = FieldSpace(KnotVector([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2),
+                           KnotVector([0, 0, 0.25, 0.5, 0.75, 1, 1], 1))
+        geometry = DirectGeometry(surface)
+        K = assemble_stiffness(geometry, field, MAT, 3)
+        assert K.has_canonical_format and K.indices.dtype == np.int32
+        assert_matches_point_sum(K, geometry, field, 3)
+
+    def test_batching_leaves_the_integrals_unchanged(self, monkeypatch):
+        # one column per batch against the whole tiling in one batch
+        config = PlateConfig(stage=1, bc_mode="exact")
+        solution = solve_plate(config).solution
+        results = []
+        for batch_points in (1, 1 << 40):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
+            K = assemble_stiffness(solution.geometry, solution.field, MAT, 3)
+            results.append((K, stress_error_l2(solution, config, n_quad=5)))
+        (K1, l2_1), (K2, l2_2) = results
+        assert l2_1 == l2_2
+        assert np.array_equal(K1.indices, K2.indices)
+        assert np.abs(K1.data - K2.data).max() <= 1e-13 * np.abs(K2.data).max()
 
     def test_panel_across_a_field_knot_is_an_error(self, plate_region, monkeypatch):
         # tiling without the field's knot lines puts one panel over many spans
@@ -308,6 +349,26 @@ class TestAssembly:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "False"
+
+
+def assert_matches_point_sum(K, geometry, field, n):
+    """K against a dense sum of w |J| B^T D B, one Gauss point at a time."""
+    D = MAT.plane_stress_matrix()
+    dense = np.zeros(K.shape)
+    x, w = gauss_points_1d(n)
+    for r in partition_regions(geometry, field):
+        hs, ht = r.s1 - r.s0, r.t1 - r.t0
+        for i, j in np.ndindex(n, n):
+            s, t = r.s0 + hs * x[i], r.t0 + ht * x[j]
+            idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+            B = np.zeros((3, 2 * idx.size))
+            B[0, 0::2] = B[2, 1::2] = dN_dx
+            B[1, 1::2] = B[2, 0::2] = dN_dy
+            dofs = np.stack([2 * idx, 2 * idx + 1], axis=-1).ravel()
+            weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
+            dense[np.ix_(dofs, dofs)] += weight * (B.T @ D @ B)
+    assert K.nnz == np.count_nonzero(dense)
+    assert np.abs(K.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class SingularAt:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trimiga import quadrature
 from trimiga.errors import DomainError, SingularMapError
 from trimiga.nurbs import KnotVector
 from trimiga.plate import DirectGeometry, FieldSpace
@@ -121,31 +122,23 @@ class TestPartition:
     def test_rule_weights_sum_to_area(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
         regions = partition_regions(plate_region, field)
-        columns = list(gauss_panels(regions, 4))
-        assert len(columns) == len({(r.s0, r.s1) for r in regions}) == 4
-        for s, t, w in columns:
-            T = t.shape[0]
-            assert T == 2
-            assert (s.shape, t.shape, w.shape) == ((1, 4, 1), (T, 1, 4), (T, 4, 4))
-        assert sum(t.shape[0] for _, t, _ in columns) == len(regions)
-        weights = [w for _, _, col_w in columns for w in col_w.ravel().tolist()]
+        assert len({(r.s0, r.s1) for r in regions}) == 4
+        # 4 columns of 2 panels at 16 points each fit in one batch
+        (batch,) = gauss_panels(regions, 4)
+        s, t, w = batch
+        assert (s.shape, t.shape, w.shape) == ((4, 1, 4, 1), (1, 2, 1, 4), (4, 2, 4, 4))
+        weights = w.ravel().tolist()
         assert abs(math.fsum(weights) - 1.0) < 1e-13
         assert all(w > 0.0 for w in weights)
 
-    def test_panel_points_are_plain_floats_in_s_major_order(self):
-        # each column broadcasts to a panel-major grid whose flattened points
-        # and weights are the scalar rule's, panel by panel in the tiling's
-        # order and s-major within a panel, term for term
+    def test_panel_points_are_plain_floats_in_s_major_order(self, monkeypatch):
+        # each batch broadcasts to a column-, then panel-major grid whose
+        # flattened points and weights are the scalar rule's, panel by panel
+        # in the tiling's order and s-major within a panel, term for term;
+        # batches of one column and of the whole tiling give the same terms
         x, w = gauss_points_1d(2)
         regions = partition_regions(BreakLines([0.25], [0.5, 0.75]))
-        columns = list(gauss_panels(regions, 2))
-        assert len(columns) == 2
-        points, expected = [], []
-        for s, t, weights in columns:
-            assert all(arr.dtype == np.float64 for arr in (s, t, weights))
-            s, t = np.broadcast_arrays(s, t)
-            points += list(zip(s.ravel().tolist(), t.ravel().tolist(),
-                               weights.ravel().tolist()))
+        expected = []
         for region in regions:
             hs, ht = region.s1 - region.s0, region.t1 - region.t0
             expected += [
@@ -154,7 +147,32 @@ class TestPartition:
                 for xi, wi in zip(x, w)
                 for xj, wj in zip(x, w)
             ]
-        assert points == expected
+        for batch_points, shapes in ((1, [(1, 1, 2, 1)] * 2), (24, [(2, 1, 2, 1)])):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
+            batches = list(gauss_panels(regions, 2))
+            assert [s.shape for s, _, _ in batches] == shapes
+            points = []
+            for s, t, weights in batches:
+                assert t.shape == (1, 3, 1, 2)
+                assert weights.shape == (s.shape[0], 3, 2, 2)
+                assert all(arr.dtype == np.float64 for arr in (s, t, weights))
+                s, t = np.broadcast_arrays(s, t)
+                points += list(zip(s.ravel().tolist(), t.ravel().tolist(),
+                                   weights.ravel().tolist()))
+            assert points == expected
+
+    def test_batches_hold_whole_columns_up_to_the_point_limit(self, monkeypatch):
+        regions = partition_regions(BreakLines([0.2, 0.4, 0.6, 0.8], [0.5]))
+        # 5 columns of 2 panels of 9 points: 18 points per column
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 40)
+        assert [s.shape[0] for s, _, _ in gauss_panels(regions, 3)] == [2, 2, 1]
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 17)
+        assert [s.shape[0] for s, _, _ in gauss_panels(regions, 3)] == [1] * 5
+
+    def test_a_tiling_that_is_no_tensor_product_is_refused(self):
+        regions = partition_regions(BreakLines([0.5], [0.5]))
+        with pytest.raises(DomainError, match="tensor-product"):
+            list(gauss_panels(regions[:3], 2))
 
     def test_tiling_ends_exactly_at_the_unit_edges(self):
         for near_end in (1.0 - 5e-13, 5e-13):
@@ -196,6 +214,13 @@ class TestIntegrate:
         change_2 = abs(areas[2] - areas[1])
         assert change_2 < change_1
         assert change_2 < 1e-9
+
+    def test_batching_leaves_the_sum_unchanged(self, plate_region, monkeypatch):
+        areas = []
+        for batch_points in (1, 1 << 40):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
+            areas.append(integrate(plate_region, lambda cd: cd.x[0], 6))
+        assert areas[0] == areas[1]
 
     def test_singular_map_propagates(self):
         curve = segment([0.0, 0.5], [1.0, 0.5])
