@@ -325,8 +325,8 @@ def _stiffness_pattern(field):
             indices[slot + 1] = col + 1
 
     def positions(g):
-        ia, ja = (k[:, :, None] for k in np.divmod(g, nt))
-        ib, jb = (k[:, None, :] for k in np.divmod(g, nt))
+        i, j = np.divmod(g, nt)
+        ia, ja, ib, jb = i[:, :, None], j[:, :, None], i[:, None, :], j[:, None, :]
         slot = 2 * ((ib - first_s[ia]) * count_t[ja] + jb - first_t[ja])
         start = indptr[2 * g + np.arange(2)[:, None, None]]
         return start[:, None, :, :, None] + slot + np.arange(2)[:, None, None, None]
@@ -370,8 +370,12 @@ def assemble_stiffness(geometry, field, material, n_quad):
         xy = wdx @ dy
         gram = np.stack([wdx @ dx, xy, np.swapaxes(xy, 1, 2), np.swapaxes(w * dy, 1, 2) @ dy])
         blocks = coef @ gram.reshape(4, -1)
+        # consecutive columns fill a contiguous run of rows: sum over that run
         pos = positions(idx[:, :, 0, 0].reshape(P, m))
-        data += np.bincount(pos.ravel(), blocks.ravel(), minlength=data.size)
+        lo = int(pos.min())
+        pos -= lo
+        run = np.bincount(pos.ravel(), blocks.ravel())
+        data[lo:lo + run.size] += run
     n = 2 * field.dim
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
@@ -721,8 +725,8 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         num = w * (diff[..., 0] ** 2 + diff[..., 1] ** 2 + 2.0 * diff[..., 2] ** 2)
         den = w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
         panel = (-1, weights[0, 0].size)
-        num_parts.extend(math.fsum(row) for row in num.reshape(panel).tolist())
-        den_parts.extend(math.fsum(row) for row in den.reshape(panel).tolist())
+        num_parts.extend(math.fsum(row.tolist()) for row in num.reshape(panel))
+        den_parts.extend(math.fsum(row.tolist()) for row in den.reshape(panel))
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
 
 
