@@ -2,19 +2,10 @@
 
 Machine-readable CSV goes to stdout (or --out); human diagnostics go to
 stderr. Exit codes: 0 success, 1 domain/validation error, 2 usage error.
-The TRIMIGA_THREADS environment variable caps BLAS parallelism (0 = auto);
-it must be honored before numpy first loads, hence the import dance below.
 """
 
-import os
-import sys
-
-_threads = os.environ.get("TRIMIGA_THREADS", "").strip()
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -184,9 +175,10 @@ def _plate_config(args):
         float(overrides.get("youngs_modulus", 1e5)),
         float(overrides.get("poisson_ratio", 0.3)),
     )
-    cfg = PlateConfig(
+    cfg = PlateConfig(  # the finest stage, so that PlateConfig checks it
+        stage=args.stage if args.stage is not None else int(overrides.get("stage", 2)),
         degree=int(overrides.get("degree", 2)),
-        quad_order=args.order or (
+        quad_order=args.order if args.order is not None else (
             int(overrides["quad_order"]) if "quad_order" in overrides else None
         ),
         bc_mode=args.bc or overrides.get("bc", "paper"),
@@ -195,8 +187,7 @@ def _plate_config(args):
         far_stress=float(overrides.get("far_stress", 1.0)),
         material=material,
     )
-    max_stage = args.stage if args.stage is not None else int(overrides.get("stage", 2))
-    return cfg, overrides.get("geometry"), max_stage
+    return cfg, overrides.get("geometry")
 
 
 def _read_config(path):
@@ -214,13 +205,13 @@ def _read_config(path):
 
 
 def cmd_plate(args):
-    cfg, geometry_path, max_stage = _plate_config(args)
+    cfg, geometry_path = _plate_config(args)
     region = None
     if args.region or geometry_path:
         region = _load_path(args.region or geometry_path)
     results = [
         solve_plate(replace(cfg, stage=stage), region=region)
-        for stage in range(max_stage + 1)
+        for stage in range(cfg.stage + 1)
     ]
     rates = convergence_rates(results)
     rows = ["stage,dofs,l2_stress_error,rim_stress,rate"]

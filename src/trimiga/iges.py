@@ -22,8 +22,6 @@ from .errors import IgesParseError, InvalidGeometryError, UnsupportedTopologyErr
 from .nurbs import KnotVector, NurbsCurve, NurbsSurface
 from .trimming import TrimmedRegion
 
-SUPPORTED_TYPES = (102, 126, 128, 142, 144)
-
 _STRAIGHT_TOL = 1e-9
 _GAP_TOL = 1e-6
 

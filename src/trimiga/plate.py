@@ -2,20 +2,21 @@
 
 Point functions (field basis, gradients, strains, the reference field)
 take arrays of (s, t) or (x, y) that broadcast together; a scalar query is
-a batch of one. Integrals are evaluated one batch of whole columns of Gauss
-panels at a time (quadrature.gauss_panels): the (C, 1, n, 1) s-nodes of C
-s-tiles against the (1, T, 1, n) t-nodes of their T panels each, so the
-trimming curves are evaluated at the batch's s-nodes only. Stiffness is
-assembled one element block per panel straight into the data of its CSR
-pattern, the error norm keeps one fsum per panel, and the traction edges
-are evaluated one edge per call. The constrained system is solved by
-sparse LU under a symmetric minimum-degree ordering.
+a batch of one. Integrals run on the Tiling of quadrature.partition_regions,
+one batch of whole columns of Gauss panels at a time (gauss_panels): the
+(C, 1, n, 1) s-nodes of C columns against the (1, T, 1, n) t-nodes of their
+T panels each, so the trimming curves are evaluated at the batch's s-nodes
+only. Stiffness is assembled one element block per panel straight into the
+data of its CSR pattern, the error norm keeps one fsum per panel, and each
+traction edge is evaluated in one call on the tiling's lines along it. The
+square's four edges are named in one table, _EDGES. The constrained system
+is solved by sparse LU under a symmetric minimum-degree ordering.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
 touches the map. Where a trimming curve is merely C0, the field space
 carries matching interior knot multiplicity so its functions kink with the
-map, and every integration region boundary lines up with those knots.
+map, and the tiling's lines include those knots.
 
 The plate-with-a-hole benchmark drives the whole stack: quarter-symmetric
 square with a circular hole at the corner, unit far-field tension, hoop
@@ -39,7 +40,9 @@ from .shapes import (
 from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
 
 _PLANAR_TOL = 1e-9
-_EDGES = ("s0", "s1", "t0", "t1")
+#: the square's edges: the parameter axis each one fixes (0 for s, 1 for t)
+#: and the value it fixes it at
+_EDGES = {"s0": (0, 0.0), "s1": (0, 1.0), "t0": (1, 0.0), "t1": (1, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ class Traction:
 def _check_bcs(bcs):
     if set(bcs) != set(_EDGES):
         raise AssemblyError(
-            f"boundary conditions must cover exactly the edges {_EDGES}, "
+            f"boundary conditions must cover exactly the edges {tuple(_EDGES)}, "
             f"got {sorted(bcs)}"
         )
     for edge, bc in bcs.items():
@@ -380,28 +383,21 @@ def assemble_stiffness(geometry, field, material, n_quad):
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
-def _edge_point(edge, r):
-    if edge in ("s0", "s1"):
-        return np.full_like(r, float(edge == "s1")), r
-    return r, np.full_like(r, float(edge == "t1"))
-
-
 def _edge_geometry(geometry, edge, r):
     """Positions, tangent lengths and outward unit normals at edge params r.
 
     r is an array of parameters along the edge; returns (s, t, xy, |tangent|,
     normal) with r's shape in front of the vector axis.
     """
+    axis, value = _EDGES[edge]
     r = np.asarray(r, dtype=float)
-    s, t = _edge_point(edge, r)
+    st = [r, r]
+    st[axis] = np.full_like(r, value)
+    s, t = st
     cd = geometry.eval(s, t)
     xy = cd.x[..., :2]
-    if edge in ("s0", "s1"):
-        tangent = cd.dx_dt[..., :2]
-        outward = -cd.dx_ds[..., :2] if edge == "s0" else cd.dx_ds[..., :2]
-    else:
-        tangent = cd.dx_ds[..., :2]
-        outward = -cd.dx_dt[..., :2] if edge == "t0" else cd.dx_dt[..., :2]
+    d = (cd.dx_ds[..., :2], cd.dx_dt[..., :2])  # along s, along t
+    tangent, outward = d[1 - axis], (d[axis] if value else -d[axis])
     normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
     norm = np.sqrt(normal[..., 0] ** 2 + normal[..., 1] ** 2)
     check_regular(norm, geometry.surface.singular_length, s, t)
@@ -412,19 +408,16 @@ def _edge_geometry(geometry, edge, r):
 
 
 def assemble_tractions(geometry, field, bcs, n_quad):
-    """Load vector from the Traction edges, on the edge tiles of the tiling."""
+    """Load vector from the Traction edges, on the tiling's lines along each."""
     f = np.zeros(2 * field.dim)
     x, w = gauss_points_1d(n_quad)
-    regions = partition_regions(geometry, field)
+    tiling = partition_regions(geometry, field)
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        if edge in ("s0", "s1"):
-            ends = np.array([(r.t0, r.t1) for r in regions if r.s0 == 0.0])
-        else:
-            ends = np.array([(r.s0, r.s1) for r in regions if r.t0 == 0.0])
-        h = (ends[:, 1] - ends[:, 0])[:, None]
-        r = (ends[:, :1] + h * x).ravel()
+        lines = (tiling.t_lines, tiling.s_lines)[_EDGES[edge][0]]
+        h = np.diff(lines)[:, None]
+        r = (lines[:-1, None] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
         tvec = np.array([bc.fn(p, n) for p, n in zip(xy, normal)], dtype=float)
         idx, values, _, _ = field.basis(s, t, 0)
@@ -432,17 +425,6 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         np.add.at(f, 2 * idx, scale * tvec[:, :1])
         np.add.at(f, 2 * idx + 1, scale * tvec[:, 1:])
     return f
-
-
-def _edge_function_indices(field, edge):
-    ns, nt = field.shape
-    if edge == "s0":
-        return np.arange(nt)
-    if edge == "s1":
-        return (ns - 1) * nt + np.arange(nt)
-    if edge == "t0":
-        return np.arange(ns) * nt
-    return np.arange(ns) * nt + (nt - 1)
 
 
 def symmetry_constraints(geometry, field, bcs):
@@ -458,7 +440,9 @@ def symmetry_constraints(geometry, field, bcs):
                 f"edge {edge}: symmetry condition needs an axis-aligned normal, "
                 f"got {normals[1]}"
             )
-        for g in _edge_function_indices(field, edge):
+        axis, value = _EDGES[edge]
+        functions = np.arange(field.dim).reshape(field.shape)
+        for g in np.take(functions, -int(value), axis=axis):
             fixed[2 * int(g) + comp] = 0.0
     return fixed
 
@@ -715,9 +699,9 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     far, material = config.far_stress, config.material
     a = hole_radius if hole_radius is not None else config.hole_radius
     D = solution.material.plane_stress_matrix()
-    regions = partition_regions(solution.geometry, solution.field)
+    tiling = partition_regions(solution.geometry, solution.field)
     num_parts, den_parts = [], []
-    for s, t, weights in gauss_panels(regions, n_quad):
+    for s, t, weights in gauss_panels(tiling, n_quad):
         strain, cd = solution._strain(s, t)
         ref = kirsch_reference(cd.x[..., 0], cd.x[..., 1], far, a, material)
         diff = strain @ D.T - ref.stress

@@ -13,7 +13,6 @@ second derivative uses the symmetric two-variable chain rule, which is what
 central finite differences reproduce.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,28 +242,26 @@ class TrimmedRegion:
         )
 
     def validate(self, grid_n=32):
-        """Sweep an (n+1) x (n+1) grid; report-only, never raises."""
+        """Sweep an (n+1) x (n+1) grid; report-only, never raises.
+
+        Each curve is evaluated once at the n + 1 s-values, and det is
+        formed on the whole (t, s) grid at once.
+        """
         if grid_n < 4:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
-        svals = np.linspace(0.0, 1.0, grid_n + 1)
-        tvals = np.linspace(0.0, 1.0, grid_n + 1)
-        min_det = math.inf
-        max_det = -math.inf
-        min_abs = math.inf
-        min_gap = math.inf
-        for s in svals:
-            b = self.curve_bottom.evaluate(s, 1)
-            tp = self.curve_top.evaluate(s, 1)
-            min_gap = min(min_gap, float(np.linalg.norm(tp.value - b.value)))
-            duv_dt = tp.value - b.value
-            for t in tvals:
-                duv_ds = (1.0 - t) * b.d1 + t * tp.d1
-                det = float(duv_ds[0] * duv_dt[1] - duv_ds[1] * duv_dt[0])
-                min_det = min(min_det, det)
-                max_det = max(max_det, det)
-                min_abs = min(min_abs, abs(det))
+        grid = np.linspace(0.0, 1.0, grid_n + 1)
+        b = self.curve_bottom.evaluate(grid, 1)
+        tp = self.curve_top.evaluate(grid, 1)
+        duv_dt = tp.value - b.value
+        t = grid[:, None, None]
+        duv_ds = (1.0 - t) * b.d1 + t * tp.d1
+        det = duv_ds[..., 0] * duv_dt[:, 1] - duv_ds[..., 1] * duv_dt[:, 0]
+        min_det, max_det = float(det.min()), float(det.max())
         sign_change = not (min_det > 0.0 or max_det < 0.0)
-        return RegionReport(grid_n, min_det, max_det, min_abs, sign_change, min_gap)
+        return RegionReport(
+            grid_n, min_det, max_det, float(np.abs(det).min()), sign_change,
+            float(np.linalg.norm(duv_dt, axis=-1).min()),
+        )
 
 
 def cross_norm(a, b):

@@ -205,3 +205,16 @@ def test_bad_at_argument(capsys, plate_file):
 def test_domain_error_exits_1(capsys, plate_file):
     code, _, err = run(capsys, "map", "--region", plate_file, "--at", "2,0")
     assert code == 1
+
+
+def test_negative_plate_stage_exits_1(capsys):
+    code, out, err = run(capsys, "plate", "--stage", "-1")
+    assert (code, out) == (1, "")
+    assert "stage" in err
+
+
+def test_plate_order_0_exits_1(capsys):
+    # 0 is an order, not a missing option: it must not fall back to the default
+    code, out, err = run(capsys, "plate", "--stage", "0", "--order", "0")
+    assert (code, out) == (1, "")
+    assert "quadrature order" in err

@@ -356,10 +356,9 @@ def assert_matches_point_sum(K, geometry, field, n):
     D = MAT.plane_stress_matrix()
     dense = np.zeros(K.shape)
     x, w = gauss_points_1d(n)
-    for r in partition_regions(geometry, field):
-        hs, ht = r.s1 - r.s0, r.t1 - r.t0
+    for s0, hs, t0, ht in panels(partition_regions(geometry, field)):
         for i, j in np.ndindex(n, n):
-            s, t = r.s0 + hs * x[i], r.t0 + ht * x[j]
+            s, t = s0 + hs * x[i], t0 + ht * x[j]
             idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
             B = np.zeros((3, 2 * idx.size))
             B[0, 0::2] = B[2, 1::2] = dN_dx
@@ -369,6 +368,14 @@ def assert_matches_point_sum(K, geometry, field, n):
             dense[np.ix_(dofs, dofs)] += weight * (B.T @ D @ B)
     assert K.nnz == np.count_nonzero(dense)
     assert np.abs(K.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def panels(tiling):
+    """(s0, hs, t0, ht) of each panel between a tiling's lines, s-major."""
+    s_lines, t_lines = tiling.s_lines.tolist(), tiling.t_lines.tolist()
+    for s0, s1 in zip(s_lines[:-1], s_lines[1:]):
+        for t0, t1 in zip(t_lines[:-1], t_lines[1:]):
+            yield s0, s1 - s0, t0, t1 - t0
 
 
 class SingularAt:
@@ -434,10 +441,10 @@ class TestColumnsMatchPointLoops:
         D = config.material.plane_stress_matrix()
         x, w = gauss_points_1d(5)
         num, den = [], []
-        for r in partition_regions(solution.geometry, solution.field):
-            hs, ht = r.s1 - r.s0, r.t1 - r.t0
+        tiling = partition_regions(solution.geometry, solution.field)
+        for s0, hs, t0, ht in panels(tiling):
             for i, j in np.ndindex(5, 5):
-                strain, cd = solution._strain(r.s0 + hs * x[i], r.t0 + ht * x[j])
+                strain, cd = solution._strain(s0 + hs * x[i], t0 + ht * x[j])
                 ref = kirsch_reference(cd.x[0], cd.x[1], config.far_stress,
                                        config.hole_radius, config.material)
                 diff = D @ strain - ref.stress

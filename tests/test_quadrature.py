@@ -84,47 +84,55 @@ class TestGaussPoints:
 class TestPartition:
     def test_plate_region_splits_at_the_kink(self, plate_region):
         single = FieldSpace(KnotVector([0, 0, 1, 1], 1), KnotVector([0, 0, 1, 1], 1))
-        regions = partition_regions(plate_region, single)
-        assert len(regions) == 2
-        assert {(r.s0, r.s1) for r in regions} == {(0.0, 0.5), (0.5, 1.0)}
+        tiling = partition_regions(plate_region, single)
+        assert len(tiling) == 2
+        assert tiling.s_lines.tolist() == [0.0, 0.5, 1.0]
+        assert tiling.t_lines.tolist() == [0.0, 1.0]
 
     def test_field_knots_drive_splits(self, square_region):
         kv_s = KnotVector([0, 0, 1 / 3, 2 / 3, 1, 1], 1)
         field = FieldSpace(kv_s, KnotVector([0, 0, 1, 1], 1))
-        regions = partition_regions(square_region, field)
-        assert len(regions) == 3
+        tiling = partition_regions(square_region, field)
+        assert len(tiling) == 3
+        assert tiling.s_lines.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
 
     def test_direct_geometry_splits_at_surface_knots(self):
         # two spans in u and in v; the field adds s = 0.5 and repeats t = 0.6
         surface = unit_square_surface().insert_knot(0.4, "u").insert_knot(0.6, "v")
         field = FieldSpace(KnotVector([0, 0, 0.5, 1, 1], 1),
                            KnotVector([0, 0, 0.6, 1, 1], 1))
-        regions = partition_regions(DirectGeometry(surface), field)
-        assert [(r.s0, r.s1, r.t0, r.t1) for r in regions] == [
-            (s0, s1, t0, t1)
-            for s0, s1 in ((0.0, 0.4), (0.4, 0.5), (0.5, 1.0))
-            for t0, t1 in ((0.0, 0.6), (0.6, 1.0))
-        ]
+        tiling = partition_regions(DirectGeometry(surface), field)
+        assert tiling.s_lines.tolist() == [0.0, 0.4, 0.5, 1.0]
+        assert tiling.t_lines.tolist() == [0.0, 0.6, 1.0]
+        assert len(tiling) == 6
 
     def test_coincident_lines_deduplicate(self, plate_region):
         kv_s = KnotVector([0, 0, 0.5, 1, 1], 1)
         field = FieldSpace(kv_s, KnotVector([0, 0, 1, 1], 1))
-        regions = partition_regions(plate_region, field)
-        assert len(regions) == 2
+        tiling = partition_regions(plate_region, field)
+        assert len(tiling) == 2
+        assert tiling.s_lines.tolist() == [0.0, 0.5, 1.0]
 
     def test_tiling_sums_to_unit_area(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
-        regions = partition_regions(plate_region, field)
-        assert abs(sum(r.area for r in regions) - 1.0) < 1e-13
-        starts = sorted({r.s0 for r in regions} | {r.t0 for r in regions})
-        assert all(0.0 <= v < 1.0 for v in starts)
+        tiling = partition_regions(plate_region, field)
+        hs, ht = np.diff(tiling.s_lines), np.diff(tiling.t_lines)
+        assert abs(math.fsum(np.outer(hs, ht).ravel().tolist()) - 1.0) < 1e-13
+        assert np.all(hs > 0.0) and np.all(ht > 0.0)
+
+    def test_lines_are_read_only(self):
+        tiling = partition_regions(BreakLines([0.5], [0.5]))
+        for lines in (tiling.s_lines, tiling.t_lines):
+            assert lines.dtype == np.float64
+            with pytest.raises(ValueError):
+                lines[1] = 0.25
 
     def test_rule_weights_sum_to_area(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
-        regions = partition_regions(plate_region, field)
-        assert len({(r.s0, r.s1) for r in regions}) == 4
+        tiling = partition_regions(plate_region, field)
+        assert tiling.s_lines.size - 1 == 4
         # 4 columns of 2 panels at 16 points each fit in one batch
-        (batch,) = gauss_panels(regions, 4)
+        (batch,) = gauss_panels(tiling, 4)
         s, t, w = batch
         assert (s.shape, t.shape, w.shape) == ((4, 1, 4, 1), (1, 2, 1, 4), (4, 2, 4, 4))
         weights = w.ravel().tolist()
@@ -134,22 +142,25 @@ class TestPartition:
     def test_panel_points_are_plain_floats_in_s_major_order(self, monkeypatch):
         # each batch broadcasts to a column-, then panel-major grid whose
         # flattened points and weights are the scalar rule's, panel by panel
-        # in the tiling's order and s-major within a panel, term for term;
-        # batches of one column and of the whole tiling give the same terms
+        # in the tiling's s-major order and s-major within a panel, term for
+        # term; batches of one column and of the whole tiling give the same
+        # terms
         x, w = gauss_points_1d(2)
-        regions = partition_regions(BreakLines([0.25], [0.5, 0.75]))
+        tiling = partition_regions(BreakLines([0.25], [0.5, 0.75]))
+        s_lines, t_lines = tiling.s_lines.tolist(), tiling.t_lines.tolist()
         expected = []
-        for region in regions:
-            hs, ht = region.s1 - region.s0, region.t1 - region.t0
-            expected += [
-                (region.s0 + hs * float(xi), region.t0 + ht * float(xj),
-                 float(wi) * float(wj) * hs * ht)
-                for xi, wi in zip(x, w)
-                for xj, wj in zip(x, w)
-            ]
+        for s0, s1 in zip(s_lines[:-1], s_lines[1:]):
+            for t0, t1 in zip(t_lines[:-1], t_lines[1:]):
+                hs, ht = s1 - s0, t1 - t0
+                expected += [
+                    (s0 + hs * float(xi), t0 + ht * float(xj),
+                     float(wi) * float(wj) * hs * ht)
+                    for xi, wi in zip(x, w)
+                    for xj, wj in zip(x, w)
+                ]
         for batch_points, shapes in ((1, [(1, 1, 2, 1)] * 2), (24, [(2, 1, 2, 1)])):
             monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
-            batches = list(gauss_panels(regions, 2))
+            batches = list(gauss_panels(tiling, 2))
             assert [s.shape for s, _, _ in batches] == shapes
             points = []
             for s, t, weights in batches:
@@ -162,25 +173,27 @@ class TestPartition:
             assert points == expected
 
     def test_batches_hold_whole_columns_up_to_the_point_limit(self, monkeypatch):
-        regions = partition_regions(BreakLines([0.2, 0.4, 0.6, 0.8], [0.5]))
+        tiling = partition_regions(BreakLines([0.2, 0.4, 0.6, 0.8], [0.5]))
         # 5 columns of 2 panels of 9 points: 18 points per column
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 40)
-        assert [s.shape[0] for s, _, _ in gauss_panels(regions, 3)] == [2, 2, 1]
+        assert [s.shape[0] for s, _, _ in gauss_panels(tiling, 3)] == [2, 2, 1]
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 17)
-        assert [s.shape[0] for s, _, _ in gauss_panels(regions, 3)] == [1] * 5
+        assert [s.shape[0] for s, _, _ in gauss_panels(tiling, 3)] == [1] * 5
 
-    def test_a_tiling_that_is_no_tensor_product_is_refused(self):
-        regions = partition_regions(BreakLines([0.5], [0.5]))
-        with pytest.raises(DomainError, match="tensor-product"):
-            list(gauss_panels(regions[:3], 2))
+    def test_len_counts_the_panels_gauss_panels_yields(self, plate_region, monkeypatch):
+        # len() is what the benchmark's tracer reports as quadrature.panels
+        field = FieldSpace.conforming(plate_region, 2, 2).refined_h().refined_h()
+        tiling = partition_regions(plate_region, field)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 50)
+        batches = list(gauss_panels(tiling, 3))
+        assert len(batches) > 1
+        assert len(tiling) == sum(w.shape[0] * w.shape[1] for _, _, w in batches)
 
     def test_tiling_ends_exactly_at_the_unit_edges(self):
         for near_end in (1.0 - 5e-13, 5e-13):
-            regions = partition_regions(BreakLines([0.5, near_end], [near_end]))
-            assert max(r.s1 for r in regions) == 1.0
-            assert max(r.t1 for r in regions) == 1.0
-            assert min(r.s0 for r in regions) == 0.0
-            assert sorted({r.s0 for r in regions}) == [0.0, 0.5]
+            tiling = partition_regions(BreakLines([0.5, near_end], [near_end]))
+            assert tiling.s_lines.tolist() == [0.0, 0.5, 1.0]
+            assert tiling.t_lines.tolist() == [0.0, 1.0]
 
 
 class TestIntegrate:

@@ -4,7 +4,7 @@ import pytest
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.shapes import identity_region, unit_square_surface
-from trimiga.trimming import TrimmedRegion
+from trimiga.trimming import RegionReport, TrimmedRegion
 
 from conftest import segment
 
@@ -379,6 +379,34 @@ class TestValidateRegion:
     def test_grid_too_small(self, plate_region):
         with pytest.raises(DomainError):
             plate_region.validate(3)
+
+    def test_matches_a_scalar_sweep_exactly(self, plate_region):
+        folded = TrimmedRegion(
+            plate_region.surface,
+            plate_region.curve_bottom,
+            plate_region.curve_top.reversed(),
+        )
+        for region, grid_n in ((plate_region, 16), (plate_region, 5), (folded, 16)):
+            report = region.validate(grid_n)
+            assert report == scalar_sweep(region, grid_n)
+        assert report.sign_change
+
+
+def scalar_sweep(region, grid_n):
+    """RegionReport from one scalar curve evaluation per s and one det per point."""
+    grid = np.linspace(0.0, 1.0, grid_n + 1)
+    dets, gaps = [], []
+    for s in grid:
+        b = region.curve_bottom.evaluate(s, 1)
+        tp = region.curve_top.evaluate(s, 1)
+        duv_dt = tp.value - b.value
+        gaps.append(float(np.linalg.norm(duv_dt)))
+        for t in grid:
+            duv_ds = (1.0 - t) * b.d1 + t * tp.d1
+            dets.append(float(duv_ds[0] * duv_dt[1] - duv_ds[1] * duv_dt[0]))
+    lo, hi = min(dets), max(dets)
+    return RegionReport(grid_n, lo, hi, min(abs(d) for d in dets),
+                        not (lo > 0.0 or hi < 0.0), min(gaps))
 
 
 class TestBreakpoints:
