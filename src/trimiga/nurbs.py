@@ -442,8 +442,9 @@ class NurbsSurface:
             H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
         # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j]
         G = dv[..., None, :, :] @ H
-        A = du @ G.reshape(G.shape[:-3] + (p + 1, -1))
-        A = A.reshape(A.shape[:-1] + (order + 1, -1))
+        n = H.shape[-1]  # explicit sizes, so that an empty batch reshapes too
+        A = du @ G.reshape(G.shape[:-3] + (p + 1, (order + 1) * n))
+        A = A.reshape(A.shape[:-1] + (order + 1, n))
         w = A[..., -1:]
         Ad = A[..., :-1]
         w0 = w[..., 0, 0, :]

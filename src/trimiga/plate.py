@@ -170,7 +170,11 @@ class Free:
 
 @dataclass(frozen=True)
 class Traction:
-    """Prescribed traction: fn(x, n) -> (2,) with n the outward unit normal."""
+    """Prescribed traction: fn(x, n) with the (N, 2) points of one edge.
+
+    n holds the outward unit normals, also (N, 2); fn returns (N, 2)
+    tractions, or a (2,) one that applies to every point.
+    """
 
     fn: object
 
@@ -419,11 +423,11 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         h = np.diff(lines)[:, None]
         r = (lines[:-1, None] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
-        tvec = np.array([bc.fn(p, n) for p, n in zip(xy, normal)], dtype=float)
+        tvec = np.asarray(bc.fn(xy, normal), dtype=float)
         idx, values, _, _ = field.basis(s, t, 0)
         scale = ((w * h).ravel() * ds)[:, None] * values
-        np.add.at(f, 2 * idx, scale * tvec[:, :1])
-        np.add.at(f, 2 * idx + 1, scale * tvec[:, 1:])
+        np.add.at(f, 2 * idx, scale * tvec[..., :1])
+        np.add.at(f, 2 * idx + 1, scale * tvec[..., 1:])
     return f
 
 
@@ -490,7 +494,7 @@ class SolveResult:
 
     def stress(self, s, t):
         """Plane-stress components (sxx, syy, sxy) in a last axis at (s, t)."""
-        return self.strain(s, t) @ self.material.plane_stress_matrix().T
+        return (self.material.plane_stress_matrix() @ self.strain(s, t)[..., None])[..., 0]
 
 
 def solve_problem(geometry, field, material, bcs, n_quad=None):
@@ -631,15 +635,14 @@ def plate_boundary_conditions(config, hole_radius=None):
     a = hole_radius if hole_radius is not None else config.hole_radius
     material = config.material
 
-    def reference_traction(xy, normal):
-        ref = kirsch_reference(xy[0], xy[1], far, a, material)
-        sig = np.array([[ref.sxx, ref.sxy], [ref.sxy, ref.syy]])
-        return sig @ normal
-
     def outer_traction(xy, normal):
-        if config.bc_mode == "paper" and abs(normal[0]) > abs(normal[1]):
-            return np.array([far, 0.0])
-        return reference_traction(xy, normal)
+        ref = kirsch_reference(xy[:, 0], xy[:, 1], far, a, material)
+        sig = np.moveaxis(np.array([[ref.sxx, ref.sxy], [ref.sxy, ref.syy]]), -1, 0)
+        traction = (sig @ normal[..., None])[..., 0]
+        if config.bc_mode == "paper":
+            right = np.abs(normal[:, 0]) > np.abs(normal[:, 1])
+            traction = np.where(right[:, None], [far, 0.0], traction)
+        return traction
 
     return {
         "s0": Symmetry(),

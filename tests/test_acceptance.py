@@ -134,8 +134,8 @@ def test_criterion_4_patch_tests():
         bcs = {
             "s0": Symmetry(),
             "s1": Symmetry(),
-            "t0": Traction(lambda x, n: S @ n),
-            "t1": Traction(lambda x, n: S @ n),
+            "t0": Traction(lambda x, n: n @ S.T),
+            "t1": Traction(lambda x, n: n @ S.T),
         }
         result = solve_problem(geometry, field, MAT, bcs)
         scale = max(abs(gx), abs(gy))

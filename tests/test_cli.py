@@ -3,6 +3,7 @@ import pytest
 
 from trimiga import iges, native
 from trimiga.cli import main
+from trimiga.nurbs import KnotVector, NurbsSurface
 from trimiga.shapes import identity_region, plate_with_hole_region
 
 
@@ -157,6 +158,19 @@ def test_check_derivs_golden_bytes(capsys, plate_file):
     )
 
 
+def test_check_derivs_skips_stencils_across_a_surface_knot_line(capsys, tmp_path):
+    # x(u) is C1 at u = 0.5, so its second derivative jumps there
+    net = [[[x, y, 0.0] for y in (0.0, 1.0)] for x in (0.0, 0.2, 0.9, 1.0)]
+    surface = NurbsSurface(KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2),
+                           KnotVector([0, 0, 1, 1], 1), net)
+    path = tmp_path / "knot.trim"
+    native.save_region(identity_region(surface), path)
+    code, out, err = run(capsys, "check-derivs", "--region", str(path), "--grid", "3")
+    assert code == 0
+    assert err.startswith("skipped 3 of 9 points")
+    assert float(out.splitlines()[2].split(",")[1]) < 1e-5
+
+
 def test_iges_dump_lists_entities(capsys, iges_file):
     code, out, _ = run(capsys, "iges-dump", "--iges", iges_file)
     assert code == 0
@@ -224,6 +238,18 @@ def test_plate_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "plate", "--stage", "0", "--config", str(cfg))
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[2]) < 0.1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("stge=0", "unknown key 'stge'"),
+    ("stage=two", "stage expects int, got 'two'"),
+], ids=["unknown-key", "not-a-number"])
+def test_plate_config_errors_exit_1(capsys, tmp_path, line, message):
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"bc = exact\n{line}\n")
+    code, out, err = run(capsys, "plate", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {cfg}:2: {message}")
 
 
 def test_usage_error_exits_2(capsys):

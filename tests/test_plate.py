@@ -550,8 +550,8 @@ class TestSolver:
             bcs = {
                 "s0": Symmetry(),
                 "s1": Symmetry(),
-                "t0": Traction(lambda x, n, S=S: S @ n),
-                "t1": Traction(lambda x, n, S=S: S @ n),
+                "t0": Traction(lambda x, n, S=S: n @ S.T),
+                "t1": Traction(lambda x, n, S=S: n @ S.T),
             }
             result = solve_problem(geometry, field, MAT, bcs)
             scale = max(abs(gx), abs(gy))
@@ -571,8 +571,8 @@ class TestSolver:
         bcs = {
             "s0": Symmetry(),
             "s1": Symmetry(),
-            "t0": Traction(lambda x, n: S @ n),
-            "t1": Traction(lambda x, n: S @ n),
+            "t0": Traction(lambda x, n: n @ S.T),
+            "t1": Traction(lambda x, n: n @ S.T),
         }
         result = solve_problem(geometry, field, MAT, bcs)
         worst = 0.0
@@ -618,6 +618,13 @@ class TestSolver:
         assert result.l2_stress_error < 0.1
         assert 2.5 < result.rim_stress < 3.5
         assert abs(result.rim_stress - result.solution.stress(0.0, 0.0)[0]) == 0.0
+
+    def test_stress_of_a_batch_matches_single_points_bitwise(self):
+        solution = solve_plate(PlateConfig(stage=0, bc_mode="exact")).solution
+        r = np.linspace(0.0, 1.0, 17)
+        s, t = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+        single = np.array([solution.stress(a, b) for a, b in zip(s, t)])
+        assert np.array_equal(solution.stress(s, t), single)
 
     def test_bc_modes_differ(self):
         paper = solve_plate(PlateConfig(stage=0, bc_mode="paper"))
@@ -683,8 +690,8 @@ class TestSolver:
         bcs = {
             "s0": Symmetry(),
             "s1": Symmetry(),
-            "t0": Traction(lambda x, n: S @ n),
-            "t1": Traction(lambda x, n: S @ n),
+            "t0": Traction(lambda x, n: n @ S.T),
+            "t1": Traction(lambda x, n: n @ S.T),
         }
         geometry = MappedGeometry(region)
         result = solve_problem(geometry, field, MAT, bcs)

@@ -309,6 +309,14 @@ class TestArrayCompositeEval:
         assert np.array_equal(m.det, [[plate_region.map_point(s, t).det for t in (0.0, 1.0)]
                                       for s in (0.25, 0.5)])
 
+    def test_empty_batch_gives_empty_fields(self, curved_surface, plate_region):
+        empty = np.zeros(0)
+        for region in (plate_region, identity_region(curved_surface)):
+            for order in (0, 1, 2):
+                cd = region.composite_eval(empty, empty, order)
+                for name in self.FIELDS[order]:
+                    assert getattr(cd, name).shape[0] == 0, (order, name)
+
     def test_array_domain_error(self, plate_region):
         with pytest.raises(DomainError):
             plate_region.composite_eval(np.array([[0.5], [1.2]]), np.array([[0.5]]))
