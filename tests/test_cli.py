@@ -74,7 +74,7 @@ def test_plate_stage1_exact_golden_bytes(capsys):
     assert out == PLATE_STAGE1_EXACT
 
 
-# the dump file of `trimiga plate --stage 0 --bc exact --grid 5`
+# the dump file of `trimiga plate --stage 0 --bc exact --grid 5` from a reference build
 PLATE_STAGE0_EXACT_DUMP = (
     "s,t,x,y,ux,uy,sxx,syy,sxy\n"
     "0,0,0,1,0,-9.64805233709e-06,3.11804888027,0.544227822878,-0.00074352454902\n"
@@ -105,14 +105,6 @@ PLATE_STAGE0_EXACT_DUMP = (
 )
 
 
-def test_plate_dump_golden_bytes(capsys, tmp_path):
-    dump = tmp_path / "fields.csv"
-    code, _, _ = run(capsys, "plate", "--stage", "0", "--bc", "exact",
-                     "--dump", str(dump), "--grid", "5")
-    assert code == 0
-    assert dump.read_text() == PLATE_STAGE0_EXACT_DUMP
-
-
 def test_area_identity(capsys, identity_file):
     code, out, _ = run(capsys, "area", "--region", identity_file, "--order", "4")
     assert code == 0
@@ -139,16 +131,7 @@ def test_jacobian_columns(capsys, plate_file):
 
 
 def test_check_derivs_passes(capsys, plate_file):
-    code, out, _ = run(capsys, "check-derivs", "--region", plate_file, "--grid", "8")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "quantity,max_rel_error"
-    first = float(lines[1].split(",")[1])
-    second = float(lines[2].split(",")[1])
-    assert first < 1e-5 and second < 1e-5
-
-
-def test_check_derivs_golden_bytes(capsys, plate_file):
+    # golden bytes from a reference build
     code, out, err = run(capsys, "check-derivs", "--region", plate_file, "--grid", "8")
     assert (code, err) == (0, "")
     assert out == (
@@ -213,9 +196,7 @@ def test_plate_dump_and_out(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert table.read_text().startswith("stage,dofs,")
-    dump_lines = dump.read_text().strip().splitlines()
-    assert dump_lines[0] == "s,t,x,y,ux,uy,sxx,syy,sxy"
-    assert len(dump_lines) == 1 + 25
+    assert dump.read_text() == PLATE_STAGE0_EXACT_DUMP
 
 
 def test_plate_with_region_file(capsys, tmp_path):
