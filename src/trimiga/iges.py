@@ -400,9 +400,12 @@ def parse_file(path):
 
 
 def _to_parameter_curve(curve, ranges):
-    """Drop z and rescale control points into the unit parameter square."""
+    """Rescale control points' x and y into the unit parameter square.
+
+    z is kept, so that TrimmedRegion rejects a curve off the parameter plane.
+    """
     u0, u1, v0, v1 = ranges
-    pts = curve.control_points[:, :2].copy()
+    pts = curve.control_points.copy()
     pts[:, 0] = (pts[:, 0] - u0) / (u1 - u0)
     pts[:, 1] = (pts[:, 1] - v0) / (v1 - v0)
     return NurbsCurve(curve.knot_vector, pts, curve.weights)
@@ -439,6 +442,11 @@ def extract_region(model, trimmed_index=0):
     (ties broken by mean u); the top curve is reversed when needed so both
     advance in the same s-direction.
     """
+    return extract_region_with_report(model, trimmed_index)[0]
+
+
+def extract_region_with_report(model, trimmed_index=0):
+    """extract_region's region and the validate(16) report that accepted it."""
     if not 0 <= trimmed_index < len(model.trimmed):
         raise UnsupportedTopologyError(
             f"trimmed surface index {trimmed_index} out of range "
@@ -485,7 +493,7 @@ def extract_region(model, trimmed_index=0):
             f"trimmed surface D{record.de}: extracted region fails validation\n"
             + report.summary()
         )
-    return region
+    return region, report
 
 
 def boundary_gap_diagnostics(model, tol=_GAP_TOL):

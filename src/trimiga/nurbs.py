@@ -2,8 +2,9 @@
 
 Knot vectors, rational curves and surfaces with derivatives up to second
 order, plus the two exact refinement operations (knot insertion and degree
-elevation). All evaluation is rational through homogeneous coordinates, so
-polynomial B-splines are just the all-weights-equal special case.
+elevation), both done by one Greville refit. All evaluation is rational
+through homogeneous coordinates, so polynomial B-splines are just the
+all-weights-equal special case.
 
 Conventions:
   * knot vectors are clamped and normalized to [0, 1] on construction;
@@ -355,15 +356,14 @@ class NurbsCurve:
         return CurveDerivatives(value, d1, d2)
 
     def insert_knot(self, value, multiplicity=1):
-        """Exact knot insertion (Boehm), repeated `multiplicity` times."""
-        kv, hpts = _inserted(self.knot_vector, self.homogeneous(), value, multiplicity)
-        return NurbsCurve.from_homogeneous(kv, hpts)
+        """Exact knot insertion, `multiplicity` copies of `value` at once."""
+        kv = self.knot_vector.inserted(value, multiplicity)
+        return NurbsCurve.from_homogeneous(kv, _refit(self.knot_vector, kv, self._homogeneous))
 
     def elevate_degree(self):
         """Degree-raised curve evaluating to the same points."""
-        return NurbsCurve.from_homogeneous(
-            *_elevated(self.knot_vector, self.homogeneous())
-        )
+        kv = self.knot_vector.elevated()
+        return NurbsCurve.from_homogeneous(kv, _refit(self.knot_vector, kv, self._homogeneous))
 
     def reversed(self):
         """Same trace traversed in the opposite parameter direction."""
@@ -469,66 +469,33 @@ class NurbsSurface:
 
     def insert_knot(self, value, direction, multiplicity=1):
         """Exact knot insertion along 'u' or 'v'."""
-        return self._refined(
-            direction, lambda kv, coeffs: _inserted(kv, coeffs, value, multiplicity)
-        )
+        return self._refined(direction, lambda kv: kv.inserted(value, multiplicity))
 
     def elevate_degree(self, direction):
         """Degree-raised surface along 'u' or 'v', pointwise identical."""
-        return self._refined(direction, _elevated)
+        return self._refined(direction, KnotVector.elevated)
 
     def _refined(self, direction, refine):
-        """Surface from refine(kv, coeffs) -> (kv, coeffs) along one direction."""
+        """Surface refit onto refine(kv), kv the knot vector along `direction`."""
         if direction not in ("u", "v"):
             raise InvalidRefinementError(f"direction must be 'u' or 'v', got {direction!r}")
-        hnet = self.homogeneous()
-        if direction == "u":
-            kv, other = self.knot_vector_u, self.knot_vector_v
-        else:
-            kv, other = self.knot_vector_v, self.knot_vector_u
-            hnet = hnet.transpose(1, 0, 2)
-        new_kv, coeffs = refine(kv, hnet.reshape(hnet.shape[0], -1))
-        hnet = coeffs.reshape(new_kv.num_basis, other.num_basis, 4)
-        if direction == "u":
-            return NurbsSurface.from_homogeneous(new_kv, other, hnet)
-        return NurbsSurface.from_homogeneous(other, new_kv, hnet.transpose(1, 0, 2))
+        axis = "uv".index(direction)
+        kvs = [self.knot_vector_u, self.knot_vector_v]
+        old = kvs[axis]
+        kvs[axis] = refine(old)
+        hnet = _refit(old, kvs[axis], np.moveaxis(self._homogeneous, axis, 0))
+        return NurbsSurface.from_homogeneous(*kvs, np.moveaxis(hnet, 0, axis))
 
 
-def _insert_once(knots, degree, coeffs, value):
-    """Boehm single knot insertion on a stack of coefficient rows."""
-    # span under the right-adjacent rule; knots here are already in [0, 1]
-    n = knots.size - degree - 1
-    k = degree
-    while k < n - 1 and value >= knots[k + 1]:
-        k += 1
-    new = np.empty((coeffs.shape[0] + 1, coeffs.shape[1]))
-    new[: k - degree + 1] = coeffs[: k - degree + 1]
-    for i in range(k - degree + 1, k + 1):
-        den = knots[i + degree] - knots[i]
-        alpha = (value - knots[i]) / den if den > 0 else 0.0
-        new[i] = alpha * coeffs[i] + (1.0 - alpha) * coeffs[i - 1]
-    new[k + 1 :] = coeffs[k:]
-    return np.insert(knots, k + 1, value), new
+def _refit(kv, new_kv, coeffs):
+    """Coefficients along axis 0 of `coeffs` re-expressed over new_kv.
 
-
-def _inserted(kv, coeffs, value, multiplicity):
-    """Knot vector and coefficient rows with `value` inserted; kv.inserted checks it."""
-    new_kv = kv.inserted(value, multiplicity)
-    knots = kv.knots
-    for _ in range(multiplicity):
-        knots, coeffs = _insert_once(knots, kv.degree, coeffs, value)
-    return new_kv, coeffs
-
-
-def _elevated(kv, coeffs):
-    """Elevated knot vector and the same piecewise polynomial's coefficients.
-
-    The elevated space contains the original one, so collocating the new
-    basis at its Greville abscissae and matching the old values there
-    reproduces the function exactly.
+    new_kv's space contains kv's (a knot inserted, or the degree raised at
+    the same continuity), so collocating the new basis at its Greville
+    abscissae and matching the old values there reproduces the function
+    exactly. The other axes of `coeffs` are carried along.
     """
-    elevated_kv = kv.elevated()
-    params = elevated_kv.greville()
-    M = collocation_matrix(elevated_kv, params)
-    rhs = collocation_matrix(kv, params) @ coeffs
-    return elevated_kv, np.linalg.solve(M, rhs)
+    params = new_kv.greville()
+    M = collocation_matrix(new_kv, params)
+    rhs = collocation_matrix(kv, params) @ coeffs.reshape(kv.num_basis, -1)
+    return np.linalg.solve(M, rhs).reshape((new_kv.num_basis,) + coeffs.shape[1:])

@@ -250,17 +250,13 @@ class TrimmedRegion:
         if grid_n < 4:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
         grid = np.linspace(0.0, 1.0, grid_n + 1)
-        b = self.curve_bottom.evaluate(grid, 1)
-        tp = self.curve_top.evaluate(grid, 1)
-        duv_dt = tp.value - b.value
-        t = grid[:, None, None]
-        duv_ds = (1.0 - t) * b.d1 + t * tp.d1
-        det = duv_ds[..., 0] * duv_dt[:, 1] - duv_ds[..., 1] * duv_dt[:, 0]
+        m = self._blend(grid, grid[:, None], 1)
+        det = m.det
         min_det, max_det = float(det.min()), float(det.max())
         sign_change = not (min_det > 0.0 or max_det < 0.0)
         return RegionReport(
             grid_n, min_det, max_det, float(np.abs(det).min()), sign_change,
-            float(np.linalg.norm(duv_dt, axis=-1).min()),
+            float(np.linalg.norm(m.duv_dt, axis=-1).min()),
         )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from trimiga import iges, native
 from trimiga.cli import main
 from trimiga.nurbs import KnotVector, NurbsSurface
 from trimiga.shapes import identity_region, plate_with_hole_region
+from trimiga.trimming import TrimmedRegion
 
 
 @pytest.fixture
@@ -137,8 +140,89 @@ def test_check_derivs_passes(capsys, plate_file):
     assert out == (
         "quantity,max_rel_error\n"
         "first_derivatives,9.52198320192e-11\n"
-        "second_derivatives,6.86671569605e-09\n"
+        "second_derivatives,7.06242841986e-11\n"
     )
+
+
+# a generated region (rounded to 6 digits) whose second-derivative
+# differences at step 1e-4 were off by 2.3e-5 from truncation error alone
+CURVED_RATIONAL_REGION = """\
+surface
+degree: 2 1
+knots u: 0 0 0 0.687943 1 1 1
+knots v: 0 0 0.373319 1 1
+coefficients (x y z w):
+0 0 0 2.37822
+0 0.561054 0 3.49694
+0 1.69156 0 3.51031
+0.967448 0 0 0.831734
+0.967448 0.561054 0 1.22298
+0.967448 1.69156 0 1.22766
+2.67931 0 0 1.36301
+2.67931 0.561054 0 2.00417
+2.67931 1.69156 0 2.01183
+4.33994 0 0 0.923658
+4.33994 0.561054 0 1.35815
+4.33994 1.69156 0 1.36334
+curve
+degree: 3
+knots: 0 0 0 0 0.488261 0.742517 0.742517 0.742517 0.885506 1 1 1 1
+coefficients (x y [z] w):
+0.0645607 0.164848 1.26151
+0.144736 0.349284 1.51347
+0.272713 0.0655871 0.692108
+0.387921 0.135445 0.936303
+0.43559 0.0958325 0.721133
+0.523782 0.184784 1.2137
+0.657237 0.0275703 1.69214
+0.786741 0.258375 1.90802
+0.913166 0.314631 0.576554
+curve
+degree: 3
+knots: 0 0 0 0 0.371731 0.488261 0.742517 0.742517 0.742517 0.885506 1 1 1 1
+coefficients (x y [z] w):
+0.0645607 0.669186 1.26151
+0.128127 0.695665 1.45333
+0.184965 0.645062 1.10226
+0.339027 0.536858 0.814361
+0.387921 0.549587 0.936303
+0.43559 0.541216 0.721133
+0.523782 0.550393 1.2137
+0.657237 0.495929 1.69214
+0.786741 0.432795 1.90802
+0.913166 0.56939 0.576554
+"""
+
+
+@pytest.fixture
+def curved_rational_file(tmp_path):
+    path = tmp_path / "curved.trim"
+    path.write_text(CURVED_RATIONAL_REGION)
+    return str(path)
+
+
+@pytest.mark.parametrize("grid", ["8", "16"])
+def test_check_derivs_passes_on_a_curved_rational_region(capsys, curved_rational_file, grid):
+    code, out, err = run(capsys, "check-derivs", "--region", curved_rational_file,
+                         "--grid", grid)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[2].split(",")[1]) < 1e-6
+
+
+def test_check_derivs_fails_on_a_wrong_second_derivative(capsys, monkeypatch,
+                                                         curved_rational_file):
+    correct = TrimmedRegion.composite_eval
+
+    def off_by_1e4(self, s, t, order=2):
+        cd = correct(self, s, t, order)
+        return replace(cd, d2x_ds2=cd.d2x_ds2 * (1 + 1e-4)) if order == 2 else cd
+
+    monkeypatch.setattr(TrimmedRegion, "composite_eval", off_by_1e4)
+    code, out, err = run(capsys, "check-derivs", "--region", curved_rational_file,
+                         "--grid", "8")
+    assert code == 1
+    assert float(out.splitlines()[2].split(",")[1]) > 1e-5
+    assert "FAILED" in err
 
 
 def test_check_derivs_skips_stencils_across_a_surface_knot_line(capsys, tmp_path):
@@ -175,6 +259,22 @@ def test_iges_extract_round_trip(capsys, tmp_path, iges_file, plate_file):
         assert np.abs(
             original.composite_eval(s, t).x - extracted.composite_eval(s, t).x
         ).max() < 1e-9
+
+
+def test_iges_extract_validates_once(capsys, monkeypatch, tmp_path, iges_file):
+    calls = []
+    validate = TrimmedRegion.validate
+
+    def counted(self, grid_n=32):
+        calls.append(grid_n)
+        return validate(self, grid_n)
+
+    monkeypatch.setattr(TrimmedRegion, "validate", counted)
+    code, _, err = run(capsys, "iges-extract", "--iges", iges_file,
+                       "--out", str(tmp_path / "extracted.trim"))
+    assert code == 0 and calls == [16]
+    assert err == validate(native.load_region(str(tmp_path / "extracted.trim")), 16
+                           ).summary() + "\n"
 
 
 def test_plate_stage_zero_table(capsys):

@@ -151,6 +151,20 @@ class TestExtraction:
                 region.composite_eval(s, t).x - plate_region.composite_eval(s, t).x
             ).max() < 1e-9
 
+    def test_trimming_curves_off_the_parameter_plane_are_rejected(self, tmp_path, capsys):
+        lifted = [
+            NurbsCurve(c.knot_vector,
+                       np.column_stack([c.control_points, np.full(len(c.weights), 0.5)]),
+                       c.weights)
+            for c in (hole_arc_curve(), outer_polyline_curve())
+        ]
+        path = tmp_path / "lifted.igs"
+        path.write_text(loop_file(lifted))
+        assert cli_main(["area", "--iges", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bottom trimming curve must live in the parameter plane")
+
     def test_bottom_top_assignment_by_mean_v(self):
         # feed the curves in the "wrong" order; mean v sorts them out
         model = iges.parse(loop_file([outer_polyline_curve(), hole_arc_curve()]))
