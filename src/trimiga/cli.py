@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import iges, native
-from .errors import TrimigaError
+from .errors import DomainError, TrimigaError
 from .plate import Material, PlateConfig, convergence_rates, solve_plate
 from .quadrature import integrate
 
@@ -40,6 +40,17 @@ def _load_region(args):
     if getattr(args, "iges", None):
         return iges.extract_region(iges.parse_file(args.iges))
     raise TrimigaError("no geometry given: pass --region or --iges")
+
+
+def _positive_int(text):
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_at(text):
@@ -117,6 +128,8 @@ def cmd_check_derivs(args):
         print(f"skipped {np.count_nonzero(~inside)} of {s.size} points whose difference "
               "stencil crosses a surface knot line", file=sys.stderr)
     s, t = s[inside], t[inside]
+    if not s.size:
+        raise DomainError("no sample point left to check")
     cd = region.composite_eval(s, t, order=2)
     sp, sm, tp, tm = (region.composite_eval(s + a * h1, t + b * h1, 0).x for a, b in steps)
     worst1 = _worst([(cd.dx_ds, (sp - sm) / (2 * h1)), (cd.dx_dt, (tp - tm) / (2 * h1))])
@@ -271,7 +284,8 @@ def build_parser():
     p = sub.add_parser("check-derivs",
                        help="compare analytic derivatives with finite differences")
     add_geometry(p)
-    p.add_argument("--grid", type=int, default=16, help="interior sample grid size")
+    p.add_argument("--grid", type=_positive_int, default=16,
+                   help="interior sample grid size")
     p.set_defaults(fn=cmd_check_derivs)
 
     p = sub.add_parser("iges-dump", help="inventory the entities of an IGES file")
@@ -296,7 +310,8 @@ def build_parser():
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--out", help="write the convergence CSV here instead of stdout")
     p.add_argument("--dump", help="write per-point field CSV for the finest stage")
-    p.add_argument("--grid", type=int, default=17, help="dump grid size per direction")
+    p.add_argument("--grid", type=_positive_int, default=17,
+                   help="dump grid size per direction")
     p.set_defaults(fn=cmd_plate)
     return parser
 

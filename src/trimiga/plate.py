@@ -7,10 +7,12 @@ one batch of whole columns of Gauss panels at a time (gauss_panels): the
 (C, 1, n, 1) s-nodes of C columns against the (1, T, 1, n) t-nodes of their
 T panels each, so the trimming curves are evaluated at the batch's s-nodes
 only. Stiffness is assembled one element block per panel straight into the
-data of its CSR pattern, the error norm keeps one fsum per panel, and each
-traction edge is evaluated in one call on the tiling's lines along it. The
-square's four edges are named in one table, _EDGES. The constrained system
-is solved by sparse LU under a symmetric minimum-degree ordering.
+data of its CSR pattern. The error norm evaluates the solved field on each
+batch's tensor grid from 1D basis tables (sum factorization) and keeps one
+fsum per panel. Each traction edge is evaluated in one call on the tiling's
+lines along it. The square's four edges are named in one table, _EDGES. The
+constrained system is solved by sparse LU under a symmetric minimum-degree
+ordering.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -24,6 +26,7 @@ stress concentration factor 3 at the rim, and a closed-form reference field
 to measure the relative L2 stress error against.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -276,14 +279,22 @@ def physical_gradients(geometry, field, s, t):
     geometry = _as_geometry(geometry)
     cd = geometry.eval(s, t)
     indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
+    dN_dx, dN_dy = _to_physical(geometry, cd, s, t, dN_ds, dN_dt)
+    return indices, values, dN_dx, dN_dy, cd
+
+
+def _to_physical(geometry, cd, s, t, d_ds, d_dt):
+    """(d_dx, d_dy) from (d_ds, d_dt) by the inverse of J^T at each point.
+
+    The derivative arrays carry one axis after the points' (that of the
+    functions, or of the displacement components); a point whose Jacobian
+    determinant is singular raises SingularMapError.
+    """
     a, b = cd.dx_ds[..., 0, None], cd.dx_dt[..., 0, None]
     c, d = cd.dx_ds[..., 1, None], cd.dx_dt[..., 1, None]
     det = a * d - b * c
     check_regular(np.abs(det[..., 0]), geometry.surface.singular_area, s, t)
-    # inverse of J^T applied to (dN_ds, dN_dt)
-    dN_dx = (d * dN_ds - c * dN_dt) / det
-    dN_dy = (-b * dN_ds + a * dN_dt) / det
-    return indices, values, dN_dx, dN_dy, cd
+    return (d * d_ds - c * d_dt) / det, (-b * d_ds + a * d_dt) / det
 
 
 #: strain row of each (displacement component, derivative direction) pair:
@@ -553,6 +564,26 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
     Uniaxial far tension along x; hoop stress reaches 3 * far_stress on the
     rim at 90 degrees. Points inside the hole are rejected.
     """
+    r, theta, (sxx, syy, sxy) = _kirsch_stress(x, y, far_stress, hole_radius)
+    a, T = hole_radius, far_stress
+    mu = material.shear_modulus
+    kappa = (3.0 - material.poisson_ratio) / (1.0 + material.poisson_ratio)
+    ra = r / a
+    ar = a / r
+    ar3 = ar ** 3
+    c1, s1 = np.cos(theta), np.sin(theta)
+    c3, s3 = np.cos(3 * theta), np.sin(3 * theta)
+    pref = T * a / (8.0 * mu)
+    ux = pref * (ra * (kappa + 1.0) * c1 + 2.0 * ar * ((1.0 + kappa) * c1 + c3) - 2.0 * ar3 * c3)
+    uy = pref * (ra * (kappa - 3.0) * s1 + 2.0 * ar * ((1.0 - kappa) * s1 + s3) - 2.0 * ar3 * s3)
+    return ReferencePoint(sxx, syy, sxy, ux, uy)
+
+
+def _kirsch_stress(x, y, far_stress, hole_radius):
+    """Polar (r, theta) and stresses (sxx, syy, sxy) of kirsch_reference.
+
+    The displacements are left out: the error norm needs only the stresses.
+    """
     a = hole_radius
     if a <= 0 or far_stress <= 0:
         raise DomainError("hole radius and far stress must be positive")
@@ -571,17 +602,7 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
     sxx = T * (1.0 - a2 * (1.5 * c2 + c4) + 1.5 * a4 * c4)
     syy = T * (-a2 * (0.5 * c2 - c4) - 1.5 * a4 * c4)
     sxy = T * (-a2 * (0.5 * s2 + s4) + 1.5 * a4 * s4)
-    mu = material.shear_modulus
-    kappa = (3.0 - material.poisson_ratio) / (1.0 + material.poisson_ratio)
-    ra = r / a
-    ar = a / r
-    ar3 = ar ** 3
-    c1, s1 = np.cos(theta), np.sin(theta)
-    c3, s3 = np.cos(3 * theta), np.sin(3 * theta)
-    pref = T * a / (8.0 * mu)
-    ux = pref * (ra * (kappa + 1.0) * c1 + 2.0 * ar * ((1.0 + kappa) * c1 + c3) - 2.0 * ar3 * c3)
-    uy = pref * (ra * (kappa - 3.0) * s1 + 2.0 * ar * ((1.0 - kappa) * s1 + s3) - 2.0 * ar3 * s3)
-    return ReferencePoint(sxx, syy, sxy, ux, uy)
+    return r, theta, (sxx, syy, sxy)
 
 
 # ---------------------------------------------------------------------------
@@ -697,24 +718,60 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     """Relative L2 norm of the stress error against the reference field.
 
     Frobenius norm on the symmetric tensor, so the shear component counts
-    twice.
+    twice. The displacement gradient comes from sum factorization on each
+    batch's tensor grid: the coefficients are contracted with the t-basis
+    once, as every batch shares its t-nodes, then with the batch's s-basis.
+    Both are fixed-order sums, so a point's value does not depend on its
+    batch.
     """
-    far, material = config.far_stress, config.material
     a = hole_radius if hole_radius is not None else config.hole_radius
+    geometry, field = solution.geometry, solution.field
+    kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
     D = solution.material.plane_stress_matrix()
-    tiling = partition_regions(solution.geometry, solution.field)
+    batches = gauss_panels(partition_regions(geometry, field), n_quad)
+    batch = next(batches)
+    # t-side, once: every batch has the same (1, T, 1, n) t-nodes, at which
+    # u and u_t are the (n_s, T * n, 2) t-contracted values and t-derivatives
+    span, ders = kv_t.basis(batch[1].ravel(), 1)
+    coeffs = solution.coeffs.reshape(field.shape + (2,))
+    u, u_t = (_contract(coeffs, span - kv_t.degree, ders[:, k], 1) for k in (0, 1))
     num_parts, den_parts = [], []
-    for s, t, weights in gauss_panels(tiling, n_quad):
-        strain, cd = solution._strain(s, t)
-        ref = kirsch_reference(cd.x[..., 0], cd.x[..., 1], far, a, material)
-        diff = strain @ D.T - ref.stress
+    for s, t, weights in itertools.chain([batch], batches):
+        cd = geometry.eval(s, t)
+        span, ders = kv_s.basis(s.ravel(), 1)
+        du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 0)
+        du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 0)
+        # from the (c * n, T * n) grid to gauss_panels' (c, T, n, n) order
+        c, T, n = weights.shape[:3]
+        du_ds, du_dt = (np.moveaxis(g.reshape(c, n, T, n, 2), 2, 1) for g in (du_ds, du_dt))
+        du_dx, du_dy = _to_physical(geometry, cd, s, t, du_ds, du_dt)
+        exx, eyy, gxy = du_dx[..., 0], du_dy[..., 1], du_dy[..., 0] + du_dx[..., 1]
+        sxx, syy, sxy = _kirsch_stress(cd.x[..., 0], cd.x[..., 1], config.far_stress, a)[2]
+        dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
+                         for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
         w = weights * cd.jacobian_scale
-        num = w * (diff[..., 0] ** 2 + diff[..., 1] ** 2 + 2.0 * diff[..., 2] ** 2)
-        den = w * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2)
+        num = w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
+        den = w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2)
         panel = (-1, weights[0, 0].size)
         num_parts.extend(math.fsum(row.tolist()) for row in num.reshape(panel))
         den_parts.extend(math.fsum(row.tolist()) for row in den.reshape(panel))
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
+
+
+def _contract(coeffs, first, ders, axis):
+    """Coefficients contracted along one axis with a 1D basis table.
+
+    ders holds, per node, the degree + 1 nonzero functions' values (or
+    derivatives) from the function index first; the node axis replaces
+    the function axis of coeffs. Each entry sums its terms in ascending
+    function order, whatever the number of nodes.
+    """
+    shape = [1] * coeffs.ndim
+    shape[axis] = first.size
+    acc = 0.0
+    for j in range(ders.shape[-1]):
+        acc = acc + ders[:, j].reshape(shape) * np.take(coeffs, first + j, axis=axis)
+    return acc
 
 
 def convergence_rates(results):

@@ -277,6 +277,37 @@ def test_iges_extract_validates_once(capsys, monkeypatch, tmp_path, iges_file):
                            ).summary() + "\n"
 
 
+def test_check_derivs_fails_when_every_stencil_is_skipped(capsys, tmp_path):
+    # --grid 1 samples s = 0.02 only, on the surface's knot line u = 0.02
+    net = [[[x, y, 0.0] for y in (0.0, 1.0)] for x in (0.0, 0.2, 0.9, 1.0)]
+    surface = NurbsSurface(KnotVector([0, 0, 0, 0.02, 1, 1, 1], 2),
+                           KnotVector([0, 0, 1, 1], 1), net)
+    path = tmp_path / "knot.trim"
+    native.save_region(identity_region(surface), path)
+    code, out, err = run(capsys, "check-derivs", "--region", str(path), "--grid", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("skipped 1 of 1 points")
+    assert "error: no sample point left to check" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3", "two"])
+def test_check_derivs_grid_must_be_positive(capsys, plate_file, grid):
+    code, out, err = run(capsys, "check-derivs", "--region", plate_file, "--grid", grid)
+    assert (code, out) == (2, "")
+    assert f"--grid: expected a positive integer, got '{grid}'" in err
+
+
+def test_plate_dump_grid_must_be_positive(capsys, monkeypatch, tmp_path):
+    # a usage error, found before any stage is solved
+    monkeypatch.setattr("trimiga.cli.solve_plate", None)
+    dump = tmp_path / "fields.csv"
+    code, out, err = run(capsys, "plate", "--stage", "0", "--dump", str(dump),
+                         "--grid", "0")
+    assert (code, out) == (2, "")
+    assert "--grid: expected a positive integer, got '0'" in err
+    assert not dump.exists()
+
+
 def test_plate_stage_zero_table(capsys):
     code, out, _ = run(capsys, "plate", "--stage", "0", "--bc", "exact")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 from trimiga import plate, quadrature
 from trimiga.errors import AssemblyError, DomainError, SingularMapError, SolveError
-from trimiga.nurbs import KnotVector, NurbsSurface, collocation_matrix
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface, collocation_matrix
 from trimiga.plate import (
     DirectGeometry,
     FieldSpace,
@@ -31,8 +31,13 @@ from trimiga.plate import (
     symmetry_constraints,
 )
 from trimiga.quadrature import gauss_points_1d, partition_regions, unit_lines
-from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
-from trimiga.trimming import CompositeDerivatives
+from trimiga.shapes import (
+    hole_arc_curve,
+    identity_region,
+    plate_with_hole_region,
+    unit_square_surface,
+)
+from trimiga.trimming import CompositeDerivatives, TrimmedRegion
 
 MAT = Material(1e5, 0.3)
 
@@ -463,6 +468,61 @@ class TestColumnsMatchPointLoops:
         got = stress_error_l2(solution, config, n_quad=5)
         assert got == result.l2_stress_error
         assert abs(got - expected) <= 1e-13 * expected
+
+
+def point_loop_l2(solution, config, hole_radius, n):
+    """The relative L2 stress error by one scalar strain per Gauss point."""
+    D = config.material.plane_stress_matrix()
+    x, w = gauss_points_1d(n)
+    num, den = [], []
+    for s0, hs, t0, ht in panels(partition_regions(solution.geometry, solution.field)):
+        for i, j in np.ndindex(n, n):
+            strain, cd = solution._strain(s0 + hs * x[i], t0 + ht * x[j])
+            ref = kirsch_reference(cd.x[0], cd.x[1], config.far_stress, hole_radius,
+                                   config.material)
+            diff = D @ strain - ref.stress
+            weight = w[i] * w[j] * hs * ht * cd.jacobian_scale
+            num.append(weight * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
+            den.append(weight * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2))
+    return math.sqrt(math.fsum(num) / math.fsum(den))
+
+
+class TestStressErrorNorm:
+    """The tensor-grid error norm beyond the degree-2 benchmark plate."""
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_matches_a_point_loop_at_other_field_degrees(self, degree):
+        config = PlateConfig(stage=0, degree=degree, bc_mode="exact")
+        solution = solve_plate(config).solution
+        got = stress_error_l2(solution, config, n_quad=degree + 2)
+        expected = point_loop_l2(solution, config, config.hole_radius, degree + 2)
+        assert abs(got - expected) <= 1e-13 * expected
+
+    def test_matches_a_point_loop_on_a_region_with_several_breakpoints(self):
+        # the outer polyline of the benchmark with extra vertices mid-edge:
+        # three C0 knots in s, each a double knot of the field space
+        top = NurbsCurve(
+            KnotVector([0, 0, 0.25, 0.5, 0.75, 1, 1], 1),
+            [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0], [1.0, 0.5], [1.0, 0.0]],
+        )
+        region = TrimmedRegion(unit_square_surface(5.0), hole_arc_curve(), top)
+        values, mults = FieldSpace.conforming(region, 2, 2).knot_vector_s.interior()
+        assert np.allclose(values, [0.25, 0.5, 0.75]) and mults == [2, 2, 2]
+        config = PlateConfig(stage=0, bc_mode="exact")
+        solution = solve_plate(config, region=region).solution
+        got = stress_error_l2(solution, config, config.hole_radius, 5)
+        expected = point_loop_l2(solution, config, config.hole_radius, 5)
+        assert abs(got - expected) <= 1e-13 * expected
+
+    def test_batching_leaves_the_norm_unchanged_at_degree_3(self, monkeypatch):
+        # one column per batch against the whole tiling in one batch
+        config = PlateConfig(stage=1, degree=3, bc_mode="exact")
+        solution = solve_plate(config).solution
+        l2 = []
+        for batch_points in (1, 1 << 40):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
+            l2.append(stress_error_l2(solution, config, n_quad=6))
+        assert l2[0] == l2[1]
 
 
 class TestKirschReference:
