@@ -11,7 +11,8 @@ Conventions:
   * a parameter sitting exactly on an interior knot belongs to the
     right-adjacent span (u = 1 belongs to the last span), which makes
     one-sided derivative values at breakpoints deterministic;
-  * all objects are immutable; refinement returns new objects.
+  * knot vectors, curves and surfaces are immutable; refinement returns
+    new objects.
 """
 
 from bisect import bisect_right
@@ -28,6 +29,16 @@ MERGE_TOL = 1e-12
 #: its edge tangent below SINGULAR_TOL * L, L the surface's control net
 #: bounding-box diagonal (see NurbsSurface.singular_area)
 SINGULAR_TOL = 1e-14
+
+
+#: types whose rank is 0 without asking numpy, which costs about a
+#: microsecond per probe on a Python float
+_SCALAR_TYPES = (float, int, np.generic)
+
+
+def _rank(x):
+    """np.ndim(x), answered at once for Python and numpy scalars."""
+    return 0 if isinstance(x, _SCALAR_TYPES) else np.ndim(x)
 
 
 def merge_close(values):
@@ -108,14 +119,15 @@ class KnotVector:
         """u moved into [0, 1]; DomainError further than MERGE_TOL outside.
 
         A scalar comes back as a Python float, an array as a float array.
+        NaN counts as outside.
         """
-        if np.ndim(u):
+        if _rank(u):
             u = np.asarray(u, dtype=float)
-            outside = (u < -MERGE_TOL) | (u > 1.0 + MERGE_TOL)
-            if outside.any():
-                raise DomainError(f"parameter {u[outside][0]} outside [0, 1]")
+            inside = (u >= -MERGE_TOL) & (u <= 1.0 + MERGE_TOL)
+            if not inside.all():
+                raise DomainError(f"parameter {u[~inside][0]} outside [0, 1]")
             return np.minimum(np.maximum(u, 0.0), 1.0)
-        if u < -MERGE_TOL or u > 1.0 + MERGE_TOL:
+        if not -MERGE_TOL <= u <= 1.0 + MERGE_TOL:
             raise DomainError(f"parameter {u} outside [0, 1]")
         return min(max(float(u), 0.0), 1.0)
 
@@ -129,7 +141,7 @@ class KnotVector:
     def _span(self, u):
         """find_span for a u already clamped into [0, 1]."""
         last = self.num_basis - 1
-        if np.ndim(u):
+        if _rank(u):
             return np.minimum(np.searchsorted(self.knots, u, side="right") - 1, last)
         return min(bisect_right(self._knot_list, u) - 1, last)
 
@@ -147,7 +159,8 @@ class KnotVector:
         u = self._clamped(u)
         span = self._span(u)
         p = self.degree
-        U = self.knots if np.ndim(u) else self._knot_list
+        shape = u.shape if _rank(u) else ()
+        U = self.knots if shape else self._knot_list
         # Triangular table of basis values and knot differences (Cox-de Boor).
         ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
         left = [0.0] * (p + 1)
@@ -163,7 +176,7 @@ class KnotVector:
                 ndu[r][j] = saved + right[r + 1] * temp
                 saved = left[j - r] * temp
             ndu[j][j] = saved
-        ders = np.empty(np.shape(u) + (order + 1, p + 1))
+        ders = np.empty(shape + (order + 1, p + 1))
         for r in range(p + 1):
             ders[..., 0, r] = ndu[r][p]
         if order == 0:
@@ -253,12 +266,14 @@ def _support(span, degree):
 
     A slice for one span; for an array of spans, indices in a new last axis.
     """
-    if np.ndim(span) == 0:
+    if not _rank(span):
         return slice(span - degree, span + 1)
     return span[..., None] + np.arange(-degree, 1)
 
 
-@dataclass(frozen=True)
+# The derivative bundles are slotted, not frozen: every scalar evaluation
+# builds several, and a frozen dataclass takes about 2 microseconds more.
+@dataclass(slots=True)
 class CurveDerivatives:
     """Point on a curve with derivatives w.r.t. its single parameter."""
 
@@ -267,7 +282,7 @@ class CurveDerivatives:
     d2: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SurfaceDerivatives:
     """Point on a surface with partials w.r.t. its two parameters."""
 
@@ -433,7 +448,7 @@ class NurbsSurface:
         p, q = self.degrees
         span_u, du = self.knot_vector_u.basis(u, order)
         span_v, dv = self.knot_vector_v.basis(v, order)
-        if np.ndim(span_u) or np.ndim(span_v):
+        if _rank(span_u) or _rank(span_v):
             span_u, span_v = np.broadcast_arrays(span_u, span_v)
             H = self._homogeneous[
                 _support(span_u, p)[..., :, None], _support(span_v, q)[..., None, :]

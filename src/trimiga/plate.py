@@ -753,8 +753,8 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         num = w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
         den = w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2)
         panel = (-1, weights[0, 0].size)
-        num_parts.extend(math.fsum(row.tolist()) for row in num.reshape(panel))
-        den_parts.extend(math.fsum(row.tolist()) for row in den.reshape(panel))
+        num_parts.extend(map(math.fsum, num.reshape(panel).tolist()))
+        den_parts.extend(map(math.fsum, den.reshape(panel).tolist()))
     return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
 
 

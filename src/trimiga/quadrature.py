@@ -12,6 +12,12 @@ Interior knots of a trimmed surface are not tracked: the blend bends their
 (u, v) knot lines into curves that no (s, t)-aligned split can follow, so a
 multi-span surface caps the attainable quadrature accuracy at its reduced
 smoothness. Single-span surfaces (the usual trimming scenario) are immune.
+
+`integrate` still evaluates the composite map one point per call, while
+the plate's integrals take a batch of panels per call. The benchmark's
+tracer test (perfbench/test_generator.py) counts one composite_eval call
+per quadrature point, so batching `integrate` waits for a revision of that
+test; ROADMAP.md, "Batch quadrature.integrate by column", has the plan.
 """
 
 import math
@@ -116,9 +122,9 @@ def integrate(region, f, n_per_dir, split_breakpoints=True):
     for s, t, weights in gauss_panels(tiling, n_per_dir):
         panel = (-1, weights[0, 0].size)
         s, t = (a.reshape(panel) for a in np.broadcast_arrays(s, t))
-        for sk, tk, wk in zip(s, t, weights.reshape(panel)):
+        for sk, tk, wk in zip(s.tolist(), t.tolist(), weights.reshape(panel).tolist()):
             terms = []
-            for si, ti, weight in zip(sk.tolist(), tk.tolist(), wk.tolist()):
+            for si, ti, weight in zip(sk, tk, wk):
                 cd = region.composite_eval(si, ti, order=1)
                 terms.append(weight * f(cd) * cd.jacobian_scale)
             sums.append(math.fsum(terms))

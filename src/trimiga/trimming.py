@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError
-from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, merge_close
+from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, _rank, merge_close
 
 _CONTAIN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MapDerivatives:
     """Blend map value and derivatives at (s, t).
 
@@ -49,10 +49,10 @@ class MapDerivatives:
             self.duv_ds[..., 0] * self.duv_dt[..., 1]
             - self.duv_ds[..., 1] * self.duv_dt[..., 0]
         )
-        return float(det) if np.ndim(det) == 0 else det
+        return det if _rank(det) else float(det)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompositeDerivatives:
     """Model-space point and derivatives of the composite map at (s, t).
 
@@ -152,12 +152,17 @@ class TrimmedRegion:
         return [bp.s for bp in self._breakpoints], []
 
     def _check_st(self, s, t):
-        if np.ndim(s) or np.ndim(t):
+        """(s, t) moved into the unit square.
+
+        DomainError where a point lies further than MERGE_TOL outside, as
+        a NaN coordinate does.
+        """
+        if _rank(s) or _rank(t):
             s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-            outside = (s < -MERGE_TOL) | (s > 1.0 + MERGE_TOL)
-            outside = outside | (t < -MERGE_TOL) | (t > 1.0 + MERGE_TOL)
-            if outside.any():
-                s0, t0 = _first_where(outside, s, t)
+            inside = (s >= -MERGE_TOL) & (s <= 1.0 + MERGE_TOL)
+            inside = inside & (t >= -MERGE_TOL) & (t <= 1.0 + MERGE_TOL)
+            if not inside.all():
+                s0, t0 = _first_where(~inside, s, t)
                 raise DomainError(f"(s, t) = ({s0}, {t0}) outside the unit square")
             return np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
         if not (-MERGE_TOL <= s <= 1.0 + MERGE_TOL) or not (
@@ -210,7 +215,7 @@ class TrimmedRegion:
         s, t = self._check_st(s, t)
         m = self._blend(s, t, max(order, 1))
         # the blend can overshoot [0,1] by roundoff only
-        uv = np.clip(m.uv, 0.0, 1.0)
+        uv = np.minimum(np.maximum(m.uv, 0.0), 1.0)
         sd = self.surface.evaluate(uv[..., 0], uv[..., 1], max(order, 1))
         us, vs = m.duv_ds[..., 0, None], m.duv_ds[..., 1, None]
         ut, vt = m.duv_dt[..., 0, None], m.duv_dt[..., 1, None]
@@ -266,7 +271,7 @@ def cross_norm(a, b):
     c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    return float(norm) if np.ndim(norm) == 0 else norm
+    return norm if _rank(norm) else float(norm)
 
 
 def _first_where(mask, *values):
@@ -282,7 +287,8 @@ def check_regular(measure, tol, s, t):
     singular_length), so the test does not depend on the model's units.
     """
     singular = measure <= tol
-    if np.any(singular):
+    # a float measure gives a bool, which np.any takes microseconds to test
+    if singular if isinstance(singular, bool) else singular.any():
         raise SingularMapError(*_first_where(singular, s, t, measure))
 
 
