@@ -11,8 +11,9 @@ data of its CSR pattern. The error norm evaluates the solved field on each
 batch's tensor grid from 1D basis tables (sum factorization) and keeps one
 fsum per panel. Each traction edge is evaluated in one call on the tiling's
 lines along it. The square's four edges are named in one table, _EDGES. The
-constrained system is solved by sparse LU under a symmetric minimum-degree
-ordering.
+constrained system is solved by LAPACK's banded Cholesky: in the field's
+own numbering K is a band, read straight from its CSR arrays, so no
+ordering and no copy of the free block are needed.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -509,8 +510,17 @@ class SolveResult:
 
 
 def solve_problem(geometry, field, material, bcs, n_quad=None):
-    """Assemble, constrain, and solve by sparse LU; returns a SolveResult."""
-    from scipy.sparse.linalg import splu
+    """Assemble, constrain, and solve by banded Cholesky; returns a SolveResult.
+
+    K is symmetric positive definite once constrained, and banded in the
+    field's s-major, t-fastest numbering: function (i, j) couples only with
+    (i ± degree_s, j ± degree_t), so the half-bandwidth is about
+    2 (degree_s n_t + degree_t). The lower band, band[i - j, j] = K[i, j],
+    is read straight from the CSR arrays, its width from the pattern; each
+    fixed dof becomes an identity row and column with a zero load. A pivot
+    that is not positive is a SolveError.
+    """
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
     geometry = _as_geometry(geometry)
     K, f = assemble(geometry, field, material, bcs, n_quad)
@@ -518,17 +528,22 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     n = K.shape[0]
     free = np.ones(n, dtype=bool)
     free[list(fixed)] = False
-    u = np.zeros(n)
-    rhs = f[free]
-    Kff = K[free][:, free]
-    try:  # Kff is symmetric positive definite: symmetric order, diagonal pivots
-        lu = splu(Kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        u[free] = lu.solve(rhs)
-    except RuntimeError as exc:  # splu's report of an exactly singular factor
+    rows = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
+    lower = (rows >= K.indices) & free[rows] & free[K.indices]
+    cols = K.indices[lower]
+    offset = rows[lower] - cols
+    # Fortran order: LAPACK factors the band in place
+    band = np.zeros((int(offset.max()) + 1, n), order="F")
+    band[offset, cols] = K.data[lower]
+    band[0, ~free] = 1.0
+    rhs = np.where(free, f, 0.0)
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        u = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
+    except LinAlgError as exc:
         raise SolveError(f"linear solve failed: {exc}") from None
-    res = float(np.linalg.norm(Kff @ u[free] - rhs))
-    ref = float(np.linalg.norm(rhs))
+    res = float(np.linalg.norm((K @ u - f)[free]))
+    ref = float(np.linalg.norm(f[free]))
     residual = res / ref if ref > 0 else res
     if not np.isfinite(residual) or residual > 1e-10:
         raise SolveError(f"solver residual {residual:.3e} exceeds 1e-10")
@@ -638,6 +653,12 @@ class PlateConfig:
             raise DomainError(f"refinement stage must be >= 0, got {self.stage}")
         if self.bc_mode not in ("paper", "exact"):
             raise DomainError(f"bc_mode must be 'paper' or 'exact', got {self.bc_mode!r}")
+        if self.degree < 1:
+            raise DomainError(f"degree must be >= 1, got {self.degree}")
+        for name in ("scale", "far_stress", "arc_weight"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN too
+                raise DomainError(f"{name} must be positive, got {value}")
 
     @property
     def hole_radius(self):

@@ -80,29 +80,29 @@ def test_plate_stage1_exact_golden_bytes(capsys):
 # the dump file of `trimiga plate --stage 0 --bc exact --grid 5` from a reference build
 PLATE_STAGE0_EXACT_DUMP = (
     "s,t,x,y,ux,uy,sxx,syy,sxy\n"
-    "0,0,0,1,0,-9.64805233709e-06,3.11804888027,0.544227822878,-0.00074352454902\n"
+    "0,0,0,1,0,-9.64805233709e-06,3.11804888027,0.544227822878,-0.000743524549022\n"
     "0,0.25,0,2,0,-1.17464220482e-05,1.19343511105,0.329543432296,0.00130440104737\n"
     "0,0.5,0,3,0,-1.2842981364e-05,1.05910338253,0.126906252611,0.00181910517394\n"
     "0,0.75,0,4,0,-1.49185883273e-05,1.03467849555,0.0861069181656,0.001310026986\n"
-    "0,1,0,5,0,-1.73072739075e-05,1.02879021183,0.0551965780101,0.000835739270807\n"
+    "0,1,0,5,0,-1.73072739075e-05,1.02879021183,0.0551965780101,0.000835739270808\n"
     "0.25,0,0.368066282825,0.929785142536,1.06923363287e-05,-8.67842820219e-06,2.33162321778,0.449967851771,-0.493670278166\n"
     "0.25,0.25,0.901049712119,1.9473388569,1.02986888032e-05,-9.21707829234e-06,1.213805405,0.0539675489451,0.113354740172\n"
     "0.25,0.5,1.43403314141,2.96489257127,1.52355833493e-05,-1.08758137766e-05,1.10516451991,-0.0150343768958,0.0378906474196\n"
     "0.25,0.75,1.96701657071,3.98244628563,2.03373696425e-05,-1.34546051215e-05,1.06208100415,0.00503572957795,0.0231483631124\n"
-    "0.25,1,2.5,5,2.56128447894e-05,-1.61928531605e-05,1.03690410346,-0.00198539407352,0.0179286161558\n"
+    "0.25,1,2.5,5,2.56128447894e-05,-1.61928531605e-05,1.03690410346,-0.00198539407353,0.0179286161558\n"
     "0.5,0,0.707088459285,0.707088459285,2.01708203357e-05,-6.11968162296e-06,1.18303338988,0.160149819861,-0.445604229773\n"
     "0.5,0.25,1.78031634446,1.78031634446,2.13172375624e-05,-5.38235085653e-06,1.27095348512,-0.110370717613,-0.0934699061768\n"
     "0.5,0.5,2.85354422964,2.85354422964,3.0979782342e-05,-8.71104286757e-06,1.01213282238,-0.0615803647491,-0.0209368954586\n"
     "0.5,0.75,3.92677211482,3.92677211482,4.09944297508e-05,-1.18819627551e-05,1.04869716275,-0.0268114563764,-0.0195833694362\n"
     "0.5,1,5,5,5.15124273861e-05,-1.52320851184e-05,1.01625556839,-0.0205182261986,-0.00986892725835\n"
     "0.75,0,0.929785142536,0.368066282825,2.70676867633e-05,-3.23893816493e-06,0.154449720417,-0.484480398148,-0.136435888646\n"
-    "0.75,0.25,1.9473388569,0.901049712119,2.81953916689e-05,-1.51938670109e-06,0.866543919173,-0.058462758086,-0.269044469988\n"
+    "0.75,0.25,1.9473388569,0.901049712119,2.81953916689e-05,-1.51938670109e-06,0.866543919173,-0.0584627580859,-0.269044469988\n"
     "0.75,0.5,2.96489257127,1.43403314141,3.51523974223e-05,-3.48447037036e-06,0.963418694368,-0.0462015242054,-0.110539792552\n"
     "0.75,0.75,3.98244628563,1.96701657071,4.39268151157e-05,-5.28976598197e-06,0.96834559208,-0.0309540207651,-0.0627480951367\n"
     "0.75,1,5,2.5,5.3251910214e-05,-7.09242951617e-06,0.983628969794,-0.0174369718784,-0.0439412252004\n"
     "1,0,1,0,2.94090217827e-05,0,-0.211388245565,-0.972237888074,0.00320109623986\n"
     "1,0.25,2,0,3.20968546667e-05,0,0.479362300268,0.0735961477679,-0.00152788690818\n"
-    "1,0.5,3,0,3.81361323274e-05,0,0.767709951184,0.0571262499391,-0.00208242718809\n"
+    "1,0.5,3,0,3.81361323274e-05,0,0.767709951184,0.0571262499391,-0.0020824271881\n"
     "1,0.75,4,0,4.61216421389e-05,0,0.855826026685,0.0309871353023,-0.00158134692503\n"
     "1,1,5,0,5.48667199872e-05,0,0.905992515568,0.0116894399882,-0.00103332461148\n"
 )
@@ -362,6 +362,21 @@ def test_plate_config_errors_exit_1(capsys, tmp_path, line, message):
     code, out, err = run(capsys, "plate", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {cfg}:2: {message}")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("degree=0", "degree must be >= 1, got 0"),
+    ("scale=0", "scale must be positive, got 0.0"),
+    ("scale=-5", "scale must be positive, got -5.0"),
+    ("far_stress=0", "far_stress must be positive, got 0.0"),
+    ("arc_weight=0", "arc_weight must be positive, got 0.0"),
+], ids=["degree", "scale-zero", "scale-negative", "far-stress", "arc-weight"])
+def test_plate_config_out_of_range_exits_1(capsys, tmp_path, line, message):
+    # rejected up front, naming the field, not by a failure deep in the solve
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"bc = exact\n{line}\n")
+    code, out, err = run(capsys, "plate", "--stage", "0", "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_usage_error_exits_2(capsys):

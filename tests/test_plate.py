@@ -356,6 +356,20 @@ class TestAssembly:
         assert out.strip() == "False"
 
 
+def uniform_knots(spans, degree):
+    return [0.0] * degree + list(np.linspace(0.0, 1.0, spans + 1)) + [1.0] * degree
+
+
+def dense_solution(geometry, field, bcs):
+    """Coefficients from a dense solve of the system restricted to the free dofs."""
+    K, f = assemble(geometry, field, MAT, bcs)
+    free = np.ones(K.shape[0], dtype=bool)
+    free[list(symmetry_constraints(geometry, field, bcs))] = False
+    dense = np.zeros(K.shape[0])
+    dense[free] = np.linalg.solve(K.toarray()[np.ix_(free, free)], f[free])
+    return dense
+
+
 def assert_matches_point_sum(K, geometry, field, n):
     """K against a dense sum of w |J| B^T D B, one Gauss point at a time."""
     D = MAT.plane_stress_matrix()
@@ -671,6 +685,29 @@ class TestSolver:
         with pytest.raises(SolveError):
             solve_problem(region, plate_field(region, config), MAT, bcs)
 
+    def test_band_width_comes_from_the_pattern(self, square_region):
+        # 3 x 9 spans: the t-functions outnumber the s-functions, so the
+        # band is wider than an s-count would make it
+        field = FieldSpace(KnotVector(uniform_knots(3, 2), 2), KnotVector(uniform_knots(9, 2), 2))
+        assert field.shape == (5, 11)
+        geometry, bcs = MappedGeometry(square_region), tension_bcs(0)
+        result = solve_problem(geometry, field, MAT, bcs)
+        dense = dense_solution(geometry, field, bcs)
+        coeffs = result.coeffs.ravel()
+        assert np.abs(coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_under_integrated_plate_is_a_solve_error(self):
+        # one Gauss point per panel leaves K singular: the factor meets a
+        # pivot that is not positive
+        with pytest.raises(SolveError, match="linear solve failed"):
+            solve_plate(PlateConfig(stage=0, quad_order=1))
+
+    def test_fixed_dofs_are_exactly_zero(self):
+        solution = solve_plate(PlateConfig(stage=0, bc_mode="exact")).solution
+        fixed = list(solution.fixed_dofs)
+        assert len(fixed) == 12
+        assert np.all(solution.coeffs.ravel()[fixed] == 0.0)
+
     def test_plate_stage_zero(self):
         result = solve_plate(PlateConfig(stage=0, bc_mode="exact"))
         assert result.dofs == 132
@@ -711,6 +748,11 @@ class TestSolver:
             PlateConfig(stage=-1)
         with pytest.raises(DomainError):
             PlateConfig(bc_mode="sideways")
+        for field, value in (("degree", 0), ("scale", 0.0), ("scale", -5.0),
+                             ("far_stress", 0.0), ("arc_weight", 0.0),
+                             ("arc_weight", math.nan)):
+            with pytest.raises(DomainError, match=field):
+                PlateConfig(**{field: value})
         with pytest.raises(DomainError):
             Material(-1.0, 0.3)
         with pytest.raises(DomainError):
