@@ -420,6 +420,12 @@ class NurbsSurface:
             [net * weights[..., None], weights[..., None]], axis=2
         )
         self._homogeneous.flags.writeable = False
+        # the net with v outermost, flattened, and the offsets of a point's
+        # (q+1, p+1) block in it: the array path gathers with one np.take
+        self._net_vu = self._homogeneous.transpose(1, 0, 2).reshape(B * A, 4)
+        self._net_vu.flags.writeable = False
+        p, q = knot_vector_u.degree, knot_vector_v.degree
+        self._block = np.arange(q + 1)[:, None] * A + np.arange(p + 1)
         points = net.reshape(-1, 3)
         size = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
         #: singular-map thresholds for edge tangents and area measures
@@ -448,18 +454,22 @@ class NurbsSurface:
         p, q = self.degrees
         span_u, du = self.knot_vector_u.basis(u, order)
         span_v, dv = self.knot_vector_v.basis(v, order)
+        # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j];
+        # explicit sizes, so that an empty batch reshapes too
         if _rank(span_u) or _rank(span_v):
-            span_u, span_v = np.broadcast_arrays(span_u, span_v)
-            H = self._homogeneous[
-                _support(span_u, p)[..., :, None], _support(span_v, q)[..., None, :]
-            ]
+            # H[j, i] per point by one take on the v-major net, then one
+            # product per point per direction; G comes out as G[i, c, l],
+            # ready for the u product without a copy
+            first = (span_v - q) * self.knot_vector_u.num_basis + (span_u - p)
+            H = np.take(self._net_vu, first[..., None, None] + self._block, axis=0)
+            H = H.reshape(H.shape[:-3] + (q + 1, (p + 1) * 4))
+            G = H.swapaxes(-1, -2) @ dv.swapaxes(-1, -2)
+            A = du @ G.reshape(G.shape[:-2] + (p + 1, 4 * (order + 1)))
+            A = A.reshape(A.shape[:-1] + (4, order + 1)).swapaxes(-1, -2)
         else:
             H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
-        # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j]
-        G = dv[..., None, :, :] @ H
-        n = H.shape[-1]  # explicit sizes, so that an empty batch reshapes too
-        A = du @ G.reshape(G.shape[:-3] + (p + 1, (order + 1) * n))
-        A = A.reshape(A.shape[:-1] + (order + 1, n))
+            A = du @ (dv[None] @ H).reshape(p + 1, (order + 1) * 4)
+            A = A.reshape(order + 1, order + 1, 4)
         w = A[..., -1:]
         Ad = A[..., :-1]
         w0 = w[..., 0, 0, :]

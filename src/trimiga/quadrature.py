@@ -20,6 +20,7 @@ per quadrature point, so batching `integrate` waits for a revision of that
 test; ROADMAP.md, "Batch quadrature.integrate by column", has the plan.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -28,12 +29,15 @@ from .errors import DomainError
 from .nurbs import MERGE_TOL, merge_close
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_points_1d(n):
-    """Gauss-Legendre abscissae and weights on [0, 1]; exact to degree 2n-1."""
+    """Gauss-Legendre abscissae and weights on [0, 1], read-only; exact to degree 2n-1."""
     if not 1 <= n <= 64:
         raise DomainError(f"quadrature order must be within 1..64, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def unit_lines(breaks):

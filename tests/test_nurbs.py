@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimiga.errors import DomainError, InvalidGeometryError, InvalidRefinementError
 from trimiga.nurbs import MERGE_TOL, KnotVector, NurbsCurve, NurbsSurface
@@ -155,6 +157,64 @@ class TestArrayEvaluation:
             h = geometry.homogeneous()
             assert h is geometry.homogeneous()
             assert not h.flags.writeable
+
+
+SURFACE_FIELDS = ("value", "du", "dv", "duu", "duv", "dvv")
+
+
+@st.composite
+def knot_vectors(draw):
+    """Degree 1-3, up to three interior knots, each up to `degree` times."""
+    degree = draw(st.integers(1, 3))
+    interior = draw(st.lists(st.floats(0.05, 0.95), max_size=3)
+                    .filter(lambda xs: np.all(np.diff(sorted(xs)) > 0.01)))
+    knots = [0.0] * (degree + 1) + [1.0] * (degree + 1)
+    for value in interior:
+        knots += [value] * draw(st.integers(1, degree))
+    return KnotVector(sorted(knots), degree)
+
+
+@st.composite
+def surfaces(draw):
+    kv_u, kv_v = draw(knot_vectors()), draw(knot_vectors())
+    shape = (kv_u.num_basis, kv_v.num_basis)
+    size = shape[0] * shape[1]
+    net = draw(st.lists(st.floats(-1.0, 1.0), min_size=3 * size, max_size=3 * size))
+    weights = draw(st.lists(st.floats(0.2, 5.0), min_size=size, max_size=size))
+    return NurbsSurface(kv_u, kv_v, np.reshape(net, shape + (3,)), np.reshape(weights, shape))
+
+
+def parameters(kv):
+    """Random values in [0, 1], the ends and the knots themselves."""
+    return st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(kv.knots.tolist())),
+                    min_size=1, max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_batched_surface_evaluation_equals_scalar_calls_bitwise(data):
+    """The array path gives each point the scalar path's bits, for every field."""
+    srf = data.draw(surfaces())
+    order = data.draw(st.integers(0, 2))
+    u = np.array(data.draw(parameters(srf.knot_vector_u)))
+    v = np.array(data.draw(parameters(srf.knot_vector_v)))
+    if data.draw(st.booleans()):
+        v = np.resize(v, u.size)  # two batches of one shape
+    else:
+        u = float(u[0])  # a scalar u broadcast against v
+    batch = srf.evaluate(u, v, order)
+    for index in np.ndindex(np.broadcast(u, v).shape):
+        one = srf.evaluate(float(np.broadcast_to(u, v.shape)[index]), float(v[index]), order)
+        for name in SURFACE_FIELDS:
+            want = getattr(one, name)
+            if want is None:
+                assert getattr(batch, name) is None
+            else:
+                assert getattr(batch, name)[index].tobytes() == want.tobytes(), name
+    empty = srf.evaluate(np.empty((2, 0)), np.empty((2, 0)), order)
+    for name in SURFACE_FIELDS:
+        got = getattr(empty, name)
+        assert (got is None) if getattr(batch, name) is None else got.shape == (2, 0, 3)
 
 
 class TestCurveEval:

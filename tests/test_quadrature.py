@@ -75,6 +75,14 @@ class TestGaussPoints:
         with pytest.raises(DomainError):
             gauss_points_1d(65)
 
+    def test_rule_is_computed_once_and_read_only(self):
+        x, w = gauss_points_1d(5)
+        again = gauss_points_1d(5)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w *= 2.0
+
     def test_weights_positive(self):
         for n in (1, 5, 16, 64):
             _, w = gauss_points_1d(n)

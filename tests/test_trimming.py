@@ -1,12 +1,19 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve
+from trimiga.quadrature import Tiling, gauss_panels
 from trimiga.shapes import identity_region, unit_square_surface
 from trimiga.trimming import RegionReport, TrimmedRegion
 
 from conftest import segment
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from regions import generate_regions  # noqa: E402
 
 
 def rel(diff, ref):
@@ -302,6 +309,24 @@ class TestArrayCompositeEval:
                         ref = getattr(one, name)
                         got = getattr(grid, name)[i, j]
                         assert rel(got - ref, ref) <= 1e-13, (order, name, i, j)
+
+    @pytest.mark.parametrize("name", ["plate", "seed 1001 region 9"])
+    def test_gauss_panel_batch_equals_scalar_calls_bitwise(self, name, plate_region):
+        # the blend, surface and chain-rule path as the plate runs it: a
+        # whole gauss_panels batch, (c, 1, n, 1) s-nodes by (1, T, 1, n)
+        # t-nodes, on a tiling with extra lines; region 9 has a (2, 3)
+        # surface with 3 and 2 interior knots
+        region = plate_region if name == "plate" else generate_regions(1001)[9][0]
+        s_breaks, t_breaks = region.breaklines()
+        tiling = Tiling(s_breaks + [0.25, 0.5, 0.75], t_breaks + [0.3, 0.6])
+        (s, t, weights), = gauss_panels(tiling, 3)
+        for order in (1, 2):
+            batch = region.composite_eval(s, t, order)
+            for k, l, i, j in np.ndindex(weights.shape):
+                one = region.composite_eval(float(s[k, 0, i, 0]), float(t[0, l, 0, j]), order)
+                for field in self.FIELDS[order]:
+                    got = np.asarray(getattr(batch, field)[k, l, i, j])
+                    assert got.tobytes() == np.asarray(getattr(one, field)).tobytes(), field
 
     def test_map_point_broadcasts_over_s_and_t(self, plate_region):
         m = plate_region.map_point(np.array([[0.25], [0.5]]), np.array([[0.0, 1.0]]))
