@@ -196,24 +196,28 @@ def _plate_config(args):
 
 def _read_config(path, keys):
     """key=value lines; keys maps each allowed key to the converter of its value."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise TrimigaError(f"{path}: not UTF-8 text: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise TrimigaError(f"{where}: expected key=value, got {line!r}")
-            key, value = key.strip(), value.strip()
-            if key not in keys:
-                raise TrimigaError(f"{where}: unknown key {key!r}")
-            try:
-                values[key] = keys[key](value)
-            except ValueError:
-                raise TrimigaError(
-                    f"{where}: {key} expects {keys[key].__name__}, got {value!r}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        where = f"{path}:{lineno}"
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise TrimigaError(f"{where}: expected key=value, got {line!r}")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise TrimigaError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = keys[key](value)
+        except ValueError:
+            raise TrimigaError(
+                f"{where}: {key} expects {keys[key].__name__}, got {value!r}") from None
     return values
 
 
@@ -243,9 +247,8 @@ def _dump_fields(result, path, grid):
     sol = result.solution
     r = np.linspace(0.0, 1.0, grid)
     s, t = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
-    columns = np.column_stack(
-        [s, t, sol.geometry.eval(s, t).x[:, :2], sol.displacement(s, t), sol.stress(s, t)]
-    )
+    xy = sol.geometry.composite_eval(s, t, 1).x[:, :2]
+    columns = np.column_stack([s, t, xy, sol.displacement(s, t), sol.stress(s, t)])
     rows = ["s,t,x,y,ux,uy,sxx,syy,sxy"]
     rows += [",".join(_fmt(v) for v in row) for row in columns]
     with open(path, "w", encoding="utf-8") as fh:

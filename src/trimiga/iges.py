@@ -52,7 +52,6 @@ class TrimmedSurfaceRecord:
 class IgesModel:
     entries: dict
     curves: dict          # de -> NurbsCurve (3D model points; z = 0 for planar)
-    curve_ranges: dict    # de -> (t0, t1) original knot range
     surfaces: dict        # de -> NurbsSurface
     surface_ranges: dict  # de -> (u0, u1, v0, v1) original knot ranges
     composites: dict      # de -> tuple of member DEs
@@ -204,10 +203,6 @@ def _attach_parameters(entries, plines, param_delim, record_delim):
                 "P",
             )
         tokens = [tok.strip() for tok in record.split(param_delim)]
-        if not tokens:
-            raise IgesParseError(
-                f"directory entry {entry.de}: empty parameter record", first_lineno, "P"
-            )
         lead = _num(tokens[0], first_lineno, "P", int)
         if lead != entry.etype:
             raise IgesParseError(
@@ -253,7 +248,7 @@ def _build_curve_126(entry):
         curve = NurbsCurve(kv, pts, weights)
     except InvalidGeometryError as exc:
         raise IgesParseError(f"entity 126 (D{entry.de}): {exc}", lineno, "P") from None
-    return curve, (knots[0], knots[-1])
+    return curve
 
 
 def _build_surface_128(entry):
@@ -308,7 +303,6 @@ def parse(text):
     model = IgesModel(
         entries=entries,
         curves={},
-        curve_ranges={},
         surfaces={},
         surface_ranges={},
         composites={},
@@ -319,9 +313,7 @@ def parse(text):
     )
     for de, entry in sorted(entries.items()):
         if entry.etype == 126:
-            curve, rng = _build_curve_126(entry)
-            model.curves[de] = curve
-            model.curve_ranges[de] = rng
+            model.curves[de] = _build_curve_126(entry)
         elif entry.etype == 128:
             surface, rng = _build_surface_128(entry)
             model.surfaces[de] = surface

@@ -176,8 +176,12 @@ def parse_region(text):
 
 
 def load_region(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_region(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NativeFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_region(text)
 
 
 def _fmt(x):

@@ -36,12 +36,8 @@ import numpy as np
 from .errors import AssemblyError, DomainError, SolveError
 from .nurbs import KnotVector
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
-from .shapes import (
-    HOLE_PARAM_RADIUS,
-    PRINTED_ARC_WEIGHT,
-    plate_with_hole_region,
-)
-from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
+from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
+from .trimming import CompositeDerivatives, check_regular, cross_norm
 
 _PLANAR_TOL = 1e-9
 #: the square's edges: the parameter axis each one fixes (0 for s, 1 for t)
@@ -145,10 +141,9 @@ class Material:
     poisson_ratio: float
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise DomainError(f"Young's modulus must be positive, got {self.youngs_modulus}")
-        if not 0.0 <= self.poisson_ratio < 0.5:
-            raise DomainError(f"Poisson ratio must be in [0, 0.5), got {self.poisson_ratio}")
+        _check_positive(self, ("youngs_modulus",))
+        if not 0.0 <= self.poisson_ratio < 0.5:  # NaN too
+            raise DomainError(f"poisson_ratio must be in [0, 0.5), got {self.poisson_ratio}")
 
     def plane_stress_matrix(self):
         e, nu = self.youngs_modulus, self.poisson_ratio
@@ -160,6 +155,16 @@ class Material:
     @property
     def shear_modulus(self):
         return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
+
+
+def _check_positive(owner, names):
+    """DomainError naming the first of owner's named fields that is not finite and positive."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -195,31 +200,15 @@ def _check_bcs(bcs):
 
 
 # ---------------------------------------------------------------------------
-# geometry adapters (planar)
+# geometry (planar)
 #
-# Both adapters answer eval(s, t) with a CompositeDerivatives bundle, list
-# their (s, t) break lines for quadrature.partition_regions, report the
-# highest degree they carry, and hold the surface whose size sets the
-# singular-map thresholds.
-
-
-class MappedGeometry:
-    """Planar geometry seen through the trimmed-region composite map."""
-
-    def __init__(self, region):
-        _require_planar(region.surface)
-        self.region = region
-        self.surface = region.surface
-
-    def eval(self, s, t):
-        return self.region.composite_eval(s, t, order=1)
-
-    def breaklines(self):
-        return self.region.breaklines()
-
-    def max_degree(self):
-        r = self.region
-        return max(*r.surface.degrees, r.curve_bottom.degree, r.curve_top.degree)
+# A plate function's geometry is a TrimmedRegion, or a DirectGeometry for
+# the mapping-bypassed reference. Either one answers composite_eval(s, t, 1)
+# with a CompositeDerivatives bundle, lists its (s, t) break lines for
+# quadrature.partition_regions (breaklines), reports the highest degree it
+# carries (max_degree), and holds the surface whose size sets the
+# singular-map thresholds. The plate checks that surface is planar where it
+# drops z.
 
 
 class DirectGeometry:
@@ -230,10 +219,11 @@ class DirectGeometry:
     """
 
     def __init__(self, surface):
-        _require_planar(surface)
         self.surface = surface
 
-    def eval(self, s, t):
+    def composite_eval(self, s, t, order):
+        if order != 1:
+            raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
         sd = self.surface.evaluate(s, t, order=1)
         scale = cross_norm(sd.du, sd.dv)
         check_regular(scale, self.surface.singular_area, s, t)
@@ -256,13 +246,6 @@ def _require_planar(surface):
         )
 
 
-def _as_geometry(geometry):
-    """A TrimmedRegion is analysed through its composite map."""
-    if isinstance(geometry, TrimmedRegion):
-        return MappedGeometry(geometry)
-    return geometry
-
-
 def _max_degree(geometry, field):
     return max(geometry.max_degree(), *field.degrees)
 
@@ -277,8 +260,7 @@ def physical_gradients(geometry, field, s, t):
     Returns (indices, values, dN_dx, dN_dy, cd) where cd is the geometry
     bundle at the points. Solves the 2x2 system J^T grad_x N = grad_st N.
     """
-    geometry = _as_geometry(geometry)
-    cd = geometry.eval(s, t)
+    cd = geometry.composite_eval(s, t, 1)
     indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
     dN_dx, dN_dy = _to_physical(geometry, cd, s, t, dN_ds, dN_dt)
     return indices, values, dN_dx, dN_dy, cd
@@ -291,6 +273,7 @@ def _to_physical(geometry, cd, s, t, d_ds, d_dt):
     functions, or of the displacement components); a point whose Jacobian
     determinant is singular raises SingularMapError.
     """
+    _require_planar(geometry.surface)
     a, b = cd.dx_ds[..., 0, None], cd.dx_dt[..., 0, None]
     c, d = cd.dx_ds[..., 1, None], cd.dx_dt[..., 1, None]
     det = a * d - b * c
@@ -410,7 +393,8 @@ def _edge_geometry(geometry, edge, r):
     st = [r, r]
     st[axis] = np.full_like(r, value)
     s, t = st
-    cd = geometry.eval(s, t)
+    _require_planar(geometry.surface)
+    cd = geometry.composite_eval(s, t, 1)
     xy = cd.x[..., :2]
     d = (cd.dx_ds[..., :2], cd.dx_dt[..., :2])  # along s, along t
     tangent, outward = d[1 - axis], (d[axis] if value else -d[axis])
@@ -466,7 +450,6 @@ def symmetry_constraints(geometry, field, bcs):
 def assemble(geometry, field, material, bcs, n_quad=None):
     """Stiffness matrix and traction load vector (constraints not applied)."""
     _check_bcs(bcs)
-    geometry = _as_geometry(geometry)
     if n_quad is None:
         n_quad = _max_degree(geometry, field) + 1
     K = assemble_stiffness(geometry, field, material, n_quad)
@@ -491,18 +474,14 @@ class SolveResult:
         return (values[..., None, :] @ self.coeffs[idx])[..., 0, :]
 
     def strain(self, s, t):
-        return self._strain(s, t)[0]
-
-    def _strain(self, s, t):
-        """Strain (exx, eyy, gxy) in a last axis, and the geometry bundle."""
-        idx, _, dN_dx, dN_dy, cd = physical_gradients(self.geometry, self.field, s, t)
+        """Strain (exx, eyy, gxy) in a last axis at (s, t)."""
+        idx, _, dN_dx, dN_dy, _ = physical_gradients(self.geometry, self.field, s, t)
         u = self.coeffs[idx]
         grad_x = (dN_dx[..., None, :] @ u)[..., 0, :]  # (dux/dx, duy/dx)
         grad_y = (dN_dy[..., None, :] @ u)[..., 0, :]  # (dux/dy, duy/dy)
-        strain = np.stack(
+        return np.stack(
             [grad_x[..., 0], grad_y[..., 1], grad_y[..., 0] + grad_x[..., 1]], axis=-1
         )
-        return strain, cd
 
     def stress(self, s, t):
         """Plane-stress components (sxx, syy, sxy) in a last axis at (s, t)."""
@@ -522,7 +501,6 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-    geometry = _as_geometry(geometry)
     K, f = assemble(geometry, field, material, bcs, n_quad)
     fixed = symmetry_constraints(geometry, field, bcs)
     n = K.shape[0]
@@ -655,17 +633,10 @@ class PlateConfig:
             raise DomainError(f"bc_mode must be 'paper' or 'exact', got {self.bc_mode!r}")
         if self.degree < 1:
             raise DomainError(f"degree must be >= 1, got {self.degree}")
-        for name in ("scale", "far_stress", "arc_weight"):
-            value = getattr(self, name)
-            if not value > 0:  # NaN too
-                raise DomainError(f"{name} must be positive, got {value}")
-
-    @property
-    def hole_radius(self):
-        return HOLE_PARAM_RADIUS * self.scale
+        _check_positive(self, ("scale", "far_stress", "arc_weight"))
 
 
-def plate_boundary_conditions(config, hole_radius=None):
+def plate_boundary_conditions(config, hole_radius):
     """Symmetry on the straight edges, free hole, tractions on the outside.
 
     The outer polyline folds the top and right physical edges into the
@@ -674,11 +645,10 @@ def plate_boundary_conditions(config, hole_radius=None):
     the reference tractions; in "exact" mode both carry reference tractions.
     """
     far = config.far_stress
-    a = hole_radius if hole_radius is not None else config.hole_radius
     material = config.material
 
     def outer_traction(xy, normal):
-        ref = kirsch_reference(xy[:, 0], xy[:, 1], far, a, material)
+        ref = kirsch_reference(xy[:, 0], xy[:, 1], far, hole_radius, material)
         sig = np.moveaxis(np.array([[ref.sxx, ref.sxy], [ref.sxy, ref.syy]]), -1, 0)
         traction = (sig @ normal[..., None])[..., 0]
         if config.bc_mode == "paper":
@@ -716,26 +686,23 @@ def solve_plate(config=None, region=None):
     """Solve the quarter plate with a hole at the configured refinement stage.
 
     A custom region (same layout: hole arc at t=0, straight symmetry edges at
-    s=0 and s=1) may replace the built-in geometry; its hole radius is read
-    off the rim point at (s, t) = (0, 0).
+    s=0 and s=1) may replace the built-in geometry. Either way the hole
+    radius is read off the rim point at (s, t) = (0, 0).
     """
     config = config or PlateConfig()
-    hole_radius = config.hole_radius
     if region is None:
         region = plate_with_hole_region(config.scale, config.arc_weight)
-    else:
-        hole_radius = float(np.linalg.norm(region.composite_eval(0.0, 0.0, 0).x[:2]))
+    hole_radius = float(np.linalg.norm(region.composite_eval(0.0, 0.0, 0).x[:2]))
     field = plate_field(region, config)
     bcs = plate_boundary_conditions(config, hole_radius)
-    geometry = MappedGeometry(region)
-    solution = solve_problem(geometry, field, config.material, bcs, config.quad_order)
-    n_quad = (config.quad_order or (_max_degree(geometry, field) + 1)) + 2
+    solution = solve_problem(region, field, config.material, bcs, config.quad_order)
+    n_quad = (config.quad_order or (_max_degree(region, field) + 1)) + 2
     l2 = stress_error_l2(solution, config, hole_radius, n_quad)
     rim = float(solution.stress(0.0, 0.0)[0])
     return PlateResult(config, solution, l2, rim)
 
 
-def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
+def stress_error_l2(solution, config, hole_radius, n_quad):
     """Relative L2 norm of the stress error against the reference field.
 
     Frobenius norm on the symmetric tensor, so the shear component counts
@@ -745,7 +712,6 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     Both are fixed-order sums, so a point's value does not depend on its
     batch.
     """
-    a = hole_radius if hole_radius is not None else config.hole_radius
     geometry, field = solution.geometry, solution.field
     kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
     D = solution.material.plane_stress_matrix()
@@ -758,7 +724,7 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
     u, u_t = (_contract(coeffs, span - kv_t.degree, ders[:, k], 1) for k in (0, 1))
     num_parts, den_parts = [], []
     for s, t, weights in itertools.chain([batch], batches):
-        cd = geometry.eval(s, t)
+        cd = geometry.composite_eval(s, t, 1)
         span, ders = kv_s.basis(s.ravel(), 1)
         du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 0)
         du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 0)
@@ -767,7 +733,8 @@ def stress_error_l2(solution, config, hole_radius=None, n_quad=7):
         du_ds, du_dt = (np.moveaxis(g.reshape(c, n, T, n, 2), 2, 1) for g in (du_ds, du_dt))
         du_dx, du_dy = _to_physical(geometry, cd, s, t, du_ds, du_dt)
         exx, eyy, gxy = du_dx[..., 0], du_dy[..., 1], du_dy[..., 0] + du_dx[..., 1]
-        sxx, syy, sxy = _kirsch_stress(cd.x[..., 0], cd.x[..., 1], config.far_stress, a)[2]
+        sxx, syy, sxy = _kirsch_stress(cd.x[..., 0], cd.x[..., 1], config.far_stress,
+                                       hole_radius)[2]
         dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
                          for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
         w = weights * cd.jacobian_scale

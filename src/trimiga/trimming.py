@@ -151,6 +151,10 @@ class TrimmedRegion:
         """Interior (s, t) break lines of the map: the breakpoints, no t-lines."""
         return [bp.s for bp in self._breakpoints], []
 
+    def max_degree(self):
+        """Highest degree of the surface and the two trimming curves."""
+        return max(*self.surface.degrees, self.curve_bottom.degree, self.curve_top.degree)
+
     def _check_st(self, s, t):
         """(s, t) moved into the unit square.
 

@@ -370,7 +370,13 @@ def test_plate_config_errors_exit_1(capsys, tmp_path, line, message):
     ("scale=-5", "scale must be positive, got -5.0"),
     ("far_stress=0", "far_stress must be positive, got 0.0"),
     ("arc_weight=0", "arc_weight must be positive, got 0.0"),
-], ids=["degree", "scale-zero", "scale-negative", "far-stress", "arc-weight"])
+    ("scale=inf", "scale must be finite, got inf"),
+    ("far_stress=inf", "far_stress must be finite, got inf"),
+    ("arc_weight=inf", "arc_weight must be finite, got inf"),
+    ("youngs_modulus=nan", "youngs_modulus must be finite, got nan"),
+    ("youngs_modulus=inf", "youngs_modulus must be finite, got inf"),
+], ids=["degree", "scale-zero", "scale-negative", "far-stress", "arc-weight", "scale-inf",
+        "far-stress-inf", "arc-weight-inf", "youngs-modulus-nan", "youngs-modulus-inf"])
 def test_plate_config_out_of_range_exits_1(capsys, tmp_path, line, message):
     # rejected up front, naming the field, not by a failure deep in the solve
     cfg = tmp_path / "plate.cfg"
@@ -391,6 +397,17 @@ def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "map", "--region", "/nonexistent.trim", "--at", "0,0")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", [["area", "--region"], ["plate", "--config"]],
+                         ids=["region", "config"])
+def test_undecodable_file_exits_1(capsys, tmp_path, command):
+    # an error line naming the file, not a UnicodeDecodeError traceback
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfebc = exact\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_map_requires_geometry(capsys):

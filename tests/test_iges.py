@@ -249,7 +249,6 @@ class TestNormalization:
         model = iges.parse(text)
         curve = model.curves[1]
         assert np.allclose(curve.knot_vector.knots, [0, 0, 0, 1, 1, 1])
-        assert model.curve_ranges[1] == (0.0, 2.0)
         assert np.allclose(curve.weights, [1.0, 0.707, 1.0])
 
     def test_trim_coordinates_rescale_with_surface_range(self, plate_region):
