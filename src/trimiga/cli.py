@@ -187,11 +187,16 @@ def _plate_config(args):
             values[key] = value
     material = Material(values.pop("youngs_modulus", 1e5), values.pop("poisson_ratio", 0.3))
     geometry = values.pop("geometry", None)
+    region_path = args.region or geometry
+    shaping = [key for key in ("scale", "arc_weight") if key in values]
+    if region_path and shaping:
+        raise TrimigaError(f"{args.config}: {' and '.join(shaping)} shape only the built-in "
+                           "plate, not a region given by --region or geometry")
     cfg = PlateConfig(  # the finest stage, so that PlateConfig checks it
         stage=values.pop("stage", 2), bc_mode=values.pop("bc", "paper"),
         material=material, **values,
     )
-    return cfg, geometry
+    return cfg, region_path
 
 
 def _read_config(path, keys):
@@ -222,10 +227,8 @@ def _read_config(path, keys):
 
 
 def cmd_plate(args):
-    cfg, geometry_path = _plate_config(args)
-    region = None
-    if args.region or geometry_path:
-        region = _load_path(args.region or geometry_path)
+    cfg, region_path = _plate_config(args)
+    region = _load_path(region_path) if region_path else None
     results = [
         solve_plate(replace(cfg, stage=stage), region=region)
         for stage in range(cfg.stage + 1)
@@ -263,8 +266,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_geometry(p):
-        p.add_argument("--region", help="native-format region file (surface + 2 curves)")
-        p.add_argument("--iges", help="IGES file; the first trimmed surface is used")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--region", help="native-format region file (surface + 2 curves)")
+        source.add_argument("--iges", help="IGES file; the first trimmed surface is used")
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = sub.add_parser("map", help="evaluate the (s,t) -> (u,v) map")

@@ -8,9 +8,13 @@ more than one curve. Anything else is recorded as skipped.
 Files are 80-column records: data in columns 1..64 (P section) or 1..72
 (S/G sections), directory entries as pairs of lines with ten 8-column
 fields, section letter in column 73 and a sequence number in columns
-74..80. Knot vectors and trim-curve coordinates are renormalized to the
-unit interval/square on ingestion; output reals carry 17 significant
-digits, so a round trip is lossless well below 1e-9.
+74..80. Knot vectors are renormalized to the unit interval on ingestion;
+output reals carry 17 significant digits, so a round trip is lossless well
+below 1e-9.
+
+`parse` resolves each 144 once into a `TrimmedSurfaceRecord`: its surface
+and its outer-loop curves in loop order, x and y rescaled from the
+surface's knot ranges into the unit square. Extraction reads only that.
 """
 
 import re
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import IgesParseError, InvalidGeometryError, UnsupportedTopologyError
 from .nurbs import KnotVector, NurbsCurve, NurbsSurface
-from .trimming import TrimmedRegion
+from .trimming import TrimmedRegion, require_valid
 
 _STRAIGHT_TOL = 1e-9
 _GAP_TOL = 1e-6
@@ -33,32 +37,28 @@ class DirectoryEntry:
     pd_pointer: int      # first parameter line sequence number
     pd_count: int        # number of parameter lines
     form: int
-    status: str
     params: list = field(default_factory=list)
     first_param_line: int | None = None  # file line of the first parameter record
 
 
 @dataclass
 class TrimmedSurfaceRecord:
-    """One 144 entity resolved down to its parameter-space boundary curves."""
+    """One 144 entity resolved to its surface and unit-square boundary curves."""
 
     de: int
-    surface_de: int
-    boundary_des: tuple
+    surface: NurbsSurface
+    curves: list      # outer-loop NurbsCurves in the unit square, in loop order
     inner_loops: int  # N2, the count of inner boundaries (holes)
 
 
 @dataclass
 class IgesModel:
     entries: dict
-    curves: dict          # de -> NurbsCurve (3D model points; z = 0 for planar)
-    surfaces: dict        # de -> NurbsSurface
-    surface_ranges: dict  # de -> (u0, u1, v0, v1) original knot ranges
-    composites: dict      # de -> tuple of member DEs
-    curves_on_surface: dict  # de -> (surface_de, param_curve_de)
-    trimmed: list         # TrimmedSurfaceRecord
-    skipped: dict         # entity type -> count
-    diagnostics: list     # human-readable warnings (gaps etc.)
+    curves: dict = field(default_factory=dict)    # de -> NurbsCurve, model space
+    surfaces: dict = field(default_factory=dict)  # de -> NurbsSurface
+    trimmed: list = field(default_factory=list)   # TrimmedSurfaceRecord
+    skipped: dict = field(default_factory=dict)   # entity type -> count
+    diagnostics: list = field(default_factory=list)  # human-readable warnings
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,6 @@ def _parse_directory(dlines):
             pd_pointer=_num(f1[1], lineno1, "D", int),
             pd_count=_num(f2[3], lineno2, "D", int),
             form=_num(f2[4], lineno2, "D", int),
-            status=f1[8],
         )
     return entries
 
@@ -293,104 +292,6 @@ def _pointer(token, entry):
     return value
 
 
-def parse(text):
-    """Parse IGES text into an IgesModel; raises IgesParseError on bad input."""
-    sections = _split_sections(text)
-    param_delim, record_delim = _global_delimiters(sections["G"])
-    entries = _parse_directory(sections["D"])
-    _attach_parameters(entries, sections["P"], param_delim, record_delim)
-
-    model = IgesModel(
-        entries=entries,
-        curves={},
-        surfaces={},
-        surface_ranges={},
-        composites={},
-        curves_on_surface={},
-        trimmed=[],
-        skipped={},
-        diagnostics=[],
-    )
-    for de, entry in sorted(entries.items()):
-        if entry.etype == 126:
-            model.curves[de] = _build_curve_126(entry)
-        elif entry.etype == 128:
-            surface, rng = _build_surface_128(entry)
-            model.surfaces[de] = surface
-            model.surface_ranges[de] = rng
-        elif entry.etype == 102:
-            head, rest = _take(entry.params, 1, entry, "composite count")
-            n = _num(head[0], entry.first_param_line, "P", int)
-            if n < 1:
-                raise IgesParseError(
-                    f"entity 102 (D{de}): needs at least one member", section="P"
-                )
-            ptr_txt, _ = _take(rest, n, entry, "composite members")
-            model.composites[de] = tuple(_pointer(t, entry) for t in ptr_txt)
-        elif entry.etype == 142:
-            head, _ = _take(entry.params, 5, entry, "curve-on-surface record")
-            sptr = _pointer(head[1], entry)
-            bptr = _pointer(head[2], entry)
-            # the model-space pointer and preference flag are ignored: the
-            # parameter-space representation is always used
-            model.curves_on_surface[de] = (sptr, bptr)
-        elif entry.etype == 144:
-            head, rest = _take(entry.params, 4, entry, "trimmed surface record")
-            pts = _pointer(head[0], entry)
-            n1 = _num(head[1], entry.first_param_line, "P", int)
-            n2 = _num(head[2], entry.first_param_line, "P", int)
-            pto = _pointer(head[3], entry)
-            if n2 > 0:
-                model.diagnostics.append(
-                    f"trimmed surface D{de}: {n2} inner boundary(ies) not supported"
-                )
-            model.trimmed.append((de, pts, n1, n2, pto))
-        else:
-            model.skipped[entry.etype] = model.skipped.get(entry.etype, 0) + 1
-
-    resolved = []
-    for de, pts, n1, n2, pto in model.trimmed:
-        if pts not in model.surfaces:
-            raise IgesParseError(
-                f"trimmed surface D{de}: dangling surface pointer D{pts}"
-            )
-        if n1 == 0 or pto == 0:
-            resolved.append(TrimmedSurfaceRecord(de, pts, (), n2))
-            continue
-        if pto not in model.curves_on_surface:
-            raise IgesParseError(
-                f"trimmed surface D{de}: dangling boundary pointer D{pto}"
-            )
-        sptr, bptr = model.curves_on_surface[pto]
-        if sptr != pts:
-            model.diagnostics.append(
-                f"trimmed surface D{de}: boundary D{pto} references surface "
-                f"D{sptr}, expected D{pts}"
-            )
-        if bptr in model.composites:
-            members = model.composites[bptr]
-        else:
-            members = (bptr,)
-        for member in members:
-            if member not in model.curves:
-                raise IgesParseError(
-                    f"trimmed surface D{de}: boundary member D{member} is not a "
-                    "supported curve entity"
-                )
-        resolved.append(TrimmedSurfaceRecord(de, pts, tuple(members), n2))
-    model.trimmed = resolved
-    return model
-
-
-def parse_file(path):
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return parse(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# region extraction
-
-
 def _to_parameter_curve(curve, ranges):
     """Rescale control points' x and y into the unit parameter square.
 
@@ -401,6 +302,86 @@ def _to_parameter_curve(curve, ranges):
     pts[:, 0] = (pts[:, 0] - u0) / (u1 - u0)
     pts[:, 1] = (pts[:, 1] - v0) / (v1 - v0)
     return NurbsCurve(curve.knot_vector, pts, curve.weights)
+
+
+def parse(text):
+    """Parse IGES text into an IgesModel; raises IgesParseError on bad input."""
+    sections = _split_sections(text)
+    param_delim, record_delim = _global_delimiters(sections["G"])
+    entries = _parse_directory(sections["D"])
+    _attach_parameters(entries, sections["P"], param_delim, record_delim)
+
+    model = IgesModel(entries)
+    ranges = {}      # surface de -> (u0, u1, v0, v1) original knot ranges
+    composites = {}  # de -> tuple of member DEs
+    on_surface = {}  # de -> (surface_de, param_curve_de)
+    pending = []     # (de, surface_de, N1, N2, boundary_de) of each 144
+    for de, entry in sorted(entries.items()):
+        if entry.etype == 126:
+            model.curves[de] = _build_curve_126(entry)
+        elif entry.etype == 128:
+            model.surfaces[de], ranges[de] = _build_surface_128(entry)
+        elif entry.etype == 102:
+            head, rest = _take(entry.params, 1, entry, "composite count")
+            n = _num(head[0], entry.first_param_line, "P", int)
+            if n < 1:
+                raise IgesParseError(
+                    f"entity 102 (D{de}): needs at least one member", section="P"
+                )
+            ptr_txt, _ = _take(rest, n, entry, "composite members")
+            composites[de] = tuple(_pointer(t, entry) for t in ptr_txt)
+        elif entry.etype == 142:
+            head, _ = _take(entry.params, 5, entry, "curve-on-surface record")
+            # the model-space pointer and preference flag are ignored: the
+            # parameter-space representation is always used
+            on_surface[de] = (_pointer(head[1], entry), _pointer(head[2], entry))
+        elif entry.etype == 144:
+            head, rest = _take(entry.params, 4, entry, "trimmed surface record")
+            pts = _pointer(head[0], entry)
+            n1 = _num(head[1], entry.first_param_line, "P", int)
+            n2 = _num(head[2], entry.first_param_line, "P", int)
+            pto = _pointer(head[3], entry)
+            if n2 > 0:
+                model.diagnostics.append(
+                    f"trimmed surface D{de}: {n2} inner boundary(ies) not supported"
+                )
+            pending.append((de, pts, n1, n2, pto))
+        else:
+            model.skipped[entry.etype] = model.skipped.get(entry.etype, 0) + 1
+
+    for de, pts, n1, n2, pto in pending:
+        if pts not in model.surfaces:
+            raise IgesParseError(f"trimmed surface D{de}: dangling surface pointer D{pts}")
+        members = ()
+        if n1 != 0 and pto != 0:
+            if pto not in on_surface:
+                raise IgesParseError(f"trimmed surface D{de}: dangling boundary pointer D{pto}")
+            sptr, bptr = on_surface[pto]
+            if sptr != pts:
+                model.diagnostics.append(
+                    f"trimmed surface D{de}: boundary D{pto} references surface "
+                    f"D{sptr}, expected D{pts}"
+                )
+            members = composites.get(bptr, (bptr,))
+            for member in members:
+                if member not in model.curves:
+                    raise IgesParseError(
+                        f"trimmed surface D{de}: boundary member D{member} is not a "
+                        "supported curve entity"
+                    )
+        curves = [_to_parameter_curve(model.curves[m], ranges[pts]) for m in members]
+        model.trimmed.append(TrimmedSurfaceRecord(de, model.surfaces[pts], curves, n2))
+    return model
+
+
+def parse_file(path):
+    # IGES columns count bytes, so each byte must decode to one character
+    with open(path, encoding="latin-1") as fh:
+        return parse(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# region extraction
 
 
 def _is_straight(curve):
@@ -417,12 +398,6 @@ def _is_straight(curve):
 
 def _mean_point(curve, n=33):
     return curve.evaluate(np.linspace(0.0, 1.0, n), 0).value.mean(axis=0)
-
-
-def _parameter_curves(model, record):
-    """The record's boundary curves in the unit parameter square."""
-    ranges = model.surface_ranges[record.surface_de]
-    return [_to_parameter_curve(model.curves[de], ranges) for de in record.boundary_des]
 
 
 def extract_region(model, trimmed_index=0):
@@ -450,7 +425,7 @@ def extract_region_with_report(model, trimmed_index=0):
             f"trimmed surface D{record.de}: {record.inner_loops} inner boundary(ies); "
             "holes are not supported"
         )
-    curves = _parameter_curves(model, record)
+    curves = record.curves
     if len(curves) < 2:
         raise UnsupportedTopologyError(
             f"trimmed surface D{record.de}: boundary has {len(curves)} curve(s); "
@@ -478,14 +453,8 @@ def extract_region_with_report(model, trimmed_index=0):
     flip = np.linalg.norm(t1 - b0) + np.linalg.norm(t0 - b1)
     if flip < keep:
         top = top.reversed()
-    region = TrimmedRegion(model.surfaces[record.surface_de], bottom, top)
-    report = region.validate(16)
-    if not report.ok:
-        raise UnsupportedTopologyError(
-            f"trimmed surface D{record.de}: extracted region fails validation\n"
-            + report.summary()
-        )
-    return region, report
+    region = TrimmedRegion(record.surface, bottom, top)
+    return region, require_valid(region, f"trimmed surface D{record.de}: extracted region")
 
 
 def boundary_gap_diagnostics(model, tol=_GAP_TOL):
@@ -496,9 +465,9 @@ def boundary_gap_diagnostics(model, tol=_GAP_TOL):
     """
     notes = []
     for record in model.trimmed:
-        if len(record.boundary_des) <= 2:
+        curves = record.curves
+        if len(curves) <= 2:
             continue
-        curves = _parameter_curves(model, record)
         for k in range(len(curves)):
             here = curves[k].evaluate(1.0, 0).value
             there = curves[(k + 1) % len(curves)].evaluate(0.0, 0).value
@@ -630,8 +599,3 @@ def region_to_iges(region):
     )
     w.add(144, [str(srf_de), "1", "0", str(cos_de)])
     return w.render("trimmed surface region")
-
-
-def save_region_iges(region, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(region_to_iges(region))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NativeFormatError
 from .nurbs import KnotVector, NurbsCurve, NurbsSurface
-from .trimming import TrimmedRegion
+from .trimming import TrimmedRegion, require_valid
 
 _NUMERIC = re.compile(r"^[+\-.\d]")
 
@@ -176,12 +176,15 @@ def parse_region(text):
 
 
 def load_region(path):
+    """parse_region on a file's text, rejected if its validate(16) fails."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise NativeFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    return parse_region(text)
+    region = parse_region(text)
+    require_valid(region, f"{path}: region")
+    return region
 
 
 def _fmt(x):

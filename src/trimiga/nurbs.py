@@ -68,6 +68,7 @@ class KnotVector:
                 f"need at least {2 * (degree + 1)} knots for degree {degree}, "
                 f"got {knots.size}"
             )
+        _require_finite(knots, "knots")
         if np.any(np.diff(knots) < 0):
             raise InvalidGeometryError("knots must be non-decreasing")
         span = knots[-1] - knots[0]
@@ -294,13 +295,20 @@ class SurfaceDerivatives:
     dvv: np.ndarray | None = None
 
 
+def _require_finite(values, what):
+    """values, or InvalidGeometryError if any is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidGeometryError(f"{what} must be finite")
+    return values
+
+
 def _check_weights(weights, count):
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != count:
         raise InvalidGeometryError(
             f"expected {count} weights, got {weights.size}"
         )
-    if np.any(weights <= 0):
+    if np.any(_require_finite(weights, "weights") <= 0):
         raise InvalidGeometryError("all weights must be positive")
     return weights
 
@@ -311,7 +319,7 @@ class NurbsCurve:
     def __init__(self, knot_vector, control_points, weights=None):
         if not isinstance(knot_vector, KnotVector):
             raise InvalidGeometryError("knot_vector must be a KnotVector")
-        pts = np.asarray(control_points, dtype=float)
+        pts = _require_finite(np.asarray(control_points, dtype=float), "control points")
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise InvalidGeometryError(
                 "control points must be an (n, 2) or (n, 3) array"
@@ -394,7 +402,7 @@ class NurbsSurface:
             knot_vector_v, KnotVector
         ):
             raise InvalidGeometryError("knot vectors must be KnotVector instances")
-        net = np.asarray(control_net, dtype=float)
+        net = _require_finite(np.asarray(control_net, dtype=float), "control points")
         A = knot_vector_u.num_basis
         B = knot_vector_v.num_basis
         if net.shape != (A, B, 3):
@@ -408,8 +416,7 @@ class NurbsSurface:
             raise InvalidGeometryError(
                 f"weights must have shape ({A}, {B}), got {weights.shape}"
             )
-        if np.any(weights <= 0):
-            raise InvalidGeometryError("all weights must be positive")
+        weights = _check_weights(weights, A * B).reshape(A, B)
         self.knot_vector_u = knot_vector_u
         self.knot_vector_v = knot_vector_v
         self.control_net = net

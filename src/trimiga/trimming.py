@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidGeometryError, SingularMapError
+from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
 from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, _rank, merge_close
 
 _CONTAIN_TOL = 1e-9
@@ -267,6 +267,18 @@ class TrimmedRegion:
             grid_n, min_det, max_det, float(np.abs(det).min()), sign_change,
             float(np.linalg.norm(m.duv_dt, axis=-1).min()),
         )
+
+
+def require_valid(region, source):
+    """region.validate(16), or UnsupportedTopologyError naming source if it fails.
+
+    Every reader of a region file applies it, so a fold-over is rejected
+    whatever the format.
+    """
+    report = region.validate(16)
+    if not report.ok:
+        raise UnsupportedTopologyError(f"{source} fails validation\n" + report.summary())
+    return report
 
 
 def cross_norm(a, b):

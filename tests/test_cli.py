@@ -6,8 +6,10 @@ import pytest
 from trimiga import iges, native
 from trimiga.cli import main
 from trimiga.nurbs import KnotVector, NurbsSurface
-from trimiga.shapes import identity_region, plate_with_hole_region
+from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
 from trimiga.trimming import TrimmedRegion
+
+from conftest import segment
 
 
 @pytest.fixture
@@ -27,7 +29,7 @@ def identity_file(tmp_path):
 @pytest.fixture
 def iges_file(tmp_path):
     path = tmp_path / "plate.igs"
-    iges.save_region_iges(plate_with_hole_region(), path)
+    path.write_text(iges.region_to_iges(plate_with_hole_region()), encoding="utf-8")
     return str(path)
 
 
@@ -391,6 +393,9 @@ def test_usage_error_exits_2(capsys):
     assert main(["map", "--at", "0,0", "--bogus"]) == 2
     # --out is checked by the parser, before the IGES file is opened
     assert main(["iges-extract", "--iges", "/nonexistent.igs"]) == 2
+    # one geometry source: the parser refuses two, rather than one being dropped
+    assert main(["area", "--region", "a.trim", "--iges", "b.igs"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(capsys):
@@ -408,6 +413,42 @@ def test_undecodable_file_exits_1(capsys, tmp_path, command):
     code, out, err = run(capsys, *command, str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", [["area"], ["map", "--at", "0.5,0.5"]],
+                         ids=["area", "map"])
+def test_folded_native_region_exits_1(capsys, tmp_path, command):
+    # the curves cross, so the map folds: rejected as the same region in IGES is
+    region = TrimmedRegion(unit_square_surface(), segment([0, 0.2], [1, 0.2]),
+                           segment([0, 0.1], [1, 0.8]))
+    path = tmp_path / "folded.trim"
+    native.save_region(region, path)
+    code, out, err = run(capsys, *command, "--region", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: region fails validation\n"
+                   + region.validate(16).summary() + "\n")
+
+
+def test_non_finite_knot_in_a_native_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "nan.trim"
+    path.write_text(native.format_region(identity_region()).replace(
+        "knots: 0 0 1 1\ncoefficients (x y [z] w):\n0 0",
+        "knots: 0 0 nan 1 1\ncoefficients (x y [z] w):\n0 0", 1))
+    code, out, err = run(capsys, "area", "--region", str(path))
+    assert (code, out, err) == (1, "", "error: knots must be finite\n")
+
+
+@pytest.mark.parametrize("source", ["option", "key"])
+def test_plate_shape_keys_with_a_region_exit_1(capsys, tmp_path, plate_file, source):
+    # scale and arc_weight build the built-in plate; a given region ignores them
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text("scale = 10\narc_weight = 1.0\n"
+                   + (f"geometry = {plate_file}\n" if source == "key" else ""))
+    argv = ["plate", "--stage", "0", "--config", str(cfg)]
+    code, out, err = run(capsys, *argv, *(["--region", plate_file] if source == "option" else []))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {cfg}: scale and arc_weight shape only the built-in plate, "
+                   "not a region given by --region or geometry\n")
 
 
 def test_map_requires_geometry(capsys):

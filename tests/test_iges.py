@@ -63,9 +63,18 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path, plate_region):
         path = tmp_path / "plate.igs"
-        iges.save_region_iges(plate_region, path)
+        path.write_text(iges.region_to_iges(plate_region), encoding="utf-8")
         model = iges.parse_file(path)
         assert len(model.trimmed) == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_non_ascii_start_section_keeps_the_columns(self, tmp_path, plate_region, encoding):
+        # records are 80 bytes: a two-byte UTF-8 character must not shift column 73
+        lines = iges.region_to_iges(plate_region).encode("ascii").splitlines()
+        lines[0] = "Jürgen Müller".encode(encoding).ljust(72) + lines[0][72:]
+        path = tmp_path / f"{encoding}.igs"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(iges.parse_file(path).trimmed) == 1
 
     def test_two_trimmed_surfaces_in_one_file(
         self, plate_region, square_region, rng
@@ -164,6 +173,29 @@ class TestExtraction:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bottom trimming curve must live in the parameter plane")
+
+    def test_boundary_gaps_are_reported_by_iges_dump(self, tmp_path, capsys):
+        bottom, top = hole_arc_curve(), outer_polyline_curve()
+        closed = [
+            bottom,
+            segment3(bottom.evaluate(1, 0).value, top.evaluate(1, 0).value),
+            top.reversed(),
+            segment3(top.evaluate(0, 0).value, bottom.evaluate(0, 0).value),
+        ]
+        # the third curve starts 1e-3 above the end of the second
+        pts = closed[2].control_points.copy()
+        pts[0, 1] += 1e-3
+        opened = closed[:2] + [NurbsCurve(closed[2].knot_vector, pts, closed[2].weights)] \
+            + closed[3:]
+        errs = []
+        for name, loop in (("closed", closed), ("opened", opened), ("two", [bottom, top])):
+            path = tmp_path / f"{name}.igs"
+            path.write_text(loop_file(loop))
+            assert cli_main(["iges-dump", "--iges", str(path)]) == 0
+            errs.append(capsys.readouterr().err)
+        # D15 is the 144, after the 128, the four 126s, the 102 and the 142
+        assert errs == ["", "trimmed surface D15: gap 1.000e-03 between boundary curves 1 and 2\n",
+                        ""]
 
     def test_bottom_top_assignment_by_mean_v(self):
         # feed the curves in the "wrong" order; mean v sorts them out

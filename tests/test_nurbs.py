@@ -45,6 +45,13 @@ class TestKnotVector:
             with pytest.raises(InvalidGeometryError):
                 KnotVector(knots, 1)
 
+    @pytest.mark.parametrize("knots", [[0, 0, math.nan, 1, 1], [0, 0, 0.5, math.nan, 1],
+                                       [0, 0, 0.5, 1, math.inf], [-math.inf, 0, 0.5, 1, 1]])
+    def test_rejects_non_finite_knots(self, knots):
+        # checked before the normalization divides by the knot range
+        with pytest.raises(InvalidGeometryError, match="knots must be finite"):
+            KnotVector(knots, 1)
+
     def test_span_is_right_adjacent_at_interior_knot(self):
         kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
         span = kv.find_span(0.5)
@@ -476,6 +483,28 @@ class TestValidation:
         kv = KnotVector([0, 0, 1, 1], 1)
         with pytest.raises(InvalidGeometryError):
             NurbsCurve(kv, [[0, 0], [1, 1]], [1.0, 0.0])
+
+    @pytest.mark.parametrize("points, weights, message", [
+        ([[0, 0], [1, 1]], [1.0, math.nan], "weights must be finite"),
+        ([[0, 0], [1, 1]], [1.0, math.inf], "weights must be finite"),
+        ([[0, math.nan], [1, 1]], None, "control points must be finite"),
+        ([[0, 0], [math.inf, 1]], None, "control points must be finite"),
+    ], ids=["nan-weight", "inf-weight", "nan-point", "inf-point"])
+    def test_curve_rejects_non_finite_numbers(self, points, weights, message):
+        kv = KnotVector([0, 0, 1, 1], 1)
+        with pytest.raises(InvalidGeometryError, match=message):
+            NurbsCurve(kv, points, weights)
+
+    def test_surface_rejects_non_finite_numbers(self):
+        kv = KnotVector([0, 0, 1, 1], 1)
+        net = np.zeros((2, 2, 3))
+        weights = np.ones((2, 2))
+        weights[1, 0] = math.nan
+        with pytest.raises(InvalidGeometryError, match="weights must be finite"):
+            NurbsSurface(kv, kv, net, weights)
+        net[0, 1, 2] = math.inf
+        with pytest.raises(InvalidGeometryError, match="control points must be finite"):
+            NurbsSurface(kv, kv, net)
 
     def test_surface_net_shape(self):
         kv = KnotVector([0, 0, 1, 1], 1)
