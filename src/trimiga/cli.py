@@ -28,9 +28,19 @@ def _write_output(text, out_path):
         sys.stdout.write(text)
 
 
+def _load_iges(path):
+    """The parsed IGES file; its skipped entities and diagnostics go to stderr."""
+    model = iges.parse_file(path)
+    for etype, count in sorted(model.skipped.items()):
+        print(f"skipped {count} entity(ies) of unsupported type {etype}", file=sys.stderr)
+    for note in model.diagnostics + iges.boundary_gap_diagnostics(model):
+        print(note, file=sys.stderr)
+    return model
+
+
 def _load_path(path):
     if path.lower().endswith((".igs", ".iges")):
-        return iges.extract_region(iges.parse_file(path))
+        return iges.extract_region(_load_iges(path))
     return native.load_region(path)
 
 
@@ -38,7 +48,7 @@ def _load_region(args):
     if getattr(args, "region", None):
         return _load_path(args.region)
     if getattr(args, "iges", None):
-        return iges.extract_region(iges.parse_file(args.iges))
+        return iges.extract_region(_load_iges(args.iges))
     raise TrimigaError("no geometry given: pass --region or --iges")
 
 
@@ -152,21 +162,16 @@ def cmd_check_derivs(args):
 
 
 def cmd_iges_dump(args):
-    model = iges.parse_file(args.iges)
+    model = _load_iges(args.iges)
     rows = ["de,type,param_lines,form"]
     for de, entry in sorted(model.entries.items()):
         rows.append(f"{de},{entry.etype},{entry.pd_count},{entry.form}")
     _write_output("\n".join(rows) + "\n", args.out)
-    for etype, count in sorted(model.skipped.items()):
-        print(f"skipped {count} entity(ies) of unsupported type {etype}", file=sys.stderr)
-    for note in model.diagnostics + iges.boundary_gap_diagnostics(model):
-        print(note, file=sys.stderr)
     return 0
 
 
 def cmd_iges_extract(args):
-    model = iges.parse_file(args.iges)
-    region, report = iges.extract_region_with_report(model, args.index)
+    region, report = iges.extract_region_with_report(_load_iges(args.iges), args.index)
     native.save_region(region, args.out, comment=f"extracted from {args.iges}")
     print(report.summary(), file=sys.stderr)
     return 0

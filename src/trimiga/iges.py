@@ -12,9 +12,14 @@ fields, section letter in column 73 and a sequence number in columns
 output reals carry 17 significant digits, so a round trip is lossless well
 below 1e-9.
 
-`parse` resolves each 144 once into a `TrimmedSurfaceRecord`: its surface
-and its outer-loop curves in loop order, x and y rescaled from the
-surface's knot ranges into the unit square. Extraction reads only that.
+`parse` sorts the lines into sections and takes the delimiters from the G
+section, where an empty field keeps its default, `,` or `;`. One pass builds
+each complete `DirectoryEntry` from its D-line pair and its checked P lines;
+every D pair is decoded first, so a directory fault is reported first. A
+typed cursor then reads each entity's tokens front to back. Each 144 is
+resolved once into a `TrimmedSurfaceRecord`: its surface and its outer-loop
+curves in loop order, x and y rescaled from the surface's knot ranges into
+the unit square. Extraction reads only that.
 """
 
 import re
@@ -32,13 +37,12 @@ _GAP_TOL = 1e-6
 
 @dataclass
 class DirectoryEntry:
-    de: int              # sequence number of the first directory line (odd)
+    de: int                # sequence number of the first directory line (odd)
     etype: int
-    pd_pointer: int      # first parameter line sequence number
-    pd_count: int        # number of parameter lines
+    pd_count: int          # number of parameter lines
     form: int
-    params: list = field(default_factory=list)
-    first_param_line: int | None = None  # file line of the first parameter record
+    params: list           # the record's tokens after the entity type, stripped
+    first_param_line: int  # file line of the first parameter record
 
 
 @dataclass
@@ -96,12 +100,9 @@ def _split_sections(text):
         if not seq_text.isdigit():
             raise IgesParseError(f"bad sequence number {seq_text!r}", lineno, letter)
         sections[letter].append((lineno, int(seq_text), line))
-    if not sections["D"]:
-        raise IgesParseError("missing directory section")
-    if not sections["P"]:
-        raise IgesParseError("missing parameter section")
-    if not sections["T"]:
-        raise IgesParseError("missing terminate section")
+    for letter, name in (("D", "directory"), ("P", "parameter"), ("T", "terminate")):
+        if not sections[letter]:
+            raise IgesParseError(f"missing {name} section")
     return sections
 
 
@@ -112,8 +113,10 @@ def _global_delimiters(glines):
     text = "".join(line[:72] for _, _, line in glines)
     lineno = glines[0][0]
 
-    def read_delim(pos, default):
-        if pos >= len(text) or text[pos] == default:
+    def read_delim(pos, param, default):
+        # an empty field keeps its default: its next character is the parameter
+        # delimiter, or the record delimiter that ends the G record
+        if pos >= len(text) or text[pos] in (param, ";"):
             return default, pos + 1
         m = re.match(r"(\d+)H", text[pos:])
         if not m:
@@ -129,167 +132,121 @@ def _global_delimiters(glines):
         delim = text[start]
         return delim, start + 2  # skip the delimiter character and the separator
 
-    param, pos = read_delim(0, ",")
-    record, _ = read_delim(pos, ";")
+    param, pos = read_delim(0, ",", ",")
+    record, _ = read_delim(pos, param, ";")
     return param, record
 
 
-def _parse_directory(dlines):
+def _read_entries(sections, param_delim, record_delim):
+    """Each directory entry, complete with its parameter tokens, by sequence number.
+
+    Every D-line pair is decoded before the first P line is read, so a fault
+    in the directory is reported before one in the parameter section.
+    """
+    dlines = sections["D"]
     if len(dlines) % 2:
         raise IgesParseError("directory section has an odd number of lines", dlines[-1][0], "D")
-    entries = {}
-    for k in range(0, len(dlines), 2):
-        lineno1, seq1, line1 = dlines[k]
-        lineno2, _, line2 = dlines[k + 1]
-        f1 = [line1[i * 8 : (i + 1) * 8] for i in range(9)]
-        f2 = [line2[i * 8 : (i + 1) * 8] for i in range(9)]
-        etype = _num(f1[0], lineno1, "D", int)
-        etype2 = _num(f2[0], lineno2, "D", int)
+    heads = {}
+    for (lineno1, de, line1), (lineno2, _, line2) in zip(dlines[::2], dlines[1::2]):
+        etype = _num(line1[:8], lineno1, "D", int)
+        etype2 = _num(line2[:8], lineno2, "D", int)
         if etype != etype2:
             raise IgesParseError(
-                f"directory entry {seq1}: entity type mismatch {etype} vs {etype2}",
-                lineno2,
-                "D",
+                f"directory entry {de}: entity type mismatch {etype} vs {etype2}", lineno2, "D"
             )
-        entries[seq1] = DirectoryEntry(
-            de=seq1,
-            etype=etype,
-            pd_pointer=_num(f1[1], lineno1, "D", int),
-            pd_count=_num(f2[3], lineno2, "D", int),
-            form=_num(f2[4], lineno2, "D", int),
-        )
-    return entries
-
-
-def _attach_parameters(entries, plines, param_delim, record_delim):
+        pointer = _num(line1[8:16], lineno1, "D", int)
+        count, form = (_num(line2[i : i + 8], lineno2, "D", int) for i in (24, 32))
+        heads[de] = (etype, pointer, count, form)
     by_seq = {}
-    for lineno, seq, line in plines:
+    for lineno, seq, line in sections["P"]:
         if seq in by_seq:
             raise IgesParseError(f"duplicate parameter line {seq}", lineno, "P")
         by_seq[seq] = (lineno, line)
-    for entry in entries.values():
-        if entry.pd_pointer <= 0 or entry.pd_count <= 0:
-            raise IgesParseError(
-                f"directory entry {entry.de}: bad parameter pointer/count "
-                f"{entry.pd_pointer}/{entry.pd_count}",
-                section="D",
-            )
-        chunks = []
-        first_lineno = None
-        for seq in range(entry.pd_pointer, entry.pd_pointer + entry.pd_count):
+    entries = {}
+    for de, (etype, pointer, count, form) in heads.items():
+        if pointer <= 0 or count <= 0:
+            raise IgesParseError(f"directory entry {de}: bad parameter pointer/count "
+                                 f"{pointer}/{count}", section="D")
+        lines = []
+        for seq in range(pointer, pointer + count):
             if seq not in by_seq:
-                raise IgesParseError(
-                    f"directory entry {entry.de}: missing parameter line {seq}",
-                    section="P",
-                )
+                raise IgesParseError(f"directory entry {de}: missing parameter line {seq}",
+                                     section="P")
             lineno, line = by_seq[seq]
-            first_lineno = first_lineno or lineno
             back = line[64:72].strip()
-            if back and back.isdigit() and int(back) != entry.de:
-                raise IgesParseError(
-                    f"parameter line {seq} back-pointer {back} does not match "
-                    f"directory entry {entry.de}",
-                    lineno,
-                    "P",
-                )
-            chunks.append(line[:64])
-        data = "".join(chunks)
-        record, sep, _ = data.partition(record_delim)
+            if back.isdigit() and int(back) != de:
+                raise IgesParseError(f"parameter line {seq} back-pointer {back} does not "
+                                     f"match directory entry {de}", lineno, "P")
+            lines.append(line[:64])
+        first = by_seq[pointer][0]
+        record, sep, _ = "".join(lines).partition(record_delim)
         if not sep:
-            raise IgesParseError(
-                f"directory entry {entry.de}: unterminated parameter record",
-                first_lineno,
-                "P",
-            )
-        tokens = [tok.strip() for tok in record.split(param_delim)]
-        lead = _num(tokens[0], first_lineno, "P", int)
-        if lead != entry.etype:
-            raise IgesParseError(
-                f"directory entry {entry.de}: parameter record starts with entity "
-                f"type {lead}, expected {entry.etype}",
-                first_lineno,
-                "P",
-            )
-        entry.params = tokens[1:]
-        entry.first_param_line = first_lineno
+            raise IgesParseError(f"directory entry {de}: unterminated parameter record",
+                                 first, "P")
+        tokens = [token.strip() for token in record.split(param_delim)]
+        lead = _num(tokens[0], first, "P", int)
+        if lead != etype:
+            raise IgesParseError(f"directory entry {de}: parameter record starts with "
+                                 f"entity type {lead}, expected {etype}", first, "P")
+        entries[de] = DirectoryEntry(de, etype, count, form, tokens[1:], first)
+    return entries
 
 
-def _take(params, count, entry, what):
-    if len(params) < count:
-        raise IgesParseError(
-            f"entity {entry.etype} (D{entry.de}): parameter record ended while "
-            f"reading {what}",
-            entry.first_param_line,
-            "P",
-        )
-    return params[:count], params[count:]
+class _Cursor:
+    """An entry's parameter tokens, handed out front to back as typed values."""
+
+    def __init__(self, entry):
+        self.entry = entry
+        self.pos = 0
+
+    def error(self, message):
+        entry = self.entry
+        return IgesParseError(f"entity {entry.etype} (D{entry.de}): {message}",
+                              entry.first_param_line, "P")
+
+    def skip(self, n, what):
+        """The next n tokens, unconverted; what names them if the record ends first."""
+        tokens = self.entry.params[self.pos : self.pos + n]
+        if len(tokens) < n:
+            raise self.error(f"parameter record ended while reading {what}")
+        self.pos += n
+        return tokens
+
+    def ints(self, n, what):
+        return [_num(t, self.entry.first_param_line, "P", int) for t in self.skip(n, what)]
+
+    def reals(self, n, what):
+        return [_num(t, self.entry.first_param_line, "P") for t in self.skip(n, what)]
+
+    def pointers(self, n, what):
+        # a negative pointer flags alternate use; the target is the same
+        return [abs(value) for value in self.ints(n, what)]
 
 
-def _build_curve_126(entry):
-    lineno = entry.first_param_line
-    head, rest = _take(entry.params, 6, entry, "curve header")
-    K = _num(head[0], lineno, "P", int)
-    M = _num(head[1], lineno, "P", int)
+def _build_curve_126(cursor):
+    K, M = cursor.ints(2, "curve header")
+    cursor.skip(4, "curve header")
     if K < 0 or M < 0 or K < M:
-        raise IgesParseError(
-            f"entity 126 (D{entry.de}): invalid indices K={K}, M={M}", lineno, "P"
-        )
-    nknots = K + M + 2
-    ncp = K + 1
-    knots_txt, rest = _take(rest, nknots, entry, "knot sequence")
-    weights_txt, rest = _take(rest, ncp, entry, "weights")
-    pts_txt, rest = _take(rest, 3 * ncp, entry, "control points")
-    knots = [_num(t, lineno, "P") for t in knots_txt]
-    weights = [_num(t, lineno, "P") for t in weights_txt]
-    pts = np.array([_num(t, lineno, "P") for t in pts_txt]).reshape(ncp, 3)
-    try:
-        kv = KnotVector(knots, M)
-        curve = NurbsCurve(kv, pts, weights)
-    except InvalidGeometryError as exc:
-        raise IgesParseError(f"entity 126 (D{entry.de}): {exc}", lineno, "P") from None
-    return curve
+        raise cursor.error(f"invalid indices K={K}, M={M}")
+    knots = cursor.reals(K + M + 2, "knot sequence")
+    weights = cursor.reals(K + 1, "weights")
+    pts = np.reshape(cursor.reals(3 * (K + 1), "control points"), (K + 1, 3))
+    return NurbsCurve(KnotVector(knots, M), pts, weights)
 
 
-def _build_surface_128(entry):
-    lineno = entry.first_param_line
-    head, rest = _take(entry.params, 9, entry, "surface header")
-    K1 = _num(head[0], lineno, "P", int)
-    K2 = _num(head[1], lineno, "P", int)
-    M1 = _num(head[2], lineno, "P", int)
-    M2 = _num(head[3], lineno, "P", int)
+def _build_surface_128(cursor):
+    K1, K2, M1, M2 = cursor.ints(4, "surface header")
+    cursor.skip(5, "surface header")
     if min(K1, K2, M1, M2) < 0 or K1 < M1 or K2 < M2:
-        raise IgesParseError(
-            f"entity 128 (D{entry.de}): invalid indices K1={K1}, K2={K2}, "
-            f"M1={M1}, M2={M2}",
-            lineno,
-            "P",
-        )
+        raise cursor.error(f"invalid indices K1={K1}, K2={K2}, M1={M1}, M2={M2}")
     nu, nv = K1 + 1, K2 + 1
-    ku_txt, rest = _take(rest, K1 + M1 + 2, entry, "u knots")
-    kv_txt, rest = _take(rest, K2 + M2 + 2, entry, "v knots")
-    w_txt, rest = _take(rest, nu * nv, entry, "weights")
-    p_txt, rest = _take(rest, 3 * nu * nv, entry, "control points")
-    ku = [_num(t, lineno, "P") for t in ku_txt]
-    kvv = [_num(t, lineno, "P") for t in kv_txt]
+    ku = cursor.reals(K1 + M1 + 2, "u knots")
+    kv = cursor.reals(K2 + M2 + 2, "v knots")
     # first parameter index varies fastest in the flat IGES ordering
-    weights = np.array([_num(t, lineno, "P") for t in w_txt]).reshape(nv, nu).T
-    net = (
-        np.array([_num(t, lineno, "P") for t in p_txt])
-        .reshape(nv, nu, 3)
-        .transpose(1, 0, 2)
-    )
-    try:
-        surface = NurbsSurface(KnotVector(ku, M1), KnotVector(kvv, M2), net, weights)
-    except InvalidGeometryError as exc:
-        raise IgesParseError(f"entity 128 (D{entry.de}): {exc}", lineno, "P") from None
-    return surface, (ku[0], ku[-1], kvv[0], kvv[-1])
-
-
-def _pointer(token, entry):
-    value = _num(token, entry.first_param_line, "P", int)
-    if value < 0:
-        value = -value  # negative pointers flag alternate use; the target is the same
-    return value
+    weights = np.reshape(cursor.reals(nu * nv, "weights"), (nv, nu)).T
+    net = np.reshape(cursor.reals(3 * nu * nv, "control points"), (nv, nu, 3)).transpose(1, 0, 2)
+    surface = NurbsSurface(KnotVector(ku, M1), KnotVector(kv, M2), net, weights)
+    return surface, (ku[0], ku[-1], kv[0], kv[-1])
 
 
 def _to_parameter_curve(curve, ranges):
@@ -307,9 +264,7 @@ def _to_parameter_curve(curve, ranges):
 def parse(text):
     """Parse IGES text into an IgesModel; raises IgesParseError on bad input."""
     sections = _split_sections(text)
-    param_delim, record_delim = _global_delimiters(sections["G"])
-    entries = _parse_directory(sections["D"])
-    _attach_parameters(entries, sections["P"], param_delim, record_delim)
+    entries = _read_entries(sections, *_global_delimiters(sections["G"]))
 
     model = IgesModel(entries)
     ranges = {}      # surface de -> (u0, u1, v0, v1) original knot ranges
@@ -317,37 +272,40 @@ def parse(text):
     on_surface = {}  # de -> (surface_de, param_curve_de)
     pending = []     # (de, surface_de, N1, N2, boundary_de) of each 144
     for de, entry in sorted(entries.items()):
-        if entry.etype == 126:
-            model.curves[de] = _build_curve_126(entry)
-        elif entry.etype == 128:
-            model.surfaces[de], ranges[de] = _build_surface_128(entry)
-        elif entry.etype == 102:
-            head, rest = _take(entry.params, 1, entry, "composite count")
-            n = _num(head[0], entry.first_param_line, "P", int)
-            if n < 1:
-                raise IgesParseError(
-                    f"entity 102 (D{de}): needs at least one member", section="P"
-                )
-            ptr_txt, _ = _take(rest, n, entry, "composite members")
-            composites[de] = tuple(_pointer(t, entry) for t in ptr_txt)
-        elif entry.etype == 142:
-            head, _ = _take(entry.params, 5, entry, "curve-on-surface record")
-            # the model-space pointer and preference flag are ignored: the
-            # parameter-space representation is always used
-            on_surface[de] = (_pointer(head[1], entry), _pointer(head[2], entry))
-        elif entry.etype == 144:
-            head, rest = _take(entry.params, 4, entry, "trimmed surface record")
-            pts = _pointer(head[0], entry)
-            n1 = _num(head[1], entry.first_param_line, "P", int)
-            n2 = _num(head[2], entry.first_param_line, "P", int)
-            pto = _pointer(head[3], entry)
-            if n2 > 0:
-                model.diagnostics.append(
-                    f"trimmed surface D{de}: {n2} inner boundary(ies) not supported"
-                )
-            pending.append((de, pts, n1, n2, pto))
-        else:
-            model.skipped[entry.etype] = model.skipped.get(entry.etype, 0) + 1
+        cursor = _Cursor(entry)
+        try:
+            if entry.etype == 126:
+                model.curves[de] = _build_curve_126(cursor)
+            elif entry.etype == 128:
+                model.surfaces[de], ranges[de] = _build_surface_128(cursor)
+            elif entry.etype == 102:
+                (n,) = cursor.ints(1, "composite count")
+                if n < 1:
+                    raise IgesParseError(
+                        f"entity 102 (D{de}): needs at least one member", section="P"
+                    )
+                composites[de] = tuple(cursor.pointers(n, "composite members"))
+            elif entry.etype == 142:
+                # the model-space pointer and preference flag are ignored: the
+                # parameter-space representation is always used
+                what = "curve-on-surface record"
+                cursor.skip(1, what)
+                on_surface[de] = tuple(cursor.pointers(2, what))
+                cursor.skip(2, what)
+            elif entry.etype == 144:
+                what = "trimmed surface record"
+                (pts,) = cursor.pointers(1, what)
+                n1, n2 = cursor.ints(2, what)
+                (pto,) = cursor.pointers(1, what)
+                if n2 > 0:
+                    model.diagnostics.append(
+                        f"trimmed surface D{de}: {n2} inner boundary(ies) not supported"
+                    )
+                pending.append((de, pts, n1, n2, pto))
+            else:
+                model.skipped[entry.etype] = model.skipped.get(entry.etype, 0) + 1
+        except InvalidGeometryError as exc:  # raised by the 126 and 128 constructors
+            raise cursor.error(exc) from None
 
     for de, pts, n1, n2, pto in pending:
         if pts not in model.surfaces:

@@ -33,6 +33,23 @@ def iges_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def noisy_iges_file(tmp_path):
+    """The plate's IGES chain with its boundary on a second surface, and a 110 line."""
+    region = plate_with_hole_region()
+    w = iges._Writer()
+    srf_de, other_de = (w.add(128, iges._surface_params(region.surface)) for _ in range(2))
+    curve_des = [w.add(126, iges._curve_params(c), status="00010500")
+                 for c in (region.curve_bottom, region.curve_top)]
+    comp_de = w.add(102, ["2"] + [str(d) for d in curve_des], status="00010500")
+    cos_de = w.add(142, ["1", str(other_de), str(comp_de), "0", "1"], status="00010500")
+    w.add(144, [str(srf_de), "1", "0", str(cos_de)])
+    w.add(110, ["0", "0", "0", "1", "1", "0"])
+    path = tmp_path / "noisy.igs"
+    path.write_text(w.render(), encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -247,6 +264,29 @@ def test_iges_dump_lists_entities(capsys, iges_file):
     assert sorted(types) == [102, 126, 126, 128, 142, 144]
 
 
+@pytest.mark.parametrize("command", [
+    ["map", "--at", "0.5,0.5", "--iges"],
+    ["jacobian", "--at", "0.5,0.5", "--iges"],
+    ["area", "--iges"],
+    ["check-derivs", "--grid", "4", "--iges"],
+    ["plate", "--stage", "0", "--bc", "exact", "--region"],
+    ["iges-dump", "--iges"],
+], ids=["map", "jacobian", "area", "check-derivs", "plate", "iges-dump"])
+def test_iges_diagnostics_reach_stderr(capsys, iges_file, noisy_iges_file, command):
+    # the region is the plate's, so every command but iges-dump prints its stdout
+    code, out, err = run(capsys, *command, noisy_iges_file)
+    assert (code, err) == (0, "skipped 1 entity(ies) of unsupported type 110\n"
+                              "trimmed surface D13: boundary D11 references surface D3, "
+                              "expected D1\n")
+    if command[0] != "iges-dump":
+        assert out == run(capsys, *command, iges_file)[1]
+
+
+def test_region_flag_reads_an_iges_path(capsys, iges_file):
+    _, out, _ = run(capsys, "area", "--region", iges_file)
+    assert out == run(capsys, "area", "--iges", iges_file)[1]
+
+
 def test_iges_extract_round_trip(capsys, tmp_path, iges_file, plate_file):
     out_path = tmp_path / "extracted.trim"
     code, _, err = run(
@@ -357,7 +397,8 @@ def test_plate_config_file(capsys, tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("stge=0", "unknown key 'stge'"),
     ("stage=two", "stage expects int, got 'two'"),
-], ids=["unknown-key", "not-a-number"])
+    ("stage 0", "expected key=value, got 'stage 0'"),
+], ids=["unknown-key", "not-a-number", "no-equals"])
 def test_plate_config_errors_exit_1(capsys, tmp_path, line, message):
     cfg = tmp_path / "plate.cfg"
     cfg.write_text(f"bc = exact\n{line}\n")
@@ -458,8 +499,10 @@ def test_map_requires_geometry(capsys):
 
 
 def test_bad_at_argument(capsys, plate_file):
-    code, _, err = run(capsys, "map", "--region", plate_file, "--at", "0.5")
-    assert code == 1
+    for at, message in (("0.5", "--at expects 's,t', got '0.5'"),
+                        ("0.5,x", "--at expects two numbers, got '0.5,x'")):
+        code, _, err = run(capsys, "map", "--region", plate_file, "--at", at)
+        assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_domain_error_exits_1(capsys, plate_file):

@@ -8,6 +8,7 @@ from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.shapes import (
     hole_arc_curve,
     outer_polyline_curve,
+    plate_with_hole_region,
     unit_square_surface,
 )
 
@@ -30,6 +31,44 @@ def loop_file(curves, surface=None):
     cos_de = w.add(142, ["1", str(srf_de), str(comp_de), "0", "1"], status="00010500")
     w.add(144, [str(srf_de), "1", "0", str(cos_de)])
     return w.render()
+
+
+# region_to_iges's plate: 128 at D1, 126s at D3 and D5, 102 at D7, 142 at D9,
+# 144 at D11; P lines 1-9 are file lines 17-25
+PLATE_IGES = iges.region_to_iges(plate_with_hole_region())
+
+
+def plate_iges_with(old, new, text=PLATE_IGES):
+    """text with the one line holding old changed to hold new, columns kept."""
+    assert text.count(old) == 1, old
+    if len(old) == len(new):
+        return text.replace(old, new)
+    lines = text.splitlines()
+    (i,) = [k for k, line in enumerate(lines) if old in line]
+    width = 64 if lines[i][72] == "P" else 72  # the columns that hold data
+    data = lines[i][:width].rstrip().replace(old, new).ljust(width)
+    assert len(data) == width
+    lines[i] = data + lines[i][width:]
+    return "\n".join(lines) + "\n"
+
+
+def region_arrays(region):
+    surface = region.surface
+    arrays = [surface.knot_vector_u.knots, surface.knot_vector_v.knots,
+              surface.control_net, surface.weights]
+    for curve in (region.curve_bottom, region.curve_top):
+        arrays += [curve.knot_vector.knots, curve.control_points, curve.weights]
+    return arrays
+
+
+def assert_same_region(text):
+    expected = region_arrays(iges.extract_region(iges.parse(PLATE_IGES)))
+    got = region_arrays(iges.extract_region(iges.parse(text)))
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+
+_CURVE_D5 = "126,2,1,1,0,0,0,0,0,0.5,1,1,1,1,1,0,1,0,1,1,0,1,0,0,0,1,0,0,1;"
+_TYPE_143_AT_D9 = ("     142       0       0       1", "     143       0       0       1")
 
 
 class TestRoundTrip:
@@ -318,6 +357,10 @@ class TestNormalization:
         assert np.allclose(region.map_point(0.0, 0.0).uv, [0.0, 0.2], atol=1e-12)
         assert np.allclose(region.map_point(1.0, 1.0).uv, [1.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("delimiters", [",,", "1H,,,", ",1H;,"])
+    def test_empty_global_delimiter_fields_keep_their_defaults(self, delimiters):
+        assert_same_region(plate_iges_with("1H,,1H;,", delimiters))
+
     def test_custom_delimiters_from_global_section(self):
         # parameter delimiter ';', record delimiter '|'
         params = "126;1;1;1;0;0;0;0.0;0.0;1.0;1.0;1.0;1.0;0.0;0.0;0.0;1.0;1.0;0.0;0.0;1.0|"
@@ -338,6 +381,96 @@ class TestNormalization:
         model = iges.parse("\n".join(lines) + "\n")
         curve = model.curves[1]
         assert np.allclose(curve.evaluate(0.5, 0).value, [0.5, 0.5, 0.0])
+
+
+class TestReaderErrors:
+    """Single-fault mutations of the plate's IGES text: the exact message, or
+    the diagnostics and the unchanged region where the input is valid."""
+
+    @pytest.mark.parametrize("old, new, expected", [
+        # valid input
+        ("144,1,1,0,9;", "144,1,1,,9;", []),  # an empty integer field reads 0
+        ("144,1,1,0,9;", "144,-1,1,0,-9;", []),  # negative pointers: same targets
+        ("142,1,1,7,0,1;", "142,1,-1,-7,0,1;", []),
+        ("102,2,3,5;", "102,2,-3,5;", []),
+        ("142,1,1,7,0,1;", "142,1,5,7,0,1;",
+         ["trimmed surface D11: boundary D9 references surface D5, expected D1"]),
+        # directory section
+        (*_TYPE_143_AT_D9,
+         "directory entry 9: entity type mismatch 142 vs 143 [section D] [line 14]"),
+        ("     144       9       0", "     144       x       0",
+         "cannot parse int from 'x' [section D] [line 15]"),
+        ("     128       0       0       2       0", "     128       0       0       0       0",
+         "directory entry 1: bad parameter pointer/count 1/0 [section D]"),
+        # parameter section
+        ("     144       0       0       1       0", "     144       0       0       2       0",
+         "directory entry 11: missing parameter line 10 [section P]"),
+        ("P      9\n", "P      8\n", "duplicate parameter line 8 [section P] [line 25]"),
+        ("      11P      9", "      13P      9",
+         "parameter line 9 back-pointer 13 does not match directory entry 11 "
+         "[section P] [line 25]"),
+        ("144,1,1,0,9;", "144,1,1,0,9,",
+         "directory entry 11: unterminated parameter record [section P] [line 25]"),
+        ("142,1,1,7,0,1;", "143,1,1,7,0,1;",
+         "directory entry 9: parameter record starts with entity type 143, expected 142 "
+         "[section P] [line 24]"),
+        ("0.70699999999999996", "0.7069999999999999x",
+         "cannot parse float from '0.7069999999999999x' [section P] [line 19]"),
+        # records that end early, at each entity's last required token
+        ("128,1,1,1,1,0,0,0,0,0,", "128,1,1,1,1,0,0,0,0;",
+         "entity 128 (D1): parameter record ended while reading surface header "
+         "[section P] [line 17]"),
+        ("1,1,0,0,1,0,1;", "1,1;",
+         "entity 128 (D1): parameter record ended while reading control points "
+         "[section P] [line 17]"),
+        (_CURVE_D5, "126,2,1,1,0,0;",
+         "entity 126 (D5): parameter record ended while reading curve header "
+         "[section P] [line 22]"),
+        (_CURVE_D5, "126,2,1,1,0,0,0,0,0,0.5,1,1;",
+         "entity 126 (D5): parameter record ended while reading weights [section P] [line 22]"),
+        ("102,2,3,5;", "102,2,3;",
+         "entity 102 (D7): parameter record ended while reading composite members "
+         "[section P] [line 23]"),
+        ("142,1,1,7,0,1;", "142,1,1,7,0;",
+         "entity 142 (D9): parameter record ended while reading curve-on-surface record "
+         "[section P] [line 24]"),
+        ("144,1,1,0,9;", "144,1,1,0;",
+         "entity 144 (D11): parameter record ended while reading trimmed surface record "
+         "[section P] [line 25]"),
+        # entity contents
+        ("126,2,1,", "126,0,1,",
+         "entity 126 (D5): invalid indices K=0, M=1 [section P] [line 22]"),
+        ("128,1,1,1,1,", "128,1,1,2,1,",
+         "entity 128 (D1): invalid indices K1=1, K2=1, M1=2, M2=1 [section P] [line 17]"),
+        ("126,2,1,1,0,0,0,0,0,0.5,", "126,2,1,1,0,0,0,0,0,1.5,",
+         "entity 126 (D5): knots must be non-decreasing [section P] [line 22]"),
+        ("128,1,1,1,1,0,0,0,0,0,0,0,1,1,0,0,1,1,1,", "128,1,1,1,1,0,0,0,0,0,0,0,1,1,0,0,1,1,0,",
+         "entity 128 (D1): all weights must be positive [section P] [line 17]"),
+        ("102,2,3,5;", "102,0,3,5;", "entity 102 (D7): needs at least one member [section P]"),
+        # pointers between entities
+        ("102,2,3,5;", "102,2,1,5;",
+         "trimmed surface D11: boundary member D1 is not a supported curve entity"),
+        ("144,1,1,0,9;", "144,3,1,0,9;", "trimmed surface D11: dangling surface pointer D3"),
+        ("144,1,1,0,9;", "144,1,1,0,7;", "trimmed surface D11: dangling boundary pointer D7"),
+    ])
+    def test_single_fault(self, old, new, expected):
+        text = plate_iges_with(old, new)
+        if isinstance(expected, str):
+            with pytest.raises(IgesParseError) as err:
+                iges.parse(text)
+            assert str(err.value) == expected
+        else:
+            assert iges.parse(text).diagnostics == expected
+            assert_same_region(text)
+
+    def test_directory_faults_are_found_before_parameter_faults(self):
+        # the first entry's record is unterminated, the fifth's types disagree
+        text = plate_iges_with(*_TYPE_143_AT_D9,
+                               plate_iges_with("1,1,0,0,1,0,1;", "1,1,0,0,1,0,1,"))
+        with pytest.raises(IgesParseError) as err:
+            iges.parse(text)
+        assert str(err.value) == ("directory entry 9: entity type mismatch 142 vs 143 "
+                                  "[section D] [line 14]")
 
 
 class TestFuzzing:
