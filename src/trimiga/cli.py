@@ -12,7 +12,7 @@ import numpy as np
 
 from . import iges, native
 from .errors import DomainError, TrimigaError
-from .plate import Material, PlateConfig, convergence_rates, solve_plate
+from .plate import PlateConfig, convergence_rates, solve_plate
 from .quadrature import integrate
 
 
@@ -45,9 +45,9 @@ def _load_path(path):
 
 
 def _load_region(args):
-    if getattr(args, "region", None):
+    if args.region:
         return _load_path(args.region)
-    if getattr(args, "iges", None):
+    if args.iges:
         return iges.extract_region(_load_iges(args.iges))
     raise TrimigaError("no geometry given: pass --region or --iges")
 
@@ -190,7 +190,9 @@ def _plate_config(args):
     for key, value in (("stage", args.stage), ("quad_order", args.order), ("bc", args.bc)):
         if value is not None:
             values[key] = value
-    material = Material(values.pop("youngs_modulus", 1e5), values.pop("poisson_ratio", 0.3))
+    default = PlateConfig()
+    material = replace(default.material, **{
+        key: values.pop(key) for key in ("youngs_modulus", "poisson_ratio") if key in values})
     geometry = values.pop("geometry", None)
     region_path = args.region or geometry
     shaping = [key for key in ("scale", "arc_weight") if key in values]
@@ -198,7 +200,7 @@ def _plate_config(args):
         raise TrimigaError(f"{args.config}: {' and '.join(shaping)} shape only the built-in "
                            "plate, not a region given by --region or geometry")
     cfg = PlateConfig(  # the finest stage, so that PlateConfig checks it
-        stage=values.pop("stage", 2), bc_mode=values.pop("bc", "paper"),
+        stage=values.pop("stage", 2), bc_mode=values.pop("bc", default.bc_mode),
         material=material, **values,
     )
     return cfg, region_path

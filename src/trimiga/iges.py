@@ -354,8 +354,8 @@ def _is_straight(curve):
     return float(np.max(np.linalg.norm(off, axis=1))) <= _STRAIGHT_TOL
 
 
-def _mean_point(curve, n=33):
-    return curve.evaluate(np.linspace(0.0, 1.0, n), 0).value.mean(axis=0)
+def _mean_point(curve):
+    return curve.evaluate(np.linspace(0.0, 1.0, 33), 0).value.mean(axis=0)
 
 
 def extract_region(model, trimmed_index=0):
@@ -415,8 +415,8 @@ def extract_region_with_report(model, trimmed_index=0):
     return region, require_valid(region, f"trimmed surface D{record.de}: extracted region")
 
 
-def boundary_gap_diagnostics(model, tol=_GAP_TOL):
-    """Endpoint mismatches between consecutive boundary-loop curves above tol.
+def boundary_gap_diagnostics(model):
+    """Endpoint mismatches between consecutive boundary-loop curves above _GAP_TOL.
 
     Two-curve boundaries are skipped: their closing edges are implied, so
     the end gaps are intentional.
@@ -430,7 +430,7 @@ def boundary_gap_diagnostics(model, tol=_GAP_TOL):
             here = curves[k].evaluate(1.0, 0).value
             there = curves[(k + 1) % len(curves)].evaluate(0.0, 0).value
             gap = float(np.linalg.norm(here - there))
-            if gap > tol:
+            if gap > _GAP_TOL:
                 notes.append(
                     f"trimmed surface D{record.de}: gap {gap:.3e} between boundary "
                     f"curves {k} and {(k + 1) % len(curves)}"
@@ -450,19 +450,12 @@ class _Writer:
     def __init__(self):
         self.dlines = []
         self.plines = []
-        self.next_de = 1
 
-    def add(self, etype, params, status="00000000", form=0):
-        de = self.next_de
-        body = [str(etype)] + params
-        chunks = self._pack(body)
-        pd_pointer = len(self.plines) + 1
-        for chunk in chunks:
-            self.plines.append((chunk, de))
-        self.dlines.append(
-            (etype, pd_pointer, len(chunks), form, status, de)
-        )
-        self.next_de += 2
+    def add(self, etype, params, status="00000000"):
+        de = 2 * len(self.dlines) + 1
+        chunks = self._pack([str(etype)] + params)
+        self.dlines.append((etype, len(self.plines) + 1, len(chunks), status))
+        self.plines += [(chunk, de) for chunk in chunks]
         return de
 
     @staticmethod
@@ -494,12 +487,12 @@ class _Writer:
         for i, line in enumerate(glines, start=1):
             out.append("{:<72}G{:>7}".format(line, i))
         dseq = 1
-        for etype, pd_pointer, pd_count, form, status, de in self.dlines:
+        for etype, pd_pointer, pd_count, status in self.dlines:
             line1 = "{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}".format(
                 etype, pd_pointer, 0, 0, 0, 0, 0, 0, status
             )
             line2 = "{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}".format(
-                etype, 0, 0, pd_count, form, "", "", "", 0
+                etype, 0, 0, pd_count, 0, "", "", "", 0
             )
             out.append("{:<72}D{:>7}".format(line1, dseq))
             out.append("{:<72}D{:>7}".format(line2, dseq + 1))

@@ -79,7 +79,7 @@ def _split_blocks(text):
         skey = _squash(key)
         if skey in ("order", "degree"):
             vals = _parse_numbers(rest, lineno, "degree")
-            if not 1 <= len(vals) <= 2 or any(v != int(v) or v < 0 for v in vals):
+            if not 1 <= len(vals) <= 2 or any(not v.is_integer() or v < 0 for v in vals):
                 raise NativeFormatError(f"line {lineno}: bad degree line {line!r}")
             current.degrees = [int(v) for v in vals]
         elif skey in ("knots", "knotvector"):

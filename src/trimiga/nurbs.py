@@ -241,14 +241,6 @@ class KnotVector:
         knots = np.repeat(uniques, [m + 1 for m in mults])
         return KnotVector(knots, self.degree + 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KnotVector)
-            and self.degree == other.degree
-            and self.knots.size == other.knots.size
-            and bool(np.all(np.abs(self.knots - other.knots) <= MERGE_TOL))
-        )
-
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, knots={self.knots.tolist()})"
 
@@ -349,10 +341,6 @@ class NurbsCurve:
     def dim(self):
         return self.control_points.shape[1]
 
-    def homogeneous(self):
-        """(n, dim+1) read-only array of weighted points with the weight appended."""
-        return self._homogeneous
-
     @classmethod
     def from_homogeneous(cls, knot_vector, hpoints):
         w = hpoints[:, -1]
@@ -442,10 +430,6 @@ class NurbsSurface:
     @property
     def degrees(self):
         return self.knot_vector_u.degree, self.knot_vector_v.degree
-
-    def homogeneous(self):
-        """(A, B, 4) read-only array of weighted points with the weight appended."""
-        return self._homogeneous
 
     @classmethod
     def from_homogeneous(cls, kv_u, kv_v, hnet):

@@ -57,17 +57,17 @@ class FieldSpace:
         self.knot_vector_t = knot_vector_t
 
     @classmethod
-    def conforming(cls, region, degree_s=2, degree_t=2):
-        """Coarsest space whose continuity matches the map of the region.
+    def conforming(cls, region, degree):
+        """Coarsest space, of one degree in s and t, matching the map's continuity.
 
         Each trimming-curve breakpoint becomes an interior s-knot with the
         multiplicity that reproduces the breakpoint's continuity class.
         """
-        kv_s = _open_knots(degree_s)
+        kv_s = _open_knots(degree)
         for bp in region.breakpoints():
-            mult = min(max(degree_s - bp.continuity, 1), degree_s)
+            mult = min(max(degree - bp.continuity, 1), degree)
             kv_s = kv_s.inserted(bp.s, mult)
-        return cls(kv_s, _open_knots(degree_t))
+        return cls(kv_s, _open_knots(degree))
 
     @property
     def degrees(self):
@@ -87,10 +87,6 @@ class FieldSpace:
         return FieldSpace(
             _bisected(self.knot_vector_s), _bisected(self.knot_vector_t)
         )
-
-    def refined_p(self):
-        """Raise both degrees by one, keeping every continuity class."""
-        return FieldSpace(self.knot_vector_s.elevated(), self.knot_vector_t.elevated())
 
     def basis(self, s, t, order=1):
         """Nonzero functions at (s, t): flat indices, values and derivatives.
@@ -676,7 +672,7 @@ class PlateResult:
 
 
 def plate_field(region, config):
-    field = FieldSpace.conforming(region, config.degree, config.degree)
+    field = FieldSpace.conforming(region, config.degree)
     for _ in range(BASE_HALVINGS + config.stage):
         field = field.refined_h()
     return field

@@ -8,9 +8,11 @@ linearly in t, then through the surface into model space:
     x(s, t)      = S(u(s, t), v(s, t))
 
 The straight closing edges at s = 0 and s = 1 are implied by the blend and
-never stored. First and second derivatives are chained exactly; the mixed
-second derivative uses the symmetric two-variable chain rule, which is what
-central finite differences reproduce.
+never stored. map_point returns the blend with its first derivatives;
+composite_eval chains first and second derivatives exactly, the blend's
+second-order terms staying inside it. The mixed second derivative uses the
+symmetric two-variable chain rule, which is what central finite differences
+reproduce.
 """
 
 from dataclasses import dataclass
@@ -25,22 +27,17 @@ _CONTAIN_TOL = 1e-9
 
 @dataclass(slots=True)
 class MapDerivatives:
-    """Blend map value and derivatives at (s, t).
+    """Blend map value and first derivatives at (s, t).
 
-    d2uv_dt2 is identically zero because the blend is linear in t. When the
-    query sits exactly on an interior knot of a trimming curve, the s
-    derivatives are the right-sided limits. For array queries every field
-    gains the points' shape in front of its last axis, except that the
-    fields independent of t (duv_dt, d2uv_dt2 and d2uv_dsdt) gain s's shape
-    only, which broadcasts against the points'.
+    When the query sits exactly on an interior knot of a trimming curve, the
+    s derivative is the right-sided limit. For array queries uv and duv_ds
+    gain the points' shape in front of their last axis; duv_dt, independent
+    of t, gains s's shape only, which broadcasts against the points'.
     """
 
     uv: np.ndarray
     duv_ds: np.ndarray
     duv_dt: np.ndarray
-    d2uv_ds2: np.ndarray | None = None
-    d2uv_dt2: np.ndarray | None = None
-    d2uv_dsdt: np.ndarray | None = None
 
     @property
     def det(self):
@@ -81,9 +78,9 @@ class Breakpoint:
 class RegionReport:
     """Grid sweep diagnostics produced by TrimmedRegion.validate.
 
-    The blend never leaves the unit square: the constructor keeps every
-    control point inside it, a positive-weight curve stays in the convex
-    hull of its control points, and the blend is convex in t.
+    The blend stays within _CONTAIN_TOL of the unit square: the constructor
+    keeps every control point that close, a positive-weight curve stays in
+    the convex hull of its control points, and the blend is convex in t.
     """
 
     grid_n: int
@@ -176,34 +173,24 @@ class TrimmedRegion:
         return min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
 
     def _blend(self, s, t, order):
-        """Blend map at (s, t); the curves are evaluated at s's values only."""
+        """Blend map at (s, t), and at order 2 its (d2uv_ds2, d2uv_dsdt).
+
+        The curves are evaluated at s's values only. d2uv_dt2 is zero, as
+        the blend is linear in t.
+        """
         b = self.curve_bottom.evaluate(s, order)
         tp = self.curve_top.evaluate(s, order)
         t = np.asarray(t)[..., None]
         uv = (1.0 - t) * b.value + t * tp.value
-        duv_ds = (1.0 - t) * b.d1 + t * tp.d1
-        duv_dt = tp.value - b.value
+        m = MapDerivatives(uv, (1.0 - t) * b.d1 + t * tp.d1, tp.value - b.value)
         if order < 2:
-            return MapDerivatives(uv, duv_ds, duv_dt)
-        d2uv_dsdt = tp.d1 - b.d1
-        return MapDerivatives(
-            uv,
-            duv_ds,
-            duv_dt,
-            d2uv_ds2=(1.0 - t) * b.d2 + t * tp.d2,
-            d2uv_dt2=np.zeros_like(d2uv_dsdt),
-            d2uv_dsdt=d2uv_dsdt,
-        )
+            return m, None
+        return m, ((1.0 - t) * b.d2 + t * tp.d2, tp.d1 - b.d1)
 
     def map_point(self, s, t):
         """Blend map with first derivatives at (s, t)."""
         s, t = self._check_st(s, t)
-        return self._blend(s, t, 1)
-
-    def map_second_derivatives(self, s, t):
-        """Blend map with first and second derivatives at (s, t)."""
-        s, t = self._check_st(s, t)
-        return self._blend(s, t, 2)
+        return self._blend(s, t, 1)[0]
 
     def composite_eval(self, s, t, order=2):
         """Model-space point and chained derivatives of x(u(s,t), v(s,t)).
@@ -217,8 +204,10 @@ class TrimmedRegion:
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         s, t = self._check_st(s, t)
-        m = self._blend(s, t, max(order, 1))
-        # the blend can overshoot [0,1] by roundoff only
+        m, second = self._blend(s, t, max(order, 1))
+        # the blend may leave the square by roundoff and by the _CONTAIN_TOL
+        # the constructor allows control points, and the surface raises
+        # DomainError outside it
         uv = np.minimum(np.maximum(m.uv, 0.0), 1.0)
         sd = self.surface.evaluate(uv[..., 0], uv[..., 1], max(order, 1))
         us, vs = m.duv_ds[..., 0, None], m.duv_ds[..., 1, None]
@@ -229,8 +218,9 @@ class TrimmedRegion:
         check_regular(scale, self.surface.singular_area, s, t)
         if order < 2:
             return CompositeDerivatives(sd.value, dx_ds, dx_dt, jacobian_scale=scale)
-        uss, vss = m.d2uv_ds2[..., 0, None], m.d2uv_ds2[..., 1, None]
-        ust, vst = m.d2uv_dsdt[..., 0, None], m.d2uv_dsdt[..., 1, None]
+        d2uv_ds2, d2uv_dsdt = second
+        uss, vss = d2uv_ds2[..., 0, None], d2uv_ds2[..., 1, None]
+        ust, vst = d2uv_dsdt[..., 0, None], d2uv_dsdt[..., 1, None]
         d2x_ds2 = (
             sd.duu * us * us
             + 2.0 * sd.duv * us * vs
@@ -259,7 +249,7 @@ class TrimmedRegion:
         if grid_n < 4:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
         grid = np.linspace(0.0, 1.0, grid_n + 1)
-        m = self._blend(grid, grid[:, None], 1)
+        m = self._blend(grid, grid[:, None], 1)[0]
         det = m.det
         min_det, max_det = float(det.min()), float(det.max())
         sign_change = not (min_det > 0.0 or max_det < 0.0)

@@ -125,7 +125,7 @@ def test_criterion_4_patch_tests():
     with criterion(4, "linear fields and constant stress reproduce to 1e-10"):
         # linear displacement on a curved trimmed region with a polynomial map
         region = plate_with_hole_region(arc_weight=1.0)
-        field = FieldSpace.conforming(region, 2, 2)
+        field = FieldSpace.conforming(region, 2)
         gx, gy = 0.85, -0.4
         sig = MAT.plane_stress_matrix() @ np.array([gx, gy, 0.0])
         S = np.array([[sig[0], sig[2]], [sig[2], sig[1]]])
@@ -145,7 +145,7 @@ def test_criterion_4_patch_tests():
 
         # constant stress on the identity trim
         square = identity_region()
-        kv_field = FieldSpace.conforming(square, 1, 1)
+        kv_field = FieldSpace.conforming(square, 1)
         tension = {
             "s0": Symmetry(),
             "t0": Symmetry(),
@@ -165,7 +165,7 @@ def test_criterion_5_trimmed_untrimmed_equivalence():
     with criterion(5, "identity-trimmed solve equals the mapping-bypassed solve"):
         surface = unit_square_surface(5.0)
         region = identity_region(surface)
-        field = FieldSpace.conforming(region, 2, 2).refined_h()
+        field = FieldSpace.conforming(region, 2).refined_h()
         bcs = {
             "s0": Symmetry(),
             "t0": Symmetry(),

@@ -479,6 +479,13 @@ def test_non_finite_knot_in_a_native_file_exits_1(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: knots must be finite\n")
 
 
+def test_non_finite_degree_in_a_native_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "nan.trim"
+    path.write_text(native.format_region(identity_region()).replace("degree: 1 1", "degree: nan 1"))
+    code, out, err = run(capsys, "area", "--region", str(path))
+    assert (code, out, err) == (1, "", "error: line 2: bad degree line 'degree: nan 1'\n")
+
+
 @pytest.mark.parametrize("source", ["option", "key"])
 def test_plate_shape_keys_with_a_region_exit_1(capsys, tmp_path, plate_file, source):
     # scale and arc_weight build the built-in plate; a given region ignores them

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trimiga import native
-from trimiga.errors import InvalidGeometryError, NativeFormatError
+from trimiga.errors import InvalidGeometryError, NativeFormatError, TrimigaError
 from trimiga.nurbs import NurbsCurve, NurbsSurface
 
 PASTED_LISTING = """
@@ -114,3 +114,35 @@ def test_separate_knot_lines_for_surfaces():
     (srf,) = native.parse_entities(text)
     assert srf.degrees == (1, 2)
     assert srf.weights.shape == (2, 3)
+
+
+def _one_fault_mutants(text):
+    """text with one token replaced by a bad one, or one line dropped or doubled."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for k in range(len(tokens)):
+            for bad in ("nan", "inf", "1e400", "-1", "1.5", "x", ""):
+                changed = " ".join(tokens[:k] + [bad] + tokens[k + 1:])
+                yield lines[:i] + [changed] + lines[i + 1:]
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+
+
+def test_one_fault_mutants_parse_or_raise_a_trimiga_error(plate_region, square_region):
+    count = 0
+    for region in (plate_region, square_region):
+        for lines in _one_fault_mutants(native.format_region(region)):
+            count += 1
+            try:
+                native.parse_region("\n".join(lines) + "\n")
+            except TrimigaError:
+                pass
+    assert count == 1321
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_non_finite_degree_is_a_format_error(bad):
+    text = f"curve\ndegree: {bad}\nknots: 0 0 1 1\n0 0 1\n1 1 1\n"
+    with pytest.raises(NativeFormatError, match="line 2: bad degree line"):
+        native.parse_entities(text)

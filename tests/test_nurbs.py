@@ -159,12 +159,6 @@ class TestArrayEvaluation:
             for name in ("value", "du", "dv", "duu", "duv", "dvv"):
                 assert np.array_equal(getattr(sd, name)[i, j], getattr(one, name))
 
-    def test_homogeneous_is_stored_read_only(self, arc_curve, curved_surface):
-        for geometry in (arc_curve, curved_surface):
-            h = geometry.homogeneous()
-            assert h is geometry.homogeneous()
-            assert not h.flags.writeable
-
 
 SURFACE_FIELDS = ("value", "du", "dv", "duu", "duv", "dvv")
 
@@ -313,7 +307,8 @@ class TestSurfaceEval:
         p, q = srf.degrees
         su, du = srf.knot_vector_u.basis(u, 2)
         sv, dv = srf.knot_vector_v.basis(v, 2)
-        H = srf.homogeneous()
+        w = srf.weights[..., None]
+        H = np.concatenate([srf.control_net * w, w], axis=2)
         A = {}
         for k in range(3):
             for l in range(3 - k):

@@ -65,7 +65,7 @@ def tension_bcs(direction=0, magnitude=1.0):
 
 class TestFieldSpace:
     def test_conforming_space_inherits_c0_knot(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         values, mults = field.knot_vector_s.interior()
         assert values == [0.5] and mults == [2]
         assert field.knot_vector_t.interior() == ([], [])
@@ -77,7 +77,7 @@ class TestFieldSpace:
         assert np.allclose(values, 0.25, atol=1e-15)
 
     def test_partition_of_unity(self, plate_region, rng):
-        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        field = FieldSpace.conforming(plate_region, 2).refined_h()
         for s, t in rng.random((40, 2)):
             _, values, dN_ds, dN_dt = field.basis(s, t)
             assert abs(values.sum() - 1.0) < 1e-13
@@ -85,12 +85,12 @@ class TestFieldSpace:
             assert abs(dN_dt.sum()) < 1e-12
 
     def test_basis_count(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         idx, values, _, _ = field.basis(0.3, 0.8)
         assert len(values) == 9  # (p_s + 1) * (p_t + 1)
 
     def test_derivatives_match_finite_differences(self, plate_region, rng):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         h = 1e-6
         for _ in range(50):
             s, t = 0.05 + 0.9 * rng.random(2)
@@ -109,7 +109,7 @@ class TestFieldSpace:
             unit_field().basis(1.2, 0.0)
 
     def test_h_refinement_is_nested(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         fine = field.refined_h()
         params = np.linspace(0.0, 1.0, 211)
         for coarse_kv, fine_kv in (
@@ -123,7 +123,7 @@ class TestFieldSpace:
             assert residual < 1e-12
 
     def test_bisection_matches_one_insertion_per_span(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         for _ in range(4):
             fine = field.refined_h()
             for coarse_kv, fine_kv in (
@@ -138,25 +138,10 @@ class TestFieldSpace:
                 assert np.array_equal(fine_kv.knots, one_at_a_time.knots)
             field = fine
 
-    def test_p_refinement_dimension_arithmetic(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
-        fine = field.refined_p()
-        assert fine.degrees == (3, 3)
-        # every distinct knot gains one multiplicity: new dim follows directly
-        for coarse_kv, fine_kv in (
-            (field.knot_vector_s, fine.knot_vector_s),
-            (field.knot_vector_t, fine.knot_vector_t),
-        ):
-            distinct = len(coarse_kv.spans())
-            assert fine_kv.num_basis == coarse_kv.num_basis + distinct - 1
-        # C0 class at the map kink is preserved: degree - multiplicity = 0
-        values, mults = fine.knot_vector_s.interior()
-        assert values == [0.5] and mults == [3]
-
     def test_refinement_leaves_geometry_untouched(self, plate_region, rng):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         before = [plate_region.composite_eval(s, t).x for s, t in rng.random((20, 2))]
-        field.refined_h().refined_p()
+        field.refined_h()
         rng2 = np.random.default_rng(20240615)
         after = [plate_region.composite_eval(s, t).x for s, t in rng2.random((20, 2))]
         for a, b in zip(before, after):
@@ -176,7 +161,7 @@ class TestPhysicalGradients:
         # interpolate u(x, y) = x exactly: the (polynomial) map components lie
         # in the conforming field space, so Greville collocation is exact
         region = poly_plate_region
-        field = FieldSpace.conforming(region, 2, 2)
+        field = FieldSpace.conforming(region, 2)
         gs, gt = field.knot_vector_s.greville(), field.knot_vector_t.greville()
         V = np.array(
             [[region.composite_eval(s, t, 0).x[:2] for t in gt] for s in gs]
@@ -198,7 +183,7 @@ class TestPhysicalGradients:
     def test_gradients_match_map_inversion_oracle(self, plate_region, rng):
         # differentiate the field along physical axes by inverting the map
         # with Newton iteration: independent of the jacobian-solve code path
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
 
         def invert(target, s, t):
             for _ in range(60):
@@ -234,13 +219,13 @@ class TestPhysicalGradients:
 
 class TestAssembly:
     def test_stiffness_is_symmetric(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         bcs = {"s0": Symmetry(), "s1": Symmetry(), "t0": Free(), "t1": Free()}
         K, _ = assemble(plate_region, field, MAT, bcs)
         assert np.abs(K - K.T).max() < 1e-10 * np.abs(K).max()
 
     def test_rigid_translations_are_in_the_kernel(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         bcs = {"s0": Free(), "s1": Free(), "t0": Free(), "t1": Free()}
         K, _ = assemble(plate_region, field, MAT, bcs)
         scale = np.abs(K).max()
@@ -352,7 +337,7 @@ class TestAssembly:
         # tiling without the field's knot lines puts one panel over many spans
         monkeypatch.setattr(plate, "partition_regions",
                             lambda geometry, field: partition_regions(geometry))
-        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        field = FieldSpace.conforming(plate_region, 2).refined_h()
         with pytest.raises(AssemblyError, match="field knot span"):
             assemble_stiffness(plate_region, field, MAT, 3)
 
@@ -547,7 +532,7 @@ class TestStressErrorNorm:
             [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0], [1.0, 0.5], [1.0, 0.0]],
         )
         region = TrimmedRegion(unit_square_surface(5.0), hole_arc_curve(), top)
-        values, mults = FieldSpace.conforming(region, 2, 2).knot_vector_s.interior()
+        values, mults = FieldSpace.conforming(region, 2).knot_vector_s.interior()
         assert np.allclose(values, [0.25, 0.5, 0.75]) and mults == [2, 2, 2]
         config = PlateConfig(stage=0, bc_mode="exact")
         solution = solve_plate(config, region=region).solution
@@ -643,7 +628,7 @@ class TestSolver:
         self, poly_plate_region, rng
     ):
         region = poly_plate_region
-        field = FieldSpace.conforming(region, 2, 2)
+        field = FieldSpace.conforming(region, 2)
         for gx, gy in ((1.0, 0.0), (0.4, -0.9), (0.73, 0.21)):
             sig = MAT.plane_stress_matrix() @ np.array([gx, gy, 0.0])
             S = np.array([[sig[0], sig[2]], [sig[2], sig[1]]])
@@ -664,7 +649,7 @@ class TestSolver:
         # with the rational arc weight the map components leave the polynomial
         # field space, so linear fields cannot be captured exactly; the gap
         # shrinks under refinement but never reaches machine precision
-        field = FieldSpace.conforming(plate_region, 2, 2)
+        field = FieldSpace.conforming(plate_region, 2)
         sig = MAT.plane_stress_matrix() @ np.array([1.0, 0.0, 0.0])
         S = np.array([[sig[0], sig[2]], [sig[2], sig[1]]])
         bcs = {
@@ -812,7 +797,7 @@ class TestSolver:
         region = TrimmedRegion(unit_square_surface(), hole_arc_curve(1.0), top)
         assert region.validate(16).ok
         assert [round(bp.s, 6) for bp in region.breakpoints()] == [0.3, 0.7]
-        field = FieldSpace.conforming(region, 2, 2)
+        field = FieldSpace.conforming(region, 2)
         values, mults = field.knot_vector_s.interior()
         assert np.allclose(values, [0.3, 0.7]) and mults == [2, 2]
         gx, gy = 0.6, -0.35

@@ -122,7 +122,7 @@ class TestPartition:
         assert tiling.s_lines.tolist() == [0.0, 0.5, 1.0]
 
     def test_tiling_sums_to_unit_area(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        field = FieldSpace.conforming(plate_region, 2).refined_h()
         tiling = partition_regions(plate_region, field)
         hs, ht = np.diff(tiling.s_lines), np.diff(tiling.t_lines)
         assert abs(math.fsum(np.outer(hs, ht).ravel().tolist()) - 1.0) < 1e-13
@@ -136,7 +136,7 @@ class TestPartition:
                 lines[1] = 0.25
 
     def test_rule_weights_sum_to_area(self, plate_region):
-        field = FieldSpace.conforming(plate_region, 2, 2).refined_h()
+        field = FieldSpace.conforming(plate_region, 2).refined_h()
         tiling = partition_regions(plate_region, field)
         assert tiling.s_lines.size - 1 == 4
         # 4 columns of 2 panels at 16 points each fit in one batch
@@ -190,7 +190,7 @@ class TestPartition:
 
     def test_len_counts_the_panels_gauss_panels_yields(self, plate_region, monkeypatch):
         # len() is what the benchmark's tracer reports as quadrature.panels
-        field = FieldSpace.conforming(plate_region, 2, 2).refined_h().refined_h()
+        field = FieldSpace.conforming(plate_region, 2).refined_h().refined_h()
         tiling = partition_regions(plate_region, field)
         monkeypatch.setattr(quadrature, "BATCH_POINTS", 50)
         batches = list(gauss_panels(tiling, 3))

@@ -6,7 +6,7 @@ import pytest
 
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve
-from trimiga.quadrature import Tiling, gauss_panels
+from trimiga.quadrature import Tiling, gauss_panels, integrate
 from trimiga.shapes import identity_region, unit_square_surface
 from trimiga.trimming import RegionReport, TrimmedRegion
 
@@ -73,41 +73,44 @@ class TestMapPoint:
 
 
 class TestSecondDerivatives:
+    # on the scale-1 plate the surface is the identity in (x, y), so the
+    # first two components of composite_eval's derivatives are the blend's
+
     def test_blend_is_linear_in_t(self, plate_region, rng):
         for s, t in rng.random((20, 2)):
-            m = plate_region.map_second_derivatives(s, t)
-            assert np.all(m.d2uv_dt2 == 0.0)
+            cd = plate_region.composite_eval(s, t, 2)
+            assert np.all(cd.d2x_dt2 == 0.0)
 
     def test_fields_broadcast_on_a_grid(self, plate_region):
-        # the t-independent fields keep s's shape, d2uv_dt2 included
+        # duv_dt, independent of t, keeps s's shape
         s = np.array([[0.1], [0.5], [0.9]])
         t = np.array([[0.0, 0.3, 0.7, 1.0]])
-        m = plate_region.map_second_derivatives(s, t)
-        for name in ("uv", "duv_ds", "d2uv_ds2"):
-            assert getattr(m, name).shape == (3, 4, 2)
-        for name in ("duv_dt", "d2uv_dt2", "d2uv_dsdt"):
-            assert getattr(m, name).shape == (3, 1, 2)
-        assert np.all(m.d2uv_dt2 == 0.0)
-        assert np.broadcast_shapes(m.d2uv_dt2.shape, m.uv.shape) == (3, 4, 2)
+        m = plate_region.map_point(s, t)
+        assert m.uv.shape == m.duv_ds.shape == (3, 4, 2)
+        assert m.duv_dt.shape == (3, 1, 2)
+        cd = plate_region.composite_eval(s, t, 2)
+        for name in ("x", "dx_ds", "dx_dt", "d2x_ds2", "d2x_dt2", "d2x_dsdt"):
+            assert getattr(cd, name).shape == (3, 4, 3)
 
     def test_identity_trim_is_affine(self, square_region):
-        m = square_region.map_second_derivatives(0.37, 0.81)
+        m = square_region.map_point(0.37, 0.81)
         assert np.allclose(m.duv_ds, [1.0, 0.0], atol=1e-15)
         assert np.allclose(m.duv_dt, [0.0, 1.0], atol=1e-15)
-        for d2 in (m.d2uv_ds2, m.d2uv_dt2, m.d2uv_dsdt):
+        cd = square_region.composite_eval(0.37, 0.81, 2)
+        for d2 in (cd.d2x_ds2, cd.d2x_dt2, cd.d2x_dsdt):
             assert np.all(d2 == 0.0)
 
     def test_bottom_edge_curvature_at_breakpoint(self, plate_region):
         # at t = 0 only the (smooth) arc contributes, so central differences
         # straddling s = 0.5 remain valid even though the polyline kinks there
         h = 1e-4
-        m = plate_region.map_second_derivatives(0.5, 0.0)
+        d2 = plate_region.composite_eval(0.5, 0.0, 2).d2x_ds2[:2]
         fd = (
             plate_region.map_point(0.5 + h, 0.0).uv
             - 2.0 * plate_region.map_point(0.5, 0.0).uv
             + plate_region.map_point(0.5 - h, 0.0).uv
         ) / h**2
-        assert rel(m.d2uv_ds2 - fd, m.d2uv_ds2) < 1e-5
+        assert rel(d2 - fd, d2) < 1e-5
 
     def test_second_derivatives_match_finite_differences(self, plate_region, rng):
         h = 1e-4
@@ -116,7 +119,7 @@ class TestSecondDerivatives:
             if abs(s - 0.5) < 0.02:
                 continue
             t = 0.05 + 0.9 * rng.random()
-            m = plate_region.map_second_derivatives(s, t)
+            cd = plate_region.composite_eval(s, t, 2)
             fd_ss = (
                 plate_region.map_point(s + h, t).duv_ds
                 - plate_region.map_point(s - h, t).duv_ds
@@ -125,8 +128,8 @@ class TestSecondDerivatives:
                 plate_region.map_point(s, t + h).duv_ds
                 - plate_region.map_point(s, t - h).duv_ds
             ) / (2 * h)
-            assert rel(m.d2uv_ds2 - fd_ss, m.d2uv_ds2) < 1e-5
-            assert rel(m.d2uv_dsdt - fd_st, m.d2uv_dsdt) < 1e-5
+            assert rel(cd.d2x_ds2[:2] - fd_ss, cd.d2x_ds2[:2]) < 1e-5
+            assert rel(cd.d2x_dsdt[:2] - fd_st, cd.d2x_dsdt[:2]) < 1e-5
 
 
 class TestCompositeEval:
@@ -178,11 +181,15 @@ class TestCompositeEval:
 
     def test_mixed_term_is_symmetric_in_the_roles_of_s_and_t(self, plate_region, rng):
         for s, t in 0.02 + 0.96 * rng.random((25, 2)):
-            m = plate_region.map_second_derivatives(s, t)
+            m = plate_region.map_point(s, t)
             sd = plate_region.surface.evaluate(float(m.uv[0]), float(m.uv[1]), 2)
             us, vs = m.duv_ds
             ut, vt = m.duv_dt
-            ust, vst = m.d2uv_dsdt
+            # d2uv_dsdt: the blend's t-derivative of duv_ds
+            ust, vst = (
+                plate_region.curve_top.evaluate(s, 1).d1
+                - plate_region.curve_bottom.evaluate(s, 1).d1
+            )
             one = (
                 sd.duu * us * ut + sd.duv * (us * vt + ut * vs) + sd.dvv * vs * vt
                 + sd.du * ust + sd.dv * vst
@@ -214,6 +221,18 @@ class TestCompositeEval:
         with pytest.raises(SingularMapError) as err:
             degenerate.composite_eval(0.3, 0.4)
         assert "0.3" in str(err.value)
+
+    def test_curve_just_outside_the_square_stays_evaluable(self):
+        # the constructor accepts control points up to _CONTAIN_TOL outside
+        # the square; the clip before the surface keeps such a map evaluable
+        surface = unit_square_surface()
+        region = TrimmedRegion(
+            surface, segment([0.0, -5e-10], [1.0, -5e-10]), segment([0.0, 1.0], [1.0, 1.0])
+        )
+        with pytest.raises(DomainError):
+            surface.evaluate(0.5, -5e-10)
+        assert np.array_equal(region.composite_eval(0.5, 0.0, 1).x, [0.5, 0.0, 0.0])
+        assert integrate(region, lambda cd: 1.0, 4) == pytest.approx(1.0 + 5e-10, abs=1e-15)
 
     def test_fully_curved_composite_against_finite_differences(
         self, curved_surface, rng
