@@ -332,6 +332,8 @@ class NurbsCurve:
             [self.control_points * self.weights[:, None], self.weights[:, None]]
         )
         self._homogeneous.flags.writeable = False
+        #: (s, order, value, d1, d2) of the last Python-float query
+        self._last = (None, None)
 
     @property
     def degree(self):
@@ -350,7 +352,14 @@ class NurbsCurve:
         """Rational point and derivatives at s via the quotient rule.
 
         For an array s every field gains s's shape in front of its last axis.
+        For a Python float s other than ±0.0 the arrays are read-only, and a
+        repeat of the last such query returns them in a fresh bundle: the
+        per-point quadrature.integrate asks for each s-node once per t-node.
+        This memo is a stopgap, deleted with that loop (see ROADMAP.md).
         """
+        memo = type(s) is float and s != 0.0
+        if memo and (last := self._last)[0] == s and last[1] == order:
+            return CurveDerivatives(*last[2:])
         kv = self.knot_vector
         span, ders = kv.basis(s, order)
         H = self._homogeneous[_support(span, kv.degree)]
@@ -364,6 +373,10 @@ class NurbsCurve:
             d1 = (Ad[..., 1, :] - w[..., 1, :] * value) / w0
         if order >= 2:
             d2 = (Ad[..., 2, :] - 2.0 * w[..., 1, :] * d1 - w[..., 2, :] * value) / w0
+        if memo:
+            for a in (value, d1, d2)[:order + 1]:
+                a.setflags(write=False)
+            self._last = (s, order, value, d1, d2)
         return CurveDerivatives(value, d1, d2)
 
     def insert_knot(self, value, multiplicity=1):
@@ -405,15 +418,21 @@ class NurbsSurface:
                 f"weights must have shape ({A}, {B}), got {weights.shape}"
             )
         weights = _check_weights(weights, A * B).reshape(A, B)
+        # a finite net can still overflow in its weighted points or in the
+        # square of its size; the checks below reject that without a warning
+        with np.errstate(over="ignore"):
+            hnet = np.concatenate([net * weights[..., None], weights[..., None]], axis=2)
+            points = net.reshape(-1, 3)
+            size = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+        _require_finite(hnet, "weighted control points")
+        _require_finite(size * size, "the squared control net size")
         self.knot_vector_u = knot_vector_u
         self.knot_vector_v = knot_vector_v
         self.control_net = net
         self.weights = weights
         self.control_net.flags.writeable = False
         self.weights.flags.writeable = False
-        self._homogeneous = np.concatenate(
-            [net * weights[..., None], weights[..., None]], axis=2
-        )
+        self._homogeneous = hnet
         self._homogeneous.flags.writeable = False
         # the net with v outermost, flattened, and the offsets of a point's
         # (q+1, p+1) block in it: the array path gathers with one np.take
@@ -421,8 +440,6 @@ class NurbsSurface:
         self._net_vu.flags.writeable = False
         p, q = knot_vector_u.degree, knot_vector_v.degree
         self._block = np.arange(q + 1)[:, None] * A + np.arange(p + 1)
-        points = net.reshape(-1, 3)
-        size = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
         #: singular-map thresholds for edge tangents and area measures
         self.singular_length = SINGULAR_TOL * size
         self.singular_area = SINGULAR_TOL * size * size

@@ -18,6 +18,9 @@ the plate's integrals take a batch of panels per call. The benchmark's
 tracer test (perfbench/test_generator.py) counts one composite_eval call
 per quadrature point, so batching `integrate` waits for a revision of that
 test; ROADMAP.md, "Batch quadrature.integrate by column", has the plan.
+Meanwhile each trimming curve is evaluated once per Gauss s-node, not once
+per point: a panel's points are s-major, and NurbsCurve.evaluate returns
+its last Python-float query again. That memo goes with the per-point loop.
 """
 
 import functools

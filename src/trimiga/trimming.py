@@ -241,10 +241,11 @@ class TrimmedRegion:
         )
 
     def validate(self, grid_n=32):
-        """Sweep an (n+1) x (n+1) grid; report-only, never raises.
+        """Sweep an (n+1) x (n+1) grid and report what it finds.
 
-        Each curve is evaluated once at the n + 1 s-values, and det is
-        formed on the whole (t, s) grid at once.
+        A fold-over or degeneracy is reported, not raised; only grid_n < 4
+        raises, as DomainError. Each curve is evaluated once at the n + 1
+        s-values, and det is formed on the whole (t, s) grid at once.
         """
         if grid_n < 4:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
@@ -287,15 +288,16 @@ def _first_where(mask, *values):
 
 
 def check_regular(measure, tol, s, t):
-    """SingularMapError at the first point (s-major) whose measure is <= tol.
+    """SingularMapError at the first point (s-major) whose measure is not > tol.
 
-    tol comes from the surface's model size (NurbsSurface.singular_area or
-    singular_length), so the test does not depend on the model's units.
+    A NaN measure is singular. tol comes from the surface's model size
+    (NurbsSurface.singular_area or singular_length), so the test does not
+    depend on the model's units.
     """
-    singular = measure <= tol
-    # a float measure gives a bool, which np.any takes microseconds to test
-    if singular if isinstance(singular, bool) else singular.any():
-        raise SingularMapError(*_first_where(singular, s, t, measure))
+    regular = measure > tol
+    # a float measure gives a bool, which np.all takes microseconds to test
+    if not (regular if isinstance(regular, bool) else regular.all()):
+        raise SingularMapError(*_first_where(np.logical_not(regular), s, t, measure))
 
 
 def _merge_breakpoints(bottom, top):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -484,6 +485,20 @@ def test_non_finite_degree_in_a_native_file_exits_1(capsys, tmp_path):
     path.write_text(native.format_region(identity_region()).replace("degree: 1 1", "degree: nan 1"))
     code, out, err = run(capsys, "area", "--region", str(path))
     assert (code, out, err) == (1, "", "error: line 2: bad degree line 'degree: nan 1'\n")
+
+
+@pytest.mark.parametrize("point, message", [
+    ("1e300 1 0 1", "the squared control net size must be finite"),
+    ("5 5 0 1e308", "weighted control points must be finite"),
+])
+def test_overflowing_control_net_exits_1_without_a_warning(capsys, tmp_path, point, message):
+    path = tmp_path / "huge.trim"
+    path.write_text(native.format_region(plate_with_hole_region()).replace(
+        "\n1 1 0 1\n", f"\n{point}\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "area", "--region", str(path))
+    assert (code, out, err, caught) == (1, "", f"error: {message}\n", [])
 
 
 @pytest.mark.parametrize("source", ["option", "key"])

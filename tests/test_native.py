@@ -146,3 +146,15 @@ def test_non_finite_degree_is_a_format_error(bad):
     text = f"curve\ndegree: {bad}\nknots: 0 0 1 1\n0 0 1\n1 1 1\n"
     with pytest.raises(NativeFormatError, match="line 2: bad degree line"):
         native.parse_entities(text)
+
+
+@pytest.mark.parametrize("point, message", [
+    ("1e300 1 0 1", "squared control net size"),  # finite net, size**2 overflows
+    ("5 5 0 1e308", "weighted control points"),  # x * w overflows
+])
+def test_a_control_net_that_overflows_is_rejected(plate_region, point, message):
+    # pytest makes warnings errors, so numpy's overflow warnings would fail this too
+    text = native.format_region(plate_region)
+    assert text.count("\n1 1 0 1\n") == 1
+    with pytest.raises(InvalidGeometryError, match=message):
+        native.parse_region(text.replace("\n1 1 0 1\n", f"\n{point}\n"))

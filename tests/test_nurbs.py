@@ -9,6 +9,7 @@ from trimiga.errors import DomainError, InvalidGeometryError, InvalidRefinementE
 from trimiga.nurbs import MERGE_TOL, KnotVector, NurbsCurve, NurbsSurface
 
 from conftest import segment
+from test_refinement_properties import curves
 
 
 def de_casteljau_rational(points, weights, s):
@@ -216,6 +217,71 @@ def test_batched_surface_evaluation_equals_scalar_calls_bitwise(data):
     for name in SURFACE_FIELDS:
         got = getattr(empty, name)
         assert (got is None) if getattr(batch, name) is None else got.shape == (2, 0, 3)
+
+
+CURVE_FIELDS = ("value", "d1", "d2")
+
+#: the spellings of one parameter value; the memo may take only a Python
+#: float, so that spelling is drawn as often as the other three together
+SPELLINGS = (float, float, float, np.float64, np.array, lambda s: np.array([s]))
+
+
+@st.composite
+def curve_queries(draw):
+    """(curve index, s, order, spelling) steps, each changing one part or none.
+
+    A step repeats the last one, moves to the other curve, changes the
+    order, or draws everything afresh, with s often 0.0, -0.0 or 1.0.
+    """
+    k, s, order, spelling = 0, 0.5, 1, float
+    steps = []
+    for _ in range(draw(st.integers(1, 24))):
+        change = draw(st.sampled_from(("none", "curve", "order", "all")))
+        if change == "curve":
+            k = 1 - k
+        elif change == "order":
+            order = draw(st.integers(0, 2))
+        elif change == "all":
+            k, order = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+            s = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+            spelling = draw(st.sampled_from(SPELLINGS))
+        steps.append((k, s, order, spelling))
+    return steps
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_the_last_query_memo_is_invisible(data):
+    """Every answer has a fresh copy's bits, whatever came before and was done to it.
+
+    Two random rational curves of degree 1-3, with interior knots of any
+    allowed multiplicity, take turns; after each answer its arrays are
+    written to where they allow it, and every field of its bundle is rebound.
+    """
+    pair = [data.draw(curves()) for _ in range(2)]
+    for k, s, order, spelling in data.draw(curve_queries()):
+        c = pair[k]
+        got = c.evaluate(spelling(s), order)
+        want = NurbsCurve(c.knot_vector, c.control_points, c.weights).evaluate(spelling(s), order)
+        for name in CURVE_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+                if spelling is float and s != 0.0:
+                    assert not a.flags.writeable, name
+                else:
+                    a[...] = 7.0
+            setattr(got, name, np.full(3, 9.0))
+
+
+def test_a_repeated_float_query_skips_the_basis(arc_curve, monkeypatch):
+    calls = []
+    basis = KnotVector.basis
+    monkeypatch.setattr(KnotVector, "basis", lambda kv, u, order=0: calls.append(u) or basis(kv, u, order))
+    for s, order in [(0.3, 1), (0.3, 1), (0.3, 2), (0.3, 2), (0.3, 1), (0.0, 1), (0.0, 1)]:
+        arc_curve.evaluate(s, order)
+    assert calls == [0.3, 0.3, 0.3, 0.0, 0.0]
 
 
 class TestCurveEval:

@@ -3,7 +3,8 @@
 A scalar query takes the evaluators' scalar branches, chosen by nurbs._rank.
 These tests check that every scalar spelling of a point gives the same bits,
 that NaN is rejected like any parameter outside [0, 1], and that a grid of
-scalar calls on seeded benchmark regions still gives the recorded bits.
+scalar calls on seeded benchmark regions, and their areas by integrate,
+still give the recorded bits.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from trimiga.errors import DomainError
 from trimiga.nurbs import KnotVector, _rank
+from trimiga.quadrature import integrate
 from trimiga.shapes import plate_with_hole_region
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -142,3 +144,19 @@ def test_scalar_grid_matches_the_recorded_bits():
     regions = generate_regions(1001)
     got = {k: grid_digest(regions[k][0]) for k in RECORDED_GRIDS}
     assert got == RECORDED_GRIDS
+
+
+#: sha256 prefix of the areas integrate(region, lambda cd: 1.0, 16) of
+#: regions 0, 3, ..., 45 of perfbench seed 1001, as float64 bytes in that
+#: order, recorded before the trimming curves' scalar queries were memoized,
+#: with RECORDED_MATMUL there
+RECORDED_AREAS = "bf7295e12cd04720"
+
+
+def test_integrate_matches_the_recorded_bits():
+    if matmul_digest() != RECORDED_MATMUL:
+        pytest.skip("this BLAS rounds small matmuls unlike the recording machine")
+    h = hashlib.sha256()
+    for region, _ in generate_regions(1001)[::3]:
+        h.update(np.float64(integrate(region, lambda cd: 1.0, 16)).tobytes())
+    assert h.hexdigest()[:16] == RECORDED_AREAS

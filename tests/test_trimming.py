@@ -8,7 +8,7 @@ from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.quadrature import Tiling, gauss_panels, integrate
 from trimiga.shapes import identity_region, unit_square_surface
-from trimiga.trimming import RegionReport, TrimmedRegion
+from trimiga.trimming import RegionReport, TrimmedRegion, check_regular
 
 from conftest import segment
 
@@ -503,3 +503,13 @@ class TestConstruction:
         lifted = NurbsCurve(kv, [[0.0, 0.0, 0.2], [1.0, 0.0, 0.2]])
         with pytest.raises(InvalidGeometryError):
             TrimmedRegion(unit_square_surface(), lifted, segment([0, 1], [1, 1]))
+
+
+def test_a_nan_measure_is_singular():
+    with pytest.raises(SingularMapError, match="nan"):
+        check_regular(float("nan"), 1e-14, 0.25, 0.5)
+    with pytest.raises(SingularMapError) as info:
+        check_regular(np.array([[1.0, 1.0], [np.nan, 1.0]]), 1e-14,
+                      np.array([[0.1], [0.2]]), np.array([[0.3, 0.4]]))
+    assert (info.value.s, info.value.t) == (0.2, 0.3)
+    check_regular(np.array([1.0, 2.0]), 1e-14, 0.5, np.array([0.1, 0.2]))
