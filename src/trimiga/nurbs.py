@@ -13,6 +13,10 @@ Conventions:
     one-sided derivative values at breakpoints deterministic;
   * knot vectors, curves and surfaces are immutable; refinement returns
     new objects.
+
+The quotient rule is written once, on components: Python floats for a scalar
+query and views for a batch (_unpack), after shared matmuls. Elementwise IEEE
+arithmetic rounds alike on both, so both give the same bits.
 """
 
 from bisect import bisect_right
@@ -39,6 +43,31 @@ _SCALAR_TYPES = (float, int, np.generic)
 def _rank(x):
     """np.ndim(x), answered at once for Python and numpy scalars."""
     return 0 if isinstance(x, _SCALAR_TYPES) else np.ndim(x)
+
+
+def _unpack(a, rank, axes=1):
+    """a's last `axes` axes in front, indexed a[k][l][c]: nested lists of
+    Python floats for a scalar query (rank 0), views of a for a batch."""
+    return np.moveaxis(a, range(-axes, 0), range(axes)) if rank else a.tolist()
+
+
+def _pack(components, rank):
+    """The field whose last axis holds these components, the inverse of _unpack."""
+    return np.stack(components, axis=-1) if rank else np.array(components)
+
+
+def _quotient(a, w, terms=()):
+    """Components of (a - w_1 d_1 - w_2 d_2 ...) / w, subtracted left to right.
+
+    a is a homogeneous derivative, its weight last and dropped; each term
+    pairs a weight derivative w_k with a lower derivative's components d_k.
+    """
+    out = []
+    for c, x in enumerate(a[:-1]):
+        for wk, d in terms:
+            x = x - wk * d[c]
+        out.append(x / w)
+    return out
 
 
 def merge_close(values):
@@ -332,7 +361,7 @@ class NurbsCurve:
             [self.control_points * self.weights[:, None], self.weights[:, None]]
         )
         self._homogeneous.flags.writeable = False
-        #: (s, order, value, d1, d2) of the last Python-float query
+        #: (s, order, value, d1, ...) of the last Python-float query
         self._last = (None, None)
 
     @property
@@ -362,22 +391,21 @@ class NurbsCurve:
             return CurveDerivatives(*last[2:])
         kv = self.knot_vector
         span, ders = kv.basis(s, order)
-        H = self._homogeneous[_support(span, kv.degree)]
-        A = ders @ H  # rows: (order+1) homogeneous derivatives
-        w = A[..., -1:]
-        Ad = A[..., :-1]
-        w0 = w[..., 0, :]
-        value = Ad[..., 0, :] / w0
-        d1 = d2 = None
+        rank = _rank(s)
+        # A[k][c]: k-th derivative of homogeneous coordinate c, the weight last
+        A = _unpack(ders @ self._homogeneous[_support(span, kv.degree)], rank, 2)
+        w = A[0][-1]
+        fields = [_quotient(A[0], w)]
         if order >= 1:
-            d1 = (Ad[..., 1, :] - w[..., 1, :] * value) / w0
+            fields.append(_quotient(A[1], w, [(A[1][-1], fields[0])]))
         if order >= 2:
-            d2 = (Ad[..., 2, :] - 2.0 * w[..., 1, :] * d1 - w[..., 2, :] * value) / w0
+            fields.append(_quotient(A[2], w, [(2.0 * A[1][-1], fields[1]), (A[2][-1], fields[0])]))
+        fields = [_pack(f, rank) for f in fields]
         if memo:
-            for a in (value, d1, d2)[:order + 1]:
+            for a in fields:
                 a.setflags(write=False)
-            self._last = (s, order, value, d1, d2)
-        return CurveDerivatives(value, d1, d2)
+            self._last = (s, order, *fields)
+        return CurveDerivatives(*fields)
 
     def insert_knot(self, value, multiplicity=1):
         """Exact knot insertion, `multiplicity` copies of `value` at once."""
@@ -462,9 +490,10 @@ class NurbsSurface:
         p, q = self.degrees
         span_u, du = self.knot_vector_u.basis(u, order)
         span_v, dv = self.knot_vector_v.basis(v, order)
+        rank = _rank(span_u) or _rank(span_v)
         # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j];
         # explicit sizes, so that an empty batch reshapes too
-        if _rank(span_u) or _rank(span_v):
+        if rank:
             # H[j, i] per point by one take on the v-major net, then one
             # product per point per direction; G comes out as G[i, c, l],
             # ready for the u product without a copy
@@ -478,27 +507,23 @@ class NurbsSurface:
             H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
             A = du @ (dv[None] @ H).reshape(p + 1, (order + 1) * 4)
             A = A.reshape(order + 1, order + 1, 4)
-        w = A[..., -1:]
-        Ad = A[..., :-1]
-        w0 = w[..., 0, 0, :]
-        value = Ad[..., 0, 0, :] / w0
-        out = {"value": value}
+        # A[k][l][c]: the (k, l)-th partial of homogeneous coordinate c
+        A = _unpack(A, rank, 3)
+        w = A[0][0][3]
+        value = _quotient(A[0][0], w)
+        fields = [value]
         if order >= 1:
-            su = (Ad[..., 1, 0, :] - w[..., 1, 0, :] * value) / w0
-            sv = (Ad[..., 0, 1, :] - w[..., 0, 1, :] * value) / w0
-            out["du"], out["dv"] = su, sv
+            wu, wv = A[1][0][3], A[0][1][3]
+            su = _quotient(A[1][0], w, [(wu, value)])
+            sv = _quotient(A[0][1], w, [(wv, value)])
+            fields += [su, sv]
         if order >= 2:
-            out["duu"] = (
-                Ad[..., 2, 0, :] - 2 * w[..., 1, 0, :] * su - w[..., 2, 0, :] * value
-            ) / w0
-            out["dvv"] = (
-                Ad[..., 0, 2, :] - 2 * w[..., 0, 1, :] * sv - w[..., 0, 2, :] * value
-            ) / w0
-            out["duv"] = (
-                Ad[..., 1, 1, :] - w[..., 1, 0, :] * sv - w[..., 0, 1, :] * su
-                - w[..., 1, 1, :] * value
-            ) / w0
-        return SurfaceDerivatives(**out)
+            fields += [
+                _quotient(A[2][0], w, [(2 * wu, su), (A[2][0][3], value)]),
+                _quotient(A[1][1], w, [(wu, sv), (wv, su), (A[1][1][3], value)]),
+                _quotient(A[0][2], w, [(2 * wv, sv), (A[0][2][3], value)]),
+            ]
+        return SurfaceDerivatives(*(_pack(f, rank) for f in fields))
 
     def insert_knot(self, value, direction, multiplicity=1):
         """Exact knot insertion along 'u' or 'v'."""

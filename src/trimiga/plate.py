@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import KnotVector
+from .nurbs import KnotVector, _rank, _unpack
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
 from .trimming import CompositeDerivatives, check_regular, cross_norm
@@ -221,7 +221,8 @@ class DirectGeometry:
         if order != 1:
             raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
         sd = self.surface.evaluate(s, t, order=1)
-        scale = cross_norm(sd.du, sd.dv)
+        rank = _rank(s) or _rank(t)
+        scale = cross_norm(_unpack(sd.du, rank), _unpack(sd.dv, rank))
         check_regular(scale, self.surface.singular_area, s, t)
         return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
 
@@ -629,6 +630,10 @@ class PlateConfig:
             raise DomainError(f"bc_mode must be 'paper' or 'exact', got {self.bc_mode!r}")
         if self.degree < 1:
             raise DomainError(f"degree must be >= 1, got {self.degree}")
+        # the error norm integrates on quad_order + 2 points, and a rule has at most 64
+        order = self.quad_order
+        if order is not None and not (isinstance(order, int) and 1 <= order <= 62):
+            raise DomainError(f"quad_order must be a quadrature order within 1..62, got {order}")
         _check_positive(self, ("scale", "far_stress", "arc_weight"))
 
 

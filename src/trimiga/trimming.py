@@ -13,14 +13,19 @@ composite_eval chains first and second derivatives exactly, the blend's
 second-order terms staying inside it. The mixed second derivative uses the
 symmetric two-variable chain rule, which is what central finite differences
 reproduce.
+
+The blend, the chain rule, MapDerivatives.det and cross_norm are written
+once, on components: floats for a scalar query, views for a batch, with the
+same bits (nurbs._unpack).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
-from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, _rank, merge_close
+from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, _pack, _rank, _unpack, merge_close
 
 _CONTAIN_TOL = 1e-9
 
@@ -42,11 +47,9 @@ class MapDerivatives:
     @property
     def det(self):
         """Signed parameter-space Jacobian det d(u,v)/d(s,t)."""
-        det = (
-            self.duv_ds[..., 0] * self.duv_dt[..., 1]
-            - self.duv_ds[..., 1] * self.duv_dt[..., 0]
-        )
-        return det if _rank(det) else float(det)
+        rank = self.duv_ds.ndim - 1
+        (us, vs), (ut, vt) = _unpack(self.duv_ds, rank), _unpack(self.duv_dt, rank)
+        return us * vt - vs * ut
 
 
 @dataclass(slots=True)
@@ -173,24 +176,29 @@ class TrimmedRegion:
         return min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
 
     def _blend(self, s, t, order):
-        """Blend map at (s, t), and at order 2 its (d2uv_ds2, d2uv_dsdt).
-
-        The curves are evaluated at s's values only. d2uv_dt2 is zero, as
-        the blend is linear in t.
-        """
+        """(rank, uv, duv_ds, duv_dt, d2uv): the query's rank and the blend's
+        (u, v) components at (s, t) (nurbs._unpack), evaluating the curves at
+        s's values only. d2uv is [] below order 2, else d2uv_ds2 and
+        d2uv_dsdt; d2uv_dt2 is zero, as the blend is linear in t."""
+        rank = _rank(s) or _rank(t)
         b = self.curve_bottom.evaluate(s, order)
-        tp = self.curve_top.evaluate(s, order)
-        t = np.asarray(t)[..., None]
-        uv = (1.0 - t) * b.value + t * tp.value
-        m = MapDerivatives(uv, (1.0 - t) * b.d1 + t * tp.d1, tp.value - b.value)
-        if order < 2:
-            return m, None
-        return m, ((1.0 - t) * b.d2 + t * tp.d2, tp.d1 - b.d1)
+        c = self.curve_top.evaluate(s, order)
+        # per s-derivative k, the components of C_I^(k) and C_II^(k)
+        pairs = [(_unpack(p, rank), _unpack(q, rank))
+                 for p, q in zip((b.value, b.d1, b.d2)[:order + 1], (c.value, c.d1, c.d2))]
+        r = 1.0 - t
+        mix = [[r * p + t * q for p, q in zip(*pair)] for pair in pairs]
+        gap = [[q - p for p, q in zip(*pair)] for pair in pairs[:order]]
+        return rank, mix[0], mix[1], gap[0], mix[2:] + gap[1:]
+
+    def _map(self, s, t):
+        """map_point for (s, t) already inside the square."""
+        rank, *fields, _ = self._blend(s, t, 1)
+        return MapDerivatives(*(_pack(f, rank) for f in fields))
 
     def map_point(self, s, t):
         """Blend map with first derivatives at (s, t)."""
-        s, t = self._check_st(s, t)
-        return self._blend(s, t, 1)[0]
+        return self._map(*self._check_st(s, t))
 
     def composite_eval(self, s, t, order=2):
         """Model-space point and chained derivatives of x(u(s,t), v(s,t)).
@@ -204,41 +212,32 @@ class TrimmedRegion:
         if order not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
         s, t = self._check_st(s, t)
-        m, second = self._blend(s, t, max(order, 1))
+        rank, uv, (us, vs), (ut, vt), d2uv = self._blend(s, t, max(order, 1))
         # the blend may leave the square by roundoff and by the _CONTAIN_TOL
         # the constructor allows control points, and the surface raises
         # DomainError outside it
-        uv = np.minimum(np.maximum(m.uv, 0.0), 1.0)
-        sd = self.surface.evaluate(uv[..., 0], uv[..., 1], max(order, 1))
-        us, vs = m.duv_ds[..., 0, None], m.duv_ds[..., 1, None]
-        ut, vt = m.duv_dt[..., 0, None], m.duv_dt[..., 1, None]
-        dx_ds = sd.du * us + sd.dv * vs
-        dx_dt = sd.du * ut + sd.dv * vt
+        u, v = (np.minimum(np.maximum(x, 0.0), 1.0) if rank else min(max(x, 0.0), 1.0)
+                for x in uv)
+        sd = self.surface.evaluate(u, v, max(order, 1))
+        # the chain rule, per model-space component
+        xu, xv = _unpack(sd.du, rank), _unpack(sd.dv, rank)
+        dx_ds = [a * us + b * vs for a, b in zip(xu, xv)]
+        dx_dt = [a * ut + b * vt for a, b in zip(xu, xv)]
         scale = cross_norm(dx_ds, dx_dt)
         check_regular(scale, self.surface.singular_area, s, t)
+        first = (sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank))
         if order < 2:
-            return CompositeDerivatives(sd.value, dx_ds, dx_dt, jacobian_scale=scale)
-        d2uv_ds2, d2uv_dsdt = second
-        uss, vss = d2uv_ds2[..., 0, None], d2uv_ds2[..., 1, None]
-        ust, vst = d2uv_dsdt[..., 0, None], d2uv_dsdt[..., 1, None]
-        d2x_ds2 = (
-            sd.duu * us * us
-            + 2.0 * sd.duv * us * vs
-            + sd.dvv * vs * vs
-            + sd.du * uss
-            + sd.dv * vss
-        )
-        d2x_dt2 = sd.duu * ut * ut + 2.0 * sd.duv * ut * vt + sd.dvv * vt * vt
-        d2x_dsdt = (
-            sd.duu * us * ut
-            + sd.duv * (us * vt + ut * vs)
-            + sd.dvv * vs * vt
-            + sd.du * ust
-            + sd.dv * vst
-        )
-        return CompositeDerivatives(
-            sd.value, dx_ds, dx_dt, d2x_ds2, d2x_dt2, d2x_dsdt, scale
-        )
+            return CompositeDerivatives(*first, jacobian_scale=scale)
+        (uss, vss), (ust, vst) = d2uv
+        xuu, xuv, xvv = (_unpack(f, rank) for f in (sd.duu, sd.duv, sd.dvv))
+        d2x_ds2, d2x_dt2, d2x_dsdt = [], [], []
+        for a, b, aa, ab, bb in zip(xu, xv, xuu, xuv, xvv):
+            d2x_ds2.append(aa * us * us + 2.0 * ab * us * vs + bb * vs * vs + a * uss + b * vss)
+            d2x_dt2.append(aa * ut * ut + 2.0 * ab * ut * vt + bb * vt * vt)
+            d2x_dsdt.append(aa * us * ut + ab * (us * vt + ut * vs) + bb * vs * vt
+                            + a * ust + b * vst)
+        second = [_pack(f, rank) for f in (d2x_ds2, d2x_dt2, d2x_dsdt)]
+        return CompositeDerivatives(*first, *second, scale)
 
     def validate(self, grid_n=32):
         """Sweep an (n+1) x (n+1) grid and report what it finds.
@@ -250,7 +249,7 @@ class TrimmedRegion:
         if grid_n < 4:
             raise DomainError(f"grid_n must be at least 4, got {grid_n}")
         grid = np.linspace(0.0, 1.0, grid_n + 1)
-        m = self._blend(grid, grid[:, None], 1)[0]
+        m = self._map(grid, grid[:, None])
         det = m.det
         min_det, max_det = float(det.min()), float(det.max())
         sign_change = not (min_det > 0.0 or max_det < 0.0)
@@ -273,12 +272,12 @@ def require_valid(region, source):
 
 
 def cross_norm(a, b):
-    """|a x b| of 3-vectors along the last axis; a float for single vectors."""
-    c0 = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    c1 = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    c2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    norm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    return norm if _rank(norm) else float(norm)
+    """|a x b| of 3-vectors given by components: a float for floats (nurbs._unpack)."""
+    c0 = a[1] * b[2] - a[2] * b[1]
+    c1 = a[2] * b[0] - a[0] * b[2]
+    c2 = a[0] * b[1] - a[1] * b[0]
+    square = c0 * c0 + c1 * c1 + c2 * c2
+    return np.sqrt(square) if _rank(square) else math.sqrt(square)
 
 
 def _first_where(mask, *values):

@@ -543,3 +543,11 @@ def test_plate_order_0_exits_1(capsys):
     code, out, err = run(capsys, "plate", "--stage", "0", "--order", "0")
     assert (code, out) == (1, "")
     assert "quadrature order" in err
+
+
+def test_plate_order_63_exits_1_naming_63(capsys):
+    # the error norm integrates on two more points than --order; the order
+    # is rejected before the solve, with the number the user gave
+    code, out, err = run(capsys, "plate", "--stage", "0", "--order", "63")
+    assert (code, out) == (1, "")
+    assert "quadrature order" in err and "63" in err and "65" not in err

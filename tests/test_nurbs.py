@@ -221,6 +221,29 @@ def test_batched_surface_evaluation_equals_scalar_calls_bitwise(data):
 
 CURVE_FIELDS = ("value", "d1", "d2")
 
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_batched_curve_evaluation_equals_scalar_calls_bitwise(data):
+    """The array path gives each parameter the scalar path's bits, for every field.
+
+    Random rational 2D and 3D curves of degree 1-3, with interior knots of
+    any allowed multiplicity, at random parameters, the ends and the knots.
+    """
+    curve = data.draw(curves())
+    order = data.draw(st.integers(0, 2))
+    s = np.array(data.draw(parameters(curve.knot_vector)))
+    batch = curve.evaluate(s, order)
+    for i in range(s.size):
+        one = curve.evaluate(float(s[i]), order)
+        for name in CURVE_FIELDS:
+            want = getattr(one, name)
+            if want is None:
+                assert getattr(batch, name) is None
+            else:
+                assert getattr(batch, name)[i].tobytes() == want.tobytes(), name
+
+
 #: the spellings of one parameter value; the memo may take only a Python
 #: float, so that spelling is drawn as often as the other three together
 SPELLINGS = (float, float, float, np.float64, np.array, lambda s: np.array([s]))

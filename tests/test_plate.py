@@ -761,6 +761,7 @@ class TestSolver:
             PlateConfig(bc_mode="sideways")
         for field, value in (("degree", 0), ("scale", 0.0), ("scale", -5.0),
                              ("far_stress", 0.0), ("arc_weight", 0.0),
+                             ("quad_order", 0), ("quad_order", 63), ("quad_order", 2.5),
                              ("arc_weight", math.nan), ("scale", math.inf),
                              ("far_stress", math.inf), ("arc_weight", math.inf)):
             with pytest.raises(DomainError, match=field):

@@ -329,23 +329,34 @@ class TestArrayCompositeEval:
                         got = getattr(grid, name)[i, j]
                         assert rel(got - ref, ref) <= 1e-13, (order, name, i, j)
 
-    @pytest.mark.parametrize("name", ["plate", "seed 1001 region 9"])
+    @pytest.mark.parametrize("name", ["plate"] + [
+        f"seed 1001 region {k}" for k in (9, 0, 6, 12, 18, 24, 30, 36, 42)])
     def test_gauss_panel_batch_equals_scalar_calls_bitwise(self, name, plate_region):
         # the blend, surface and chain-rule path as the plate runs it: a
         # whole gauss_panels batch, (c, 1, n, 1) s-nodes by (1, T, 1, n)
         # t-nodes, on a tiling with extra lines; region 9 has a (2, 3)
-        # surface with 3 and 2 interior knots
-        region = plate_region if name == "plate" else generate_regions(1001)[9][0]
+        # surface with 3 and 2 interior knots. The batch unpacks its
+        # components as views and a scalar call as floats: the two must
+        # give the same bits in every field of map_point and composite_eval
+        region = (plate_region if name == "plate"
+                  else generate_regions(1001)[int(name.rsplit(" ", 1)[1])][0])
         s_breaks, t_breaks = region.breaklines()
         tiling = Tiling(s_breaks + [0.25, 0.5, 0.75], t_breaks + [0.3, 0.6])
         (s, t, weights), = gauss_panels(tiling, 3)
-        for order in (1, 2):
-            batch = region.composite_eval(s, t, order)
+        calls = [(region.map_point, ("uv", "duv_ds", "duv_dt", "det"))] + [
+            (lambda s, t, order=order: region.composite_eval(s, t, order), self.FIELDS[order])
+            for order in (0, 1, 2)
+        ]
+        for call, fields in calls:
+            batch = call(s, t)
             for k, l, i, j in np.ndindex(weights.shape):
-                one = region.composite_eval(float(s[k, 0, i, 0]), float(t[0, l, 0, j]), order)
-                for field in self.FIELDS[order]:
-                    got = np.asarray(getattr(batch, field)[k, l, i, j])
-                    assert got.tobytes() == np.asarray(getattr(one, field)).tobytes(), field
+                one = call(float(s[k, 0, i, 0]), float(t[0, l, 0, j]))
+                for field in fields:
+                    # duv_dt has the s-nodes' shape only
+                    got = getattr(batch, field)
+                    got = np.broadcast_to(got, weights.shape + got.shape[weights.ndim:])
+                    want = np.asarray(getattr(one, field))
+                    assert got[k, l, i, j].tobytes() == want.tobytes(), field
 
     def test_map_point_broadcasts_over_s_and_t(self, plate_region):
         m = plate_region.map_point(np.array([[0.25], [0.5]]), np.array([[0.0, 1.0]]))
