@@ -47,13 +47,29 @@ def _rank(x):
 
 def _unpack(a, rank, axes=1):
     """a's last `axes` axes in front, indexed a[k][l][c]: nested lists of
-    Python floats for a scalar query (rank 0), views of a for a batch."""
-    return np.moveaxis(a, range(-axes, 0), range(axes)) if rank else a.tolist()
+    Python floats for a scalar query (rank 0), views of a for a batch.
+
+    The batch view is one transpose with its axis order written out, the
+    view np.moveaxis gives without its Python-side axis normalisation.
+    """
+    if not rank:
+        return a.tolist()
+    lead = a.ndim - axes
+    return a.transpose((*range(lead, a.ndim), *range(lead)))
 
 
 def _pack(components, rank):
-    """The field whose last axis holds these components, the inverse of _unpack."""
-    return np.stack(components, axis=-1) if rank else np.array(components)
+    """The field whose last axis holds these components, the inverse of _unpack.
+
+    A batch fills one empty array component by component: the values of
+    np.stack(components, axis=-1), without its per-call overhead.
+    """
+    if not rank:
+        return np.array(components)
+    out = np.empty(np.shape(components[0]) + (len(components),))
+    for k, c in enumerate(components):
+        out[..., k] = c
+    return out
 
 
 def _quotient(a, w, terms=()):

@@ -8,12 +8,14 @@ one batch of whole columns of Gauss panels at a time (gauss_panels): the
 T panels each, so the trimming curves are evaluated at the batch's s-nodes
 only. Stiffness is assembled one element block per panel straight into the
 data of its CSR pattern. The error norm evaluates the solved field on each
-batch's tensor grid from 1D basis tables (sum factorization) and keeps one
-fsum per panel. Each traction edge is evaluated in one call on the tiling's
-lines along it. The square's four edges are named in one table, _EDGES. The
-constrained system is solved by LAPACK's banded Cholesky: in the field's
-own numbering K is a band, read straight from its CSR arrays, so no
-ordering and no copy of the free block are needed.
+batch's tensor grid from 1D basis tables (sum factorization), one
+contiguous array per displacement component, and sums each integral with
+one exactly rounded fsum over all its terms. Each traction edge is
+evaluated in one call on the tiling's lines along it. The square's four
+edges are named in one table, _EDGES. The constrained system is solved by
+LAPACK's banded Cholesky: in the field's own numbering K is a band, written
+from its CSR arrays through one flat index, so no ordering and no copy of
+the free block are needed.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -137,7 +139,7 @@ class Material:
     poisson_ratio: float
 
     def __post_init__(self):
-        _check_positive(self, ("youngs_modulus",))
+        _check_positive(youngs_modulus=self.youngs_modulus)
         if not 0.0 <= self.poisson_ratio < 0.5:  # NaN too
             raise DomainError(f"poisson_ratio must be in [0, 0.5), got {self.poisson_ratio}")
 
@@ -153,10 +155,9 @@ class Material:
         return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
 
-def _check_positive(owner, names):
-    """DomainError naming the first of owner's named fields that is not finite and positive."""
-    for name in names:
-        value = getattr(owner, name)
+def _check_positive(**values):
+    """DomainError naming the first of the named values that is not finite and positive."""
+    for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
         if value <= 0:
@@ -259,22 +260,32 @@ def physical_gradients(geometry, field, s, t):
     """
     cd = geometry.composite_eval(s, t, 1)
     indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
-    dN_dx, dN_dy = _to_physical(geometry, cd, s, t, dN_ds, dN_dt)
+    # one axis over the functions after the points'
+    jac = [e[..., None] for e in _jacobian(geometry, cd, s, t)]
+    dN_dx, dN_dy = _to_physical(jac, dN_ds, dN_dt)
     return indices, values, dN_dx, dN_dy, cd
 
 
-def _to_physical(geometry, cd, s, t, d_ds, d_dt):
-    """(d_dx, d_dy) from (d_ds, d_dt) by the inverse of J^T at each point.
+def _jacobian(geometry, cd, s, t):
+    """(a, b, c, d, det) of the planar J = [[x_s, x_t], [y_s, y_t]] per point.
 
-    The derivative arrays carry one axis after the points' (that of the
-    functions, or of the displacement components); a point whose Jacobian
-    determinant is singular raises SingularMapError.
+    A point whose determinant is singular raises SingularMapError.
     """
     _require_planar(geometry.surface)
-    a, b = cd.dx_ds[..., 0, None], cd.dx_dt[..., 0, None]
-    c, d = cd.dx_ds[..., 1, None], cd.dx_dt[..., 1, None]
+    a, b = cd.dx_ds[..., 0], cd.dx_dt[..., 0]
+    c, d = cd.dx_ds[..., 1], cd.dx_dt[..., 1]
     det = a * d - b * c
-    check_regular(np.abs(det[..., 0]), geometry.surface.singular_area, s, t)
+    check_regular(np.abs(det), geometry.surface.singular_area, s, t)
+    return a, b, c, d, det
+
+
+def _to_physical(jac, d_ds, d_dt):
+    """(d_dx, d_dy) from (d_ds, d_dt) by the inverse of J^T at each point.
+
+    jac is _jacobian's tuple, its arrays shaped to broadcast against the
+    derivative arrays.
+    """
+    a, b, c, d, det = jac
     return (d * d_ds - c * d_dt) / det, (-b * d_ds + a * d_dt) / det
 
 
@@ -306,8 +317,10 @@ def _stiffness_pattern(field):
     the data positions of their entries, of shape (2, 2, P, m, m) over the
     components (c, e) and the functions (a, b).
     """
-    (first_s, count_s), (first_t, count_t) = map(
-        _coupling, (field.knot_vector_s, field.knot_vector_t)
+    # int32 throughout, as the CSR arrays: positions makes the largest
+    # integer arrays of the assembly
+    (first_s, count_s), (first_t, count_t) = (
+        np.int32(_coupling(kv)) for kv in (field.knot_vector_s, field.knot_vector_t)
     )
     ns, nt = field.shape
     row_len = np.repeat(2 * np.outer(count_s, count_t).ravel(), 2)
@@ -324,11 +337,13 @@ def _stiffness_pattern(field):
             indices[slot + 1] = col + 1
 
     def positions(g):
-        i, j = np.divmod(g, nt)
+        g = g.astype(np.int32)
+        i, j = np.divmod(g, np.int32(nt))
         ia, ja, ib, jb = i[:, :, None], j[:, :, None], i[:, None, :], j[:, None, :]
         slot = 2 * ((ib - first_s[ia]) * count_t[ja] + jb - first_t[ja])
-        start = indptr[2 * g + np.arange(2)[:, None, None]]
-        return start[:, None, :, :, None] + slot + np.arange(2)[:, None, None, None]
+        c = np.arange(2, dtype=np.int32)
+        start = indptr[2 * g + c[:, None, None]]
+        return start[:, None, :, :, None] + slot + c[:, None, None, None]
 
     return indptr, indices, positions
 
@@ -366,8 +381,11 @@ def assemble_stiffness(geometry, field, material, n_quad):
         w = (weights * cd.jacobian_scale).reshape(P, q, 1)
         dx, dy = dN_dx.reshape(P, q, m), dN_dy.reshape(P, q, m)
         wdx = np.swapaxes(w * dx, 1, 2)
-        xy = wdx @ dy
-        gram = np.stack([wdx @ dx, xy, np.swapaxes(xy, 1, 2), np.swapaxes(w * dy, 1, 2) @ dy])
+        gram = np.empty((4, P, m, m))
+        np.matmul(wdx, dx, out=gram[0])
+        np.matmul(wdx, dy, out=gram[1])
+        gram[2] = np.swapaxes(gram[1], 1, 2)
+        np.matmul(np.swapaxes(w * dy, 1, 2), dy, out=gram[3])
         blocks = coef @ gram.reshape(4, -1)
         # consecutive columns fill a contiguous run of rows: sum over that run
         pos = positions(idx[:, :, 0, 0].reshape(P, m))
@@ -491,10 +509,13 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     K is symmetric positive definite once constrained, and banded in the
     field's s-major, t-fastest numbering: function (i, j) couples only with
     (i ± degree_s, j ± degree_t), so the half-bandwidth is about
-    2 (degree_s n_t + degree_t). The lower band, band[i - j, j] = K[i, j],
-    is read straight from the CSR arrays, its width from the pattern; each
-    fixed dof becomes an identity row and column with a zero load. A pivot
-    that is not positive is a SolveError.
+    2 (degree_s n_t + degree_t). The lower band is written through one flat
+    index from the CSR arrays into a C-ordered (n, kd + 1) array, row j
+    holding K[j + k, j] at k, its width kd from the pattern; its transpose
+    is LAPACK's band[i - j, j] = K[i, j] in Fortran order, factored in
+    place. Each fixed dof's row and column are then zeroed inside the band,
+    making it an identity row and column with a zero load. A pivot that is
+    not positive is a SolveError.
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
@@ -503,17 +524,22 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     n = K.shape[0]
     free = np.ones(n, dtype=bool)
     free[list(fixed)] = False
-    rows = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
-    lower = (rows >= K.indices) & free[rows] & free[K.indices]
-    cols = K.indices[lower]
-    offset = rows[lower] - cols
-    # Fortran order: LAPACK factors the band in place
-    band = np.zeros((int(offset.max()) + 1, n), order="F")
-    band[offset, cols] = K.data[lower]
-    band[0, ~free] = 1.0
+    offset = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr)) - K.indices
+    lower = offset >= 0
+    width = int(offset.max()) + 1
+    band = np.zeros((n, width))
+    flat = band.reshape(-1)
+    flat[(K.indices * width + offset)[lower]] = K.data[lower]
+    # a fixed dof g's column K[g + k, g] is band row g, its row K[g, g - k]
+    # the entries (g - k, k)
+    fixed_dofs = np.flatnonzero(~free)
+    g, k = fixed_dofs[:, None], np.arange(width)
+    flat[((g - k) * width + k)[g >= k]] = 0.0
+    band[fixed_dofs] = 0.0
+    band[fixed_dofs, 0] = 1.0
     rhs = np.where(free, f, 0.0)
     try:
-        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        factor = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
         u = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
     except LinAlgError as exc:
         raise SolveError(f"linear solve failed: {exc}") from None
@@ -554,8 +580,9 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
     Uniaxial far tension along x; hoop stress reaches 3 * far_stress on the
     rim at 90 degrees. Points inside the hole are rejected.
     """
-    r, theta, (sxx, syy, sxy) = _kirsch_stress(x, y, far_stress, hole_radius)
+    r, (sxx, syy, sxy) = _kirsch_stress(x, y, far_stress, hole_radius)
     a, T = hole_radius, far_stress
+    theta = np.arctan2(y, x)
     mu = material.shear_modulus
     kappa = (3.0 - material.poisson_ratio) / (1.0 + material.poisson_ratio)
     ra = r / a
@@ -570,29 +597,32 @@ def kirsch_reference(x, y, far_stress, hole_radius, material):
 
 
 def _kirsch_stress(x, y, far_stress, hole_radius):
-    """Polar (r, theta) and stresses (sxx, syy, sxy) of kirsch_reference.
+    """Radius r, clamped to the rim, and stresses (sxx, syy, sxy) of kirsch_reference.
 
-    The displacements are left out: the error norm needs only the stresses.
+    No trigonometric call: with r² = x² + y², the double-angle identities
+    give cos 2θ = (x - y)(x + y) / r² and sin 2θ = 2xy / r², and 4θ follows
+    from 2θ the same way, so the rim points (0, a) and (a, 0) get their
+    stresses exactly. The displacements are left out: the error norm needs
+    only the stresses. A hole radius or far stress that is not finite and
+    positive is a DomainError.
     """
-    a = hole_radius
-    if a <= 0 or far_stress <= 0:
-        raise DomainError("hole radius and far stress must be positive")
+    _check_positive(hole_radius=hole_radius, far_stress=far_stress)
+    a, T = hole_radius, far_stress
     r = np.hypot(x, y)
     inside = r < a * (1.0 - 1e-12)
     if np.any(inside):
         xi, yi = (np.broadcast_to(v, r.shape)[inside][0] for v in (x, y))
         raise DomainError(f"point ({xi}, {yi}) lies inside the hole of radius {a}")
+    r2 = x * x + y * y
+    c2, s2 = (x - y) * (x + y) / r2, 2.0 * x * y / r2
+    c4, s4 = (c2 - s2) * (c2 + s2), 2.0 * s2 * c2
     r = np.maximum(r, a)
-    theta = np.arctan2(y, x)
-    T = far_stress
     a2 = (a / r) ** 2
     a4 = a2 * a2
-    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    c4, s4 = np.cos(4 * theta), np.sin(4 * theta)
     sxx = T * (1.0 - a2 * (1.5 * c2 + c4) + 1.5 * a4 * c4)
     syy = T * (-a2 * (0.5 * c2 - c4) - 1.5 * a4 * c4)
     sxy = T * (-a2 * (0.5 * s2 + s4) + 1.5 * a4 * s4)
-    return r, theta, (sxx, syy, sxy)
+    return r, (sxx, syy, sxy)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +664,8 @@ class PlateConfig:
         order = self.quad_order
         if order is not None and not (isinstance(order, int) and 1 <= order <= 62):
             raise DomainError(f"quad_order must be a quadrature order within 1..62, got {order}")
-        _check_positive(self, ("scale", "far_stress", "arc_weight"))
+        _check_positive(scale=self.scale, far_stress=self.far_stress,
+                        arc_weight=self.arc_weight)
 
 
 def plate_boundary_conditions(config, hole_radius):
@@ -711,7 +742,10 @@ def stress_error_l2(solution, config, hole_radius, n_quad):
     batch's tensor grid: the coefficients are contracted with the t-basis
     once, as every batch shares its t-nodes, then with the batch's s-basis.
     Both are fixed-order sums, so a point's value does not depend on its
-    batch.
+    batch. Each gradient component is then one contiguous (c, T, n, n)
+    array, in gauss_panels' order, and J^-T is applied to both at once.
+    Each of the two integrals is one exactly rounded fsum over all its
+    terms, fed one batch at a time, so neither depends on the batching.
     """
     geometry, field = solution.geometry, solution.field
     kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
@@ -719,32 +753,36 @@ def stress_error_l2(solution, config, hole_radius, n_quad):
     batches = gauss_panels(partition_regions(geometry, field), n_quad)
     batch = next(batches)
     # t-side, once: every batch has the same (1, T, 1, n) t-nodes, at which
-    # u and u_t are the (n_s, T * n, 2) t-contracted values and t-derivatives
+    # u and u_t are the (2, n_s, T * n) t-contracted values and t-derivatives
     span, ders = kv_t.basis(batch[1].ravel(), 1)
-    coeffs = solution.coeffs.reshape(field.shape + (2,))
-    u, u_t = (_contract(coeffs, span - kv_t.degree, ders[:, k], 1) for k in (0, 1))
+    coeffs = np.moveaxis(solution.coeffs.reshape(field.shape + (2,)), -1, 0)
+    u, u_t = (_contract(coeffs, span - kv_t.degree, ders[:, k], 2) for k in (0, 1))
     num_parts, den_parts = [], []
     for s, t, weights in itertools.chain([batch], batches):
         cd = geometry.composite_eval(s, t, 1)
         span, ders = kv_s.basis(s.ravel(), 1)
-        du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 0)
-        du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 0)
-        # from the (c * n, T * n) grid to gauss_panels' (c, T, n, n) order
+        du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 1)
+        du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 1)
+        # from the (2, c * n, T * n) grid to gauss_panels' (c, T, n, n) order
         c, T, n = weights.shape[:3]
-        du_ds, du_dt = (np.moveaxis(g.reshape(c, n, T, n, 2), 2, 1) for g in (du_ds, du_dt))
-        du_dx, du_dy = _to_physical(geometry, cd, s, t, du_ds, du_dt)
-        exx, eyy, gxy = du_dx[..., 0], du_dy[..., 1], du_dy[..., 0] + du_dx[..., 1]
+        du_ds, du_dt = (np.ascontiguousarray(g.reshape(2, c, n, T, n).swapaxes(2, 3))
+                        for g in (du_ds, du_dt))
+        du_dx, du_dy = _to_physical(_jacobian(geometry, cd, s, t), du_ds, du_dt)
+        exx, eyy, gxy = du_dx[0], du_dy[1], du_dy[0] + du_dx[1]
         sxx, syy, sxy = _kirsch_stress(cd.x[..., 0], cd.x[..., 1], config.far_stress,
-                                       hole_radius)[2]
+                                       hole_radius)[1]
         dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
                          for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
         w = weights * cd.jacobian_scale
-        num = w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
-        den = w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2)
-        panel = (-1, weights[0, 0].size)
-        num_parts.extend(map(math.fsum, num.reshape(panel).tolist()))
-        den_parts.extend(map(math.fsum, den.reshape(panel).tolist()))
-    return math.sqrt(math.fsum(num_parts) / math.fsum(den_parts))
+        num_parts.append(w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2))
+        den_parts.append(w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2))
+    return math.sqrt(_fsum(num_parts) / _fsum(den_parts))
+
+
+def _fsum(arrays):
+    """The exactly rounded sum of every entry of the arrays, as one fsum
+    that reads one array's floats at a time."""
+    return math.fsum(itertools.chain.from_iterable(a.ravel().tolist() for a in arrays))
 
 
 def _contract(coeffs, first, ders, axis):

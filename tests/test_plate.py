@@ -551,13 +551,49 @@ class TestStressErrorNorm:
         assert l2[0] == l2[1]
 
 
+def polar_kirsch_stress(x, y, far_stress, hole_radius):
+    """Kirsch's stresses written in polar angles, by arctan2, cos and sin."""
+    a, T = hole_radius, far_stress
+    r = np.hypot(x, y)
+    theta = np.arctan2(y, x)
+    a2 = (a / r) ** 2
+    a4 = a2 * a2
+    c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+    c4, s4 = np.cos(4 * theta), np.sin(4 * theta)
+    sxx = T * (1.0 - a2 * (1.5 * c2 + c4) + 1.5 * a4 * c4)
+    syy = T * (-a2 * (0.5 * c2 - c4) - 1.5 * a4 * c4)
+    sxy = T * (-a2 * (0.5 * s2 + s4) + 1.5 * a4 * s4)
+    return sxx, syy, sxy
+
+
 class TestKirschReference:
     def test_rim_concentration_factor(self):
-        ref = kirsch_reference(0.0, 1.0, 1.0, 1.0, MAT)
-        assert abs(ref.sxx - 3.0) < 1e-12
-        assert abs(ref.syy) < 1e-12
-        side = kirsch_reference(1.0, 0.0, 1.0, 1.0, MAT)
-        assert abs(side.sxx) < 1e-12
+        # exact at the rim's ends, whatever the hole radius a and far stress T
+        for a, T in [(1.0, 1.0), (0.37, 2.5), (5.0, 1e3)]:
+            top = kirsch_reference(0.0, a, T, a, MAT)
+            assert (top.sxx, top.syy, top.sxy) == (3.0 * T, 0.0, 0.0)
+            side = kirsch_reference(a, 0.0, T, a, MAT)
+            assert (side.sxx, side.syy, side.sxy) == (0.0, -T, 0.0)
+
+    @pytest.mark.parametrize("a, T", [(1.0, 1.0), (0.37, 2.5), (5.0, 1e3)])
+    def test_stresses_match_a_polar_oracle(self, rng, a, T):
+        r = a * (1.0 + 9.0 * rng.random(1200))
+        theta = 0.5 * math.pi * rng.random(1200)
+        # the quadrant's edges and the rim too
+        r[:4], theta[:4] = a, [0.0, 0.5 * math.pi, 0.25 * math.pi, 0.0]
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        ref = kirsch_reference(x, y, T, a, MAT)
+        want = polar_kirsch_stress(x, y, T, a)
+        for got, expected in zip((ref.sxx, ref.syy, ref.sxy), want):
+            assert np.abs(got - expected).max() <= 1e-14 * T
+
+    @pytest.mark.parametrize("a, T", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+        (1.0, math.nan), (1.0, -math.inf), (1.0, math.inf), (1.0, 0.0),
+    ])
+    def test_hole_radius_and_far_stress_must_be_finite_and_positive(self, a, T):
+        with pytest.raises(DomainError):
+            kirsch_reference(3.0, 4.0, T, a, MAT)
 
     def test_far_field_limit(self):
         ref = kirsch_reference(1.0e4, 17.0, 1.0, 1.0, MAT)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from trimiga.errors import DomainError
-from trimiga.nurbs import KnotVector, _rank
+from trimiga.nurbs import KnotVector, _pack, _rank, _unpack
 from trimiga.quadrature import integrate
 from trimiga.shapes import plate_with_hole_region
 
@@ -44,6 +44,29 @@ def fields(bundle):
 ])
 def test_rank_agrees_with_numpy(value):
     assert _rank(value) == np.ndim(value)
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((7, 2), 1),            # a curve field over a batch
+    ((4, 3, 3), 2),         # a curve's homogeneous derivative table
+    ((2, 5, 3, 3, 4), 3),   # a surface's partials over a grid
+    ((3, 4, 5, 5, 3), 1),   # a (c, T, n, n) panel grid of 3-vectors
+    ((0, 2), 1),            # an empty (0,) batch
+    ((0, 3, 3, 4), 3),
+])
+def test_batch_unpack_and_pack_match_moveaxis_and_stack_bitwise(shape, axes):
+    a = np.random.default_rng(11).standard_normal(shape)
+    got = _unpack(a, 1, axes)
+    want = np.moveaxis(a, range(-axes, 0), range(axes))
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.base is a  # a view, not a copy
+    assert got.tobytes() == want.tobytes()
+    # the last unpacked axis's components, packed back
+    components = list(_unpack(a, 1, 1))
+    packed = _pack(components, 1)
+    stacked = np.stack(components, axis=-1)
+    assert packed.shape == stacked.shape == a.shape and packed.dtype == stacked.dtype
+    assert packed.tobytes() == stacked.tobytes() == a.tobytes()
 
 
 class TestNaNIsOutside:
