@@ -7,15 +7,16 @@ one batch of whole columns of Gauss panels at a time (gauss_panels): the
 (C, 1, n, 1) s-nodes of C columns against the (1, T, 1, n) t-nodes of their
 T panels each, so the trimming curves are evaluated at the batch's s-nodes
 only. Stiffness is assembled one element block per panel straight into the
-data of its CSR pattern. The error norm evaluates the solved field on each
+data of its CSR pattern, and a batch's arrays are freed before the next
+batch is evaluated. The error norm evaluates the solved field on each
 batch's tensor grid from 1D basis tables (sum factorization), one
 contiguous array per displacement component, and sums each integral with
 one exactly rounded fsum over all its terms. Each traction edge is
 evaluated in one call on the tiling's lines along it. The square's four
 edges are named in one table, _EDGES. The constrained system is solved by
-LAPACK's banded Cholesky: in the field's own numbering K is a band, written
-from its CSR arrays through one flat index, so no ordering and no copy of
-the free block are needed.
+LAPACK's banded Cholesky: in the field's own numbering K is a band, filled
+from its CSR arrays one field s-column of dofs at a time, so no ordering,
+no copy of the free block and no copy of K's arrays are needed.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -327,14 +328,21 @@ def _stiffness_pattern(field):
     indptr = np.zeros(row_len.size + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(row_len)
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    i, j = np.divmod(np.repeat(np.arange(ns * nt), 2), nt)
-    for u in range(int(count_s.max())):
-        for v in range(int(count_t.max())):
-            rows = np.flatnonzero((u < count_s[i]) & (v < count_t[j]))
-            slot = indptr[rows] + 2 * (u * count_t[j[rows]] + v)
-            col = 2 * ((first_s[i[rows]] + u) * nt + first_t[j[rows]] + v)
-            indices[slot] = col
-            indices[slot + 1] = col + 1
+    # The row of dof (i, j, c) holds, for each coupled s-function
+    # first_s[i] + u, the 2 count_t[j] columns from 2 ((first_s[i] + u) n_t
+    # + first_t[j]) on. So the 2 n_t rows of every s-function in a run of
+    # equal count_s are one pattern shifted by 2 n_t first_s[i], and the
+    # run fills one contiguous (functions, pattern) block of indices.
+    t_first, t_count = (np.repeat(2 * a, 2) for a in (first_t, count_t))  # per (j, c)
+    cuts = list(np.flatnonzero(np.diff(count_s)) + 1)
+    for i0, i1 in zip([0] + cuts, cuts + [ns]):
+        seg_start = (t_first[:, None] + 2 * nt * np.arange(count_s[i0])).ravel()
+        seg_len = np.repeat(t_count, count_s[i0])
+        # seg_start[k] + (0 .. seg_len[k] - 1) for each segment k, back to back
+        pattern = np.repeat(seg_start - (np.cumsum(seg_len) - seg_len), seg_len)
+        pattern += np.arange(pattern.size)
+        block = indices[indptr[2 * nt * i0]:indptr[2 * nt * i1]].reshape(i1 - i0, -1)
+        np.add((2 * nt * first_s[i0:i1])[:, None], pattern, out=block)
 
     def positions(g):
         g = g.astype(np.int32)
@@ -366,35 +374,54 @@ def assemble_stiffness(geometry, field, material, n_quad):
     indptr, indices, positions = _stiffness_pattern(field)
     data = np.zeros(indices.size)
     for s, t, weights in gauss_panels(partition_regions(geometry, field), n_quad):
-        idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-        T, m = weights.shape[1], idx.shape[-1]
-        # a point's first function index names its span pair
-        span = idx[..., 0].reshape(-1, weights[0, 0].size)
-        split = np.any(span != span[:, :1], axis=1)
-        if split.any():
-            c, k = divmod(int(np.argmax(split)), T)
-            raise AssemblyError(
-                f"the Gauss panel at (s, t) = ({s[c].flat[0]:.6g}, {t[0, k].flat[0]:.6g}) "
-                "spans more than one field knot span"
-            )
-        P, q = span.shape
-        w = (weights * cd.jacobian_scale).reshape(P, q, 1)
-        dx, dy = dN_dx.reshape(P, q, m), dN_dy.reshape(P, q, m)
-        wdx = np.swapaxes(w * dx, 1, 2)
-        gram = np.empty((4, P, m, m))
-        np.matmul(wdx, dx, out=gram[0])
-        np.matmul(wdx, dy, out=gram[1])
-        gram[2] = np.swapaxes(gram[1], 1, 2)
-        np.matmul(np.swapaxes(w * dy, 1, 2), dy, out=gram[3])
-        blocks = coef @ gram.reshape(4, -1)
-        # consecutive columns fill a contiguous run of rows: sum over that run
-        pos = positions(idx[:, :, 0, 0].reshape(P, m))
-        lo = int(pos.min())
-        pos -= lo
-        run = np.bincount(pos.ravel(), blocks.ravel())
-        data[lo:lo + run.size] += run
+        _add_blocks(data, positions, *_element_blocks(geometry, field, coef, s, t, weights))
     n = 2 * field.dim
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
+# _element_blocks and _add_blocks are functions of their own so that a
+# batch's arrays are freed on return: its gradients before its blocks are
+# scattered, and its blocks before the next batch is evaluated.
+
+
+def _element_blocks(geometry, field, coef, s, t, weights):
+    """The element blocks of one gauss_panels batch of P panels.
+
+    Returns (first, blocks): the (P, m) functions of each panel, m of them,
+    and the (4, P m m) block entries over (c, e) and then (panel, a, b).
+    """
+    idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+    T, m = weights.shape[1], idx.shape[-1]
+    # a point's first function index names its span pair
+    span = idx[..., 0].reshape(-1, weights[0, 0].size)
+    split = np.any(span != span[:, :1], axis=1)
+    if split.any():
+        c, k = divmod(int(np.argmax(split)), T)
+        raise AssemblyError(
+            f"the Gauss panel at (s, t) = ({s[c].flat[0]:.6g}, {t[0, k].flat[0]:.6g}) "
+            "spans more than one field knot span"
+        )
+    P, q = span.shape
+    w = (weights * cd.jacobian_scale).reshape(P, q, 1)
+    dx, dy = dN_dx.reshape(P, q, m), dN_dy.reshape(P, q, m)
+    wdx = np.swapaxes(w * dx, 1, 2)
+    gram = np.empty((4, P, m, m))
+    np.matmul(wdx, dx, out=gram[0])
+    np.matmul(wdx, dy, out=gram[1])
+    gram[2] = np.swapaxes(gram[1], 1, 2)
+    np.matmul(np.swapaxes(w * dy, 1, 2), dy, out=gram[3])
+    # a copy, not a view that would keep idx alive
+    return idx[:, :, 0, 0].reshape(P, m).copy(), coef @ gram.reshape(4, -1)
+
+
+def _add_blocks(data, positions, first, blocks):
+    """Add _element_blocks' blocks into the CSR data at their positions."""
+    # consecutive columns fill a contiguous run of rows: sum over that run
+    pos = positions(first)
+    lo = int(pos.min())
+    pos -= lo
+    run = np.bincount(pos.ravel(), blocks.ravel())
+    data[lo:lo + run.size] += run
 
 
 def _edge_geometry(geometry, edge, r):
@@ -509,34 +536,21 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     K is symmetric positive definite once constrained, and banded in the
     field's s-major, t-fastest numbering: function (i, j) couples only with
     (i ± degree_s, j ± degree_t), so the half-bandwidth is about
-    2 (degree_s n_t + degree_t). The lower band is written through one flat
-    index from the CSR arrays into a C-ordered (n, kd + 1) array, row j
-    holding K[j + k, j] at k, its width kd from the pattern; its transpose
-    is LAPACK's band[i - j, j] = K[i, j] in Fortran order, factored in
-    place. Each fixed dof's row and column are then zeroed inside the band,
-    making it an identity row and column with a zero load. A pivot that is
-    not positive is a SolveError.
+    2 (degree_s n_t + degree_t). The lower band is filled from K's CSR
+    arrays into a C-ordered (n, kd + 1) array, row j holding K[j + k, j] at
+    k, one field s-column of dofs (2 n_t rows) at a time, so no copy of K's
+    arrays is made; its transpose is LAPACK's band[i - j, j] = K[i, j] in
+    Fortran order, factored in place. Each fixed dof is an identity row and
+    column of the band with a zero load. A pivot that is not positive is a
+    SolveError.
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
     K, f = assemble(geometry, field, material, bcs, n_quad)
     fixed = symmetry_constraints(geometry, field, bcs)
-    n = K.shape[0]
-    free = np.ones(n, dtype=bool)
+    free = np.ones(K.shape[0], dtype=bool)
     free[list(fixed)] = False
-    offset = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr)) - K.indices
-    lower = offset >= 0
-    width = int(offset.max()) + 1
-    band = np.zeros((n, width))
-    flat = band.reshape(-1)
-    flat[(K.indices * width + offset)[lower]] = K.data[lower]
-    # a fixed dof g's column K[g + k, g] is band row g, its row K[g, g - k]
-    # the entries (g - k, k)
-    fixed_dofs = np.flatnonzero(~free)
-    g, k = fixed_dofs[:, None], np.arange(width)
-    flat[((g - k) * width + k)[g >= k]] = 0.0
-    band[fixed_dofs] = 0.0
-    band[fixed_dofs, 0] = 1.0
+    band = _constrained_band(K, free, 2 * field.shape[1])
     rhs = np.where(free, f, 0.0)
     try:
         factor = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
@@ -549,6 +563,37 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     if not np.isfinite(residual) or residual > 1e-10:
         raise SolveError(f"solver residual {residual:.3e} exceeds 1e-10")
     return SolveResult(geometry, field, material, u.reshape(-1, 2), residual, fixed)
+
+
+def _constrained_band(K, free, run):
+    """The lower band of K with each fixed dof an identity row and column.
+
+    Returns the C-ordered (n, kd + 1) array whose row j holds K[j + k, j]
+    at k; kd is the largest distance from a row to its first stored column.
+    The stored K[i, j] with i >= j are copied one run of rows at a time, so
+    no array the size of K's is made besides the band.
+    """
+    n = K.shape[0]
+    indptr, indices, data = K.indptr, K.indices, K.data
+    kd = int((np.arange(n) - indices[indptr[:-1]]).max())
+    band = np.zeros((n, kd + 1))
+    flat = band.reshape(-1)
+    row_len = np.diff(indptr)
+    for r0 in range(0, n, run):
+        lo, hi = indptr[r0], indptr[r0 + run]
+        rows = np.repeat(np.arange(r0, r0 + run), row_len[r0:r0 + run])
+        cols = indices[lo:hi]
+        lower = rows >= cols
+        # K[i, j] is flat[j (kd + 1) + i - j]
+        flat[(rows + np.multiply(cols, kd, dtype=np.intp))[lower]] = data[lo:hi][lower]
+    fixed = np.flatnonzero(~free)
+    # a fixed dof g's row K[g, g - k] lies on the band's anti-diagonal
+    # j + k = g: from j = max(g - kd, 0) on, a slice of stride kd of flat
+    for g in fixed.tolist():
+        flat[g + max(g - kd, 0) * kd:g * (kd + 1) + 1:kd] = 0.0
+    band[fixed] = 0.0  # its column
+    band[fixed, 0] = 1.0
+    return band
 
 
 # ---------------------------------------------------------------------------

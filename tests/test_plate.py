@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -742,6 +743,70 @@ class TestSolver:
         dense = dense_solution(square_region, field, bcs)
         coeffs = result.coeffs.ravel()
         assert np.abs(coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("degree_s, degree_t, knots_s", [
+        (1, 1, uniform_knots(4, 1)),
+        (2, 2, uniform_knots(3, 2)),
+        (3, 3, uniform_knots(3, 3)),
+        (2, 2, [0, 0, 0, 0.3, 0.5, 0.5, 0.7, 1, 1, 1]),  # a C0 s-knot
+        (3, 1, [0, 0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1, 1]),  # a C0 s-knot at degree 3
+    ])
+    def test_band_handed_to_lapack_is_the_constrained_lower_band(
+        self, square_region, monkeypatch, degree_s, degree_t, knots_s
+    ):
+        import scipy.linalg
+
+        bands = []
+        factor = scipy.linalg.cholesky_banded
+
+        def capture(ab, **kwargs):
+            bands.append(np.array(ab))
+            return factor(ab, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", capture)
+        field = FieldSpace(KnotVector(knots_s, degree_s),
+                           KnotVector(uniform_knots(4, degree_t), degree_t))
+        bcs = tension_bcs(0)
+        solve_problem(square_region, field, MAT, bcs)
+        # the dense reference: K with each fixed dof an identity row and
+        # column, its diagonals 0 .. kd, kd the widest stored entry's
+        K, _ = assemble(square_region, field, MAT, bcs)
+        fixed = list(symmetry_constraints(square_region, field, bcs))
+        dense = K.toarray()
+        dense[fixed, :] = 0.0
+        dense[:, fixed] = 0.0
+        dense[fixed, fixed] = 1.0
+        coo = K.tocoo()
+        kd = int((coo.row - coo.col).max())
+        n = K.shape[0]
+        reference = np.zeros((kd + 1, n))
+        for k in range(kd + 1):
+            reference[k, :n - k] = np.diagonal(dense, -k)
+        assert len(bands) == 1 and len(fixed) > 0
+        assert bands[0].shape == reference.shape
+        assert np.array_equal(bands[0], reference)
+
+    def test_stage3_solve_holds_little_besides_the_matrix_and_its_band(self):
+        # K's CSR arrays and the n x (kd + 1) band are what the solve must
+        # hold; the allowance covers one batch of the assembly or one
+        # s-column of the band fill, not a copy of K's arrays
+        config = PlateConfig(stage=3, bc_mode="exact")
+        region = plate_with_hole_region(config.scale, config.arc_weight)
+        field = plate_field(region, config)
+        bcs = plate_boundary_conditions(config, hole_radius(config))
+        solve_problem(region, field, MAT, bcs)  # warm: the lazy imports and caches
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            solve_problem(region, field, MAT, bcs)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        K, _ = assemble(region, field, MAT, bcs)
+        coo = K.tocoo()
+        width = int((coo.row - coo.col).max()) + 1
+        held = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + K.shape[0] * width * 8
+        assert peak <= 1.25 * held
 
     def test_under_integrated_plate_is_a_solve_error(self):
         # one Gauss point per panel leaves K singular: the factor meets a
