@@ -17,6 +17,12 @@ Conventions:
 The quotient rule is written once, on components: Python floats for a scalar
 query and views for a batch (_unpack), after shared matmuls. Elementwise IEEE
 arithmetic rounds alike on both, so both give the same bits.
+
+The knot-span basis (KnotVector.basis) is one kernel text for both as well:
+the Cox-de Boor triangle of NURBS Book A2.2 (Piegl & Tiller), one list of
+values and one of knot sums per degree level, and the first and second
+derivative rows in closed form from the two levels below the top, with
+A2.3's floating-point operations in A2.3's order, so its bits are A2.3's.
 """
 
 from bisect import bisect_right
@@ -84,6 +90,12 @@ def _quotient(a, w, terms=()):
             x = x - wk * d[c]
         out.append(x / w)
     return out
+
+
+def _check_order(order):
+    """DomainError unless order is an integer 0, 1 or 2."""
+    if not isinstance(order, (int, np.integer)) or not 0 <= order <= 2:
+        raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
 
 
 def merge_close(values):
@@ -192,65 +204,85 @@ class KnotVector:
         return min(bisect_right(self._knot_list, u) - 1, last)
 
     def basis(self, u, order=0):
-        """Nonzero basis functions and derivatives at u (NURBS Book A2.3).
+        """Nonzero basis functions and derivatives at u (Cox-de Boor).
 
         Returns (span, ders) where ders[k, j] is the k-th derivative of
         basis function span-degree+j, k = 0..order. Order-0 values are
         non-negative and sum to one. For an array u, span has u's shape and
         ders has shape u.shape + (order + 1, degree + 1); the arithmetic is
         the scalar one, applied elementwise.
+
+        The values come from the triangle of NURBS Book A2.2, one list per
+        degree level. Derivative row k comes in closed form from level
+        degree - k and the knot sums of the k levels above it, by A2.3's
+        operations in A2.3's order: 1.0 / D, -a / D and (a1 - a0) / D, a sum
+        started from 0.0 where A2.3 starts it (which fixes the sign of a
+        zero), times degree (degree - 1) ... (degree - k + 1) formed as
+        A2.3 forms it. The bits are A2.3's. A scalar is checked, clamped
+        and located inline and its rows packed by one np.array; an array is
+        filled row by row.
         """
-        if order < 0 or order > 2:
-            raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
-        u = self._clamped(u)
-        span = self._span(u)
+        _check_order(order)
         p = self.degree
-        shape = u.shape if _rank(u) else ()
-        U = self.knots if shape else self._knot_list
-        # Triangular table of basis values and knot differences (Cox-de Boor).
-        ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
-        left = [0.0] * (p + 1)
-        right = [0.0] * (p + 1)
-        ndu[0][0] = 1.0
-        for j in range(1, p + 1):
-            left[j] = u - U[span + 1 - j]
-            right[j] = U[span + j] - u
-            saved = 0.0
-            for r in range(j):
-                ndu[j][r] = right[r + 1] + left[j - r]
-                temp = ndu[r][j - 1] / ndu[j][r]
-                ndu[r][j] = saved + right[r + 1] * temp
+        rank = _rank(u)
+        if rank:
+            u = self._clamped(u)
+            span = self._span(u)
+            U = self.knots
+        else:
+            if not -MERGE_TOL <= u <= 1.0 + MERGE_TOL:
+                raise DomainError(f"parameter {u} outside [0, 1]")
+            u = min(max(float(u), 0.0), 1.0)
+            U = self._knot_list
+            span = min(bisect_right(U, u) - 1, len(U) - p - 2)
+        # A2.2's triangle: N[j] holds the degree-j values, D[j][r] that
+        # level's knot sums right[r + 1] + left[j - r] (A2.3's indices)
+        left, right = [], []
+        N, D = [[1.0]], [None]
+        for j in range(p):
+            left.append(u - U[span - j])
+            right.append(U[span + j + 1] - u)
+            sums, row, saved = [], [], 0.0
+            for r, lower in enumerate(N[j]):
+                sum_ = right[r] + left[j - r]
+                sums.append(sum_)
+                temp = lower / sum_
+                row.append(saved + right[r] * temp)
                 saved = left[j - r] * temp
-            ndu[j][j] = saved
-        ders = np.empty(shape + (order + 1, p + 1))
-        for r in range(p + 1):
-            ders[..., 0, r] = ndu[r][p]
-        if order == 0:
-            return span, ders
-        # Derivatives from the stored knot differences.
-        a = [[0.0] * (p + 1), [0.0] * (p + 1)]
-        for r in range(p + 1):
-            s1, s2 = 0, 1
-            a[0][0] = 1.0
+            row.append(saved)
+            N.append(row)
+            D.append(sums)
+        rows = [N[p]]
+        if order:
+            # lo and hi are A2.3's a_1 entries, d its running sum
             fac = float(p)
-            for k in range(1, order + 1):
+            fac2 = fac * (p - 1)
+            d1, d2 = [], []
+            for r in range(p + 1):
                 d = 0.0
-                rk = r - k
-                pk = p - k
-                if r >= k:
-                    a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
-                    d = a[s2][0] * ndu[rk][pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = k - 1 if r - 1 <= pk else p - r
-                for j in range(j1, j2 + 1):
-                    a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
-                    d += a[s2][j] * ndu[rk + j][pk]
-                if r <= pk:
-                    a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
-                    d += a[s2][k] * ndu[r][pk]
-                ders[..., k, r] = d * fac
-                fac *= p - k
-                s1, s2 = s2, s1
+                if r:
+                    lo = 1.0 / D[p][r - 1]
+                    d = lo * N[p - 1][r - 1]
+                if r < p:
+                    hi = -1.0 / D[p][r]
+                    d += hi * N[p - 1][r]
+                d1.append(d * fac)
+                if order == 2:
+                    d = 0.0
+                    if r >= 2:
+                        d = lo / D[p - 1][r - 2] * N[p - 2][r - 2]
+                    if 1 <= r < p:
+                        d += (hi - lo) / D[p - 1][r - 1] * N[p - 2][r - 1]
+                    if r < p - 1:
+                        d += -hi / D[p - 1][r] * N[p - 2][r]
+                    d2.append(d * fac2)
+            rows += [d1, d2][:order]
+        if not rank:
+            return span, np.array(rows)
+        ders = np.empty(u.shape + (order + 1, p + 1))
+        for k, row in enumerate(rows):
+            for r, x in enumerate(row):
+                ders[..., k, r] = x
         return span, ders
 
     def greville(self):

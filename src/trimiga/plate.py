@@ -101,21 +101,30 @@ class FieldSpace:
         """
         span_s, ds = self.knot_vector_s.basis(s, order)
         span_t, dt = self.knot_vector_t.basis(t, order)
-        ps, pt = self.degrees
-        _, nt = self.shape
-        is_ = np.asarray(span_s)[..., None] + np.arange(-ps, 1)
-        it = np.asarray(span_t)[..., None] + np.arange(-pt, 1)
-
-        def flat(grid):  # (..., ps + 1, pt + 1) -> (..., (ps + 1) * (pt + 1))
-            return grid.reshape(grid.shape[:-2] + (-1,))
-
-        indices = flat(is_[..., :, None] * nt + it[..., None, :])
-        values = flat(ds[..., 0, :, None] * dt[..., 0, None, :])
+        indices = self._functions(np.asarray(span_s), np.asarray(span_t))
+        values = _products(ds, dt, 0, 0)
         if order == 0:
             return indices, values, None, None
-        dN_ds = flat(ds[..., 1, :, None] * dt[..., 0, None, :])
-        dN_dt = flat(ds[..., 0, :, None] * dt[..., 1, None, :])
-        return indices, values, dN_ds, dN_dt
+        return indices, values, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1)
+
+    def _functions(self, span_s, span_t):
+        """Flat indices of the functions nonzero on span pairs that broadcast
+        together, in a new last axis, s-major."""
+        ps, pt = self.degrees
+        _, nt = self.shape
+        is_ = span_s[..., None] + np.arange(-ps, 1)
+        it = span_t[..., None] + np.arange(-pt, 1)
+        return _flat(is_[..., :, None] * nt + it[..., None, :])
+
+
+def _flat(grid):
+    """(..., ps + 1, pt + 1) -> (..., (ps + 1) * (pt + 1))."""
+    return grid.reshape(grid.shape[:-2] + (-1,))
+
+
+def _products(ds, dt, ks, kt):
+    """The tensor-product functions' (ks, kt)-th partials from 1D tables."""
+    return _flat(ds[..., ks, :, None] * dt[..., kt, None, :])
 
 
 def _open_knots(degree):
@@ -390,18 +399,27 @@ def _element_blocks(geometry, field, coef, s, t, weights):
     Returns (first, blocks): the (P, m) functions of each panel, m of them,
     and the (4, P m m) block entries over (c, e) and then (panel, a, b).
     """
-    idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
-    T, m = weights.shape[1], idx.shape[-1]
-    # a point's first function index names its span pair
-    span = idx[..., 0].reshape(-1, weights[0, 0].size)
-    split = np.any(span != span[:, :1], axis=1)
+    # physical_gradients' arithmetic, without the values and the per-point
+    # function indices that assembly has no use for
+    cd = geometry.composite_eval(s, t, 1)
+    span_s, ds = field.knot_vector_s.basis(s, 1)
+    span_t, dt = field.knot_vector_t.basis(t, 1)
+    jac = [e[..., None] for e in _jacobian(geometry, cd, s, t)]
+    dN_dx, dN_dy = _to_physical(jac, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1))
+    C, T, n = weights.shape[:3]
+    # a panel's points share one span pair when its column's n s-nodes
+    # share one s-span and its n t-nodes one t-span
+    span_s, span_t = span_s.reshape(C, n), span_t.reshape(T, n)
+    split = (np.any(span_s != span_s[:, :1], axis=1)[:, None]
+             | np.any(span_t != span_t[:, :1], axis=1))
     if split.any():
         c, k = divmod(int(np.argmax(split)), T)
         raise AssemblyError(
             f"the Gauss panel at (s, t) = ({s[c].flat[0]:.6g}, {t[0, k].flat[0]:.6g}) "
             "spans more than one field knot span"
         )
-    P, q = span.shape
+    P, q, m = C * T, n * n, dN_dx.shape[-1]
+    first = field._functions(span_s[:, None, 0], span_t[None, :, 0]).reshape(P, m)
     w = (weights * cd.jacobian_scale).reshape(P, q, 1)
     dx, dy = dN_dx.reshape(P, q, m), dN_dy.reshape(P, q, m)
     wdx = np.swapaxes(w * dx, 1, 2)
@@ -410,8 +428,7 @@ def _element_blocks(geometry, field, coef, s, t, weights):
     np.matmul(wdx, dy, out=gram[1])
     gram[2] = np.swapaxes(gram[1], 1, 2)
     np.matmul(np.swapaxes(w * dy, 1, 2), dy, out=gram[3])
-    # a copy, not a view that would keep idx alive
-    return idx[:, :, 0, 0].reshape(P, m).copy(), coef @ gram.reshape(4, -1)
+    return first, coef @ gram.reshape(4, -1)
 
 
 def _add_blocks(data, positions, first, blocks):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
-from .nurbs import MERGE_TOL, NurbsCurve, NurbsSurface, _pack, _rank, _unpack, merge_close
+from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_order, _pack, _rank, _unpack,
+                    merge_close)
 
 _CONTAIN_TOL = 1e-9
 
@@ -209,8 +210,7 @@ class TrimmedRegion:
         SingularMapError names the first singular point in C order (column
         by column, panel by panel, s-major within a panel, on a batch).
         """
-        if order not in (0, 1, 2):
-            raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
+        _check_order(order)
         s, t = self._check_st(s, t)
         rank, uv, (us, vs), (ut, vt), d2uv = self._blend(s, t, max(order, 1))
         # the blend may leave the square by roundoff and by the _CONTAIN_TOL

@@ -108,6 +108,96 @@ class TestBasisFunctions:
             kv.basis(0.5, order=3)
 
 
+def a23_basis(kv, u, order):
+    """NURBS Book A2.3 (Piegl & Tiller), as KnotVector.basis computed it
+    before its kernel was rewritten: the reference for its bits."""
+    u = kv._clamped(u)
+    span = kv._span(u)
+    p = kv.degree
+    shape = u.shape if isinstance(u, np.ndarray) else ()
+    U = kv.knots if isinstance(u, np.ndarray) else kv._knot_list
+    # Triangular table of basis values and knot differences (Cox-de Boor).
+    ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
+    left = [0.0] * (p + 1)
+    right = [0.0] * (p + 1)
+    ndu[0][0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = u - U[span + 1 - j]
+        right[j] = U[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j][j] = saved
+    ders = np.empty(shape + (order + 1, p + 1))
+    for r in range(p + 1):
+        ders[..., 0, r] = ndu[r][p]
+    if order == 0:
+        return span, ders
+    # Derivatives from the stored knot differences.
+    a = [[0.0] * (p + 1), [0.0] * (p + 1)]
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0][0] = 1.0
+        fac = float(p)
+        for k in range(1, order + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                d = a[s2][0] * ndu[rk][pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                d += a[s2][j] * ndu[rk + j][pk]
+            if r <= pk:
+                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                d += a[s2][k] * ndu[r][pk]
+            ders[..., k, r] = d * fac
+            fac *= p - k
+            s1, s2 = s2, s1
+    return span, ders
+
+
+@st.composite
+def basis_queries(draw):
+    """A knot vector of degree 0-5, its interior knots up to C0, and
+    parameters on its knots, at the ends, within MERGE_TOL outside [0, 1]
+    and in between."""
+    p = draw(st.integers(0, 5))
+    # degree 0 allows no interior knot: its multiplicity would exceed 0
+    values = draw(st.lists(st.integers(1, 19), max_size=4 if p else 0, unique=True))
+    knots = [0.0] * (p + 1) + [1.0] * (p + 1)
+    for value in values:
+        knots += [value / 20] * draw(st.integers(1, p))
+    kv = KnotVector(sorted(knots), p)
+    special = kv.knots.tolist() + [-0.0, -0.5 * MERGE_TOL, 1.0 + 0.5 * MERGE_TOL]
+    u = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0))
+    return kv, draw(st.lists(u, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(basis_queries(), st.integers(0, 2))
+def test_basis_is_a23_bit_for_bit(query, order):
+    kv, us = query
+    queries = [np.array(us), np.array(us * 2).reshape(2, -1)]
+    for u in us:
+        queries += [u, np.float64(u), np.array(u)]
+        if u in (0.0, 1.0):
+            queries.append(int(u))
+    for u in queries:
+        span, ders = kv.basis(u, order)
+        want_span, want = a23_basis(kv, u, order)
+        assert np.shape(span) == np.shape(want_span)
+        assert np.array_equal(span, want_span)
+        assert ders.dtype == want.dtype and ders.shape == want.shape
+        assert ders.tobytes() == want.tobytes(), (kv, u, order)
+
+
 class TestArrayEvaluation:
     """The array path equals the scalar path point by point."""
 
@@ -136,7 +226,9 @@ class TestArrayEvaluation:
                     for index in np.ndindex(grid.shape):
                         span, expected = kv.basis(float(grid[index]), order)
                         assert spans[index] == span
-                        assert np.array_equal(ders[index], expected)
+                        # bytes, not np.array_equal, which takes -0.0 for
+                        # 0.0: the order-2 rows of degrees 0 and 1 are zeros
+                        assert ders[index].tobytes() == expected.tobytes()
 
     def test_interior_knot_and_end_spans(self):
         kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -341,6 +342,21 @@ class TestAssembly:
         field = FieldSpace.conforming(plate_region, 2).refined_h()
         with pytest.raises(AssemblyError, match="field knot span"):
             assemble_stiffness(plate_region, field, MAT, 3)
+
+    @pytest.mark.parametrize("s_knot, panel", [(0.7, (0, 1)), (0.3, (0, 0))])
+    def test_split_panel_named_is_the_first_in_c_order(self, monkeypatch, s_knot, panel):
+        # columns [0, .5], [.5, 1] and t-panels [0, .25], [.25, 1] against
+        # field knots at s = s_knot and t = 0.6: the s-knot splits one whole
+        # column and the t-knot the second panel of each column
+        monkeypatch.setattr(plate, "partition_regions",
+                            lambda geometry, field: quadrature.Tiling([0.5], [0.25]))
+        field = FieldSpace(KnotVector([0, 0, s_knot, 1, 1], 1),
+                           KnotVector([0, 0, 0.6, 1, 1], 1))
+        x, _ = gauss_points_1d(3)
+        c, k = panel
+        s, t = 0.5 * c + 0.5 * x[0], (0.0, 0.25)[k] + (0.25, 0.75)[k] * x[0]
+        with pytest.raises(AssemblyError, match=re.escape(f"(s, t) = ({s:.6g}, {t:.6g})")):
+            assemble_stiffness(DirectGeometry(unit_square_surface()), field, MAT, 3)
 
     def test_singular_point_is_reported_in_panel_order(self):
         # one column of three panels (t-tiles [0, .25], [.25, .5], [.5, 1]);

@@ -96,6 +96,31 @@ class TestNaNIsOutside:
                 call(s, t)
 
 
+class TestDerivativeOrder:
+    """An order is an integer 0, 1 or 2; a float one is rejected, not used."""
+
+    @pytest.mark.parametrize("order", [1.0, 1.5, 2.0, 0.0])
+    def test_a_float_order_raises_domain_error(self, plate_region, order):
+        calls = [
+            lambda: KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2).basis(0.3, order),
+            lambda: plate_region.surface.evaluate(0.3, 0.7, order),
+            lambda: plate_region.curve_bottom.evaluate(0.3, order),
+            lambda: plate_region.composite_eval(0.3, 0.7, order=order),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="derivative order"):
+                call()
+
+    def test_a_numpy_integer_order_is_accepted(self, plate_region):
+        kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
+        for order in (np.int64(1), np.int32(2)):
+            assert kv.basis(0.3, order)[1].tobytes() == kv.basis(0.3, int(order))[1].tobytes()
+            got = plate_region.composite_eval(0.3, 0.7, order=order)
+            want = plate_region.composite_eval(0.3, 0.7, order=int(order))
+            for (name, a), (_, b) in zip(fields(got), fields(want)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
 def test_scalar_spellings_give_the_same_bits():
     """A Python float, np.float64, a 0-d and a length-1 array agree bitwise."""
     regions = [region for region, _ in generate_regions(0)[::8]]
