@@ -25,6 +25,7 @@ derivative rows in closed form from the two levels below the top, with
 A2.3's floating-point operations in A2.3's order, so its bits are A2.3's.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -92,10 +93,13 @@ def _quotient(a, w, terms=()):
     return out
 
 
-def _check_order(order):
-    """DomainError unless order is an integer 0, 1 or 2."""
-    if not isinstance(order, (int, np.integer)) or not 0 <= order <= 2:
-        raise DomainError(f"derivative order must be 0, 1 or 2, got {order}")
+def _check_int(value, name, lo, hi=math.inf):
+    """DomainError unless value is an integer, Python's or numpy's, within lo..hi."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"within {lo}..{hi}"
+        raise DomainError(f"{name} must be {bound}, got {value}")
 
 
 def merge_close(values):
@@ -222,7 +226,7 @@ class KnotVector:
         and located inline and its rows packed by one np.array; an array is
         filled row by row.
         """
-        _check_order(order)
+        _check_int(order, "derivative order", 0, 2)
         p = self.degree
         rank = _rank(u)
         if rank:
@@ -435,7 +439,9 @@ class NurbsCurve:
         This memo is a stopgap, deleted with that loop (see ROADMAP.md).
         """
         memo = type(s) is float and s != 0.0
-        if memo and (last := self._last)[0] == s and last[1] == order:
+        # `is`, not ==: a float order equal to the last int one must reach basis
+        # and fail there, while an int order, a shared small int, still hits
+        if memo and (last := self._last)[0] == s and last[1] is order:
             return CurveDerivatives(*last[2:])
         kv = self.knot_vector
         span, ders = kv.basis(s, order)

@@ -2,7 +2,10 @@
 
 Point functions (field basis, gradients, strains, the reference field)
 take arrays of (s, t) or (x, y) that broadcast together; a scalar query is
-a batch of one. Integrals run on the Tiling of quadrature.partition_regions,
+a batch of one. FieldSpace.basis gives the field functions' values and
+physical_gradients, the one gradient kernel, their (x, y) gradients; the
+error norm takes its reference stresses as a function of (x, y).
+Integrals run on the Tiling of quadrature.partition_regions,
 one batch of whole columns of Gauss panels at a time (gauss_panels): the
 (C, 1, n, 1) s-nodes of C columns against the (1, T, 1, n) t-nodes of their
 T panels each, so the trimming curves are evaluated at the batch's s-nodes
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import KnotVector, _rank, _unpack
+from .nurbs import KnotVector, _check_int, _rank, _unpack
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
 from .trimming import CompositeDerivatives, check_regular, cross_norm
@@ -91,29 +94,25 @@ class FieldSpace:
             _bisected(self.knot_vector_s), _bisected(self.knot_vector_t)
         )
 
-    def basis(self, s, t, order=1):
-        """Nonzero functions at (s, t): flat indices, values and derivatives.
+    def basis(self, s, t):
+        """Nonzero functions at (s, t): (indices, values).
 
-        Returns (indices, N, dN_ds, dN_dt); the derivative arrays are None
-        for order 0. Flat index = i_s * n_t + i_t. Each array has the
-        broadcast shape of s and t followed by one axis over the
-        (degree_s + 1) * (degree_t + 1) functions, s-major.
+        Flat index = i_s * n_t + i_t. Both arrays have the broadcast shape
+        of s and t followed by one axis over the (degree_s + 1) *
+        (degree_t + 1) functions, s-major. Their gradients come from
+        physical_gradients.
         """
-        span_s, ds = self.knot_vector_s.basis(s, order)
-        span_t, dt = self.knot_vector_t.basis(t, order)
-        indices = self._functions(np.asarray(span_s), np.asarray(span_t))
-        values = _products(ds, dt, 0, 0)
-        if order == 0:
-            return indices, values, None, None
-        return indices, values, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1)
+        span_s, ds = self.knot_vector_s.basis(s, 0)
+        span_t, dt = self.knot_vector_t.basis(t, 0)
+        return self._functions(span_s, span_t), _products(ds, dt, 0, 0)
 
     def _functions(self, span_s, span_t):
         """Flat indices of the functions nonzero on span pairs that broadcast
         together, in a new last axis, s-major."""
         ps, pt = self.degrees
         _, nt = self.shape
-        is_ = span_s[..., None] + np.arange(-ps, 1)
-        it = span_t[..., None] + np.arange(-pt, 1)
+        is_ = np.asarray(span_s)[..., None] + np.arange(-ps, 1)
+        it = np.asarray(span_t)[..., None] + np.arange(-pt, 1)
         return _flat(is_[..., :, None] * nt + it[..., None, :])
 
 
@@ -265,15 +264,18 @@ def _max_degree(geometry, field):
 def physical_gradients(geometry, field, s, t):
     """Field-function gradients w.r.t. physical (x, y) at (s, t).
 
-    Returns (indices, values, dN_dx, dN_dy, cd) where cd is the geometry
-    bundle at the points. Solves the 2x2 system J^T grad_x N = grad_st N.
+    Returns (span_s, span_t, dN_dx, dN_dy, cd): the knot spans, the
+    gradients of the functions field._functions(span_s, span_t) indexes,
+    in a last axis, and the geometry bundle. The one gradient kernel: it
+    solves J^T grad_x N = grad_st N, grad_st N from the 1D basis tables.
     """
     cd = geometry.composite_eval(s, t, 1)
-    indices, values, dN_ds, dN_dt = field.basis(s, t, 1)
+    span_s, ds = field.knot_vector_s.basis(s, 1)
+    span_t, dt = field.knot_vector_t.basis(t, 1)
     # one axis over the functions after the points'
     jac = [e[..., None] for e in _jacobian(geometry, cd, s, t)]
-    dN_dx, dN_dy = _to_physical(jac, dN_ds, dN_dt)
-    return indices, values, dN_dx, dN_dy, cd
+    dN_dx, dN_dy = _to_physical(jac, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1))
+    return span_s, span_t, dN_dx, dN_dy, cd
 
 
 def _jacobian(geometry, cd, s, t):
@@ -399,13 +401,7 @@ def _element_blocks(geometry, field, coef, s, t, weights):
     Returns (first, blocks): the (P, m) functions of each panel, m of them,
     and the (4, P m m) block entries over (c, e) and then (panel, a, b).
     """
-    # physical_gradients' arithmetic, without the values and the per-point
-    # function indices that assembly has no use for
-    cd = geometry.composite_eval(s, t, 1)
-    span_s, ds = field.knot_vector_s.basis(s, 1)
-    span_t, dt = field.knot_vector_t.basis(t, 1)
-    jac = [e[..., None] for e in _jacobian(geometry, cd, s, t)]
-    dN_dx, dN_dy = _to_physical(jac, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1))
+    span_s, span_t, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
     C, T, n = weights.shape[:3]
     # a panel's points share one span pair when its column's n s-nodes
     # share one s-span and its n t-nodes one t-span
@@ -479,7 +475,7 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         r = (lines[:-1, None] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
         tvec = np.asarray(bc.fn(xy, normal), dtype=float)
-        idx, values, _, _ = field.basis(s, t, 0)
+        idx, values = field.basis(s, t)
         scale = ((w * h).ravel() * ds)[:, None] * values
         np.add.at(f, 2 * idx, scale * tvec[..., :1])
         np.add.at(f, 2 * idx + 1, scale * tvec[..., 1:])
@@ -529,13 +525,13 @@ class SolveResult:
         self.dofs = 2 * field.dim
 
     def displacement(self, s, t):
-        idx, values, _, _ = self.field.basis(s, t, 0)
+        idx, values = self.field.basis(s, t)
         return (values[..., None, :] @ self.coeffs[idx])[..., 0, :]
 
     def strain(self, s, t):
         """Strain (exx, eyy, gxy) in a last axis at (s, t)."""
-        idx, _, dN_dx, dN_dy, _ = physical_gradients(self.geometry, self.field, s, t)
-        u = self.coeffs[idx]
+        span_s, span_t, dN_dx, dN_dy, _ = physical_gradients(self.geometry, self.field, s, t)
+        u = self.coeffs[self.field._functions(span_s, span_t)]
         grad_x = (dN_dx[..., None, :] @ u)[..., 0, :]  # (dux/dx, duy/dx)
         grad_y = (dN_dy[..., None, :] @ u)[..., 0, :]  # (dux/dy, duy/dy)
         return np.stack(
@@ -716,16 +712,13 @@ class PlateConfig:
     material: Material = dataclass_field(default_factory=_default_material)
 
     def __post_init__(self):
-        if self.stage < 0:
-            raise DomainError(f"refinement stage must be >= 0, got {self.stage}")
+        _check_int(self.stage, "refinement stage", 0)
         if self.bc_mode not in ("paper", "exact"):
             raise DomainError(f"bc_mode must be 'paper' or 'exact', got {self.bc_mode!r}")
-        if self.degree < 1:
-            raise DomainError(f"degree must be >= 1, got {self.degree}")
+        _check_int(self.degree, "degree", 1)
         # the error norm integrates on quad_order + 2 points, and a rule has at most 64
-        order = self.quad_order
-        if order is not None and not (isinstance(order, int) and 1 <= order <= 62):
-            raise DomainError(f"quad_order must be a quadrature order within 1..62, got {order}")
+        if self.quad_order is not None:
+            _check_int(self.quad_order, "quad_order (a quadrature order)", 1, 62)
         _check_positive(scale=self.scale, far_stress=self.far_stress,
                         arc_weight=self.arc_weight)
 
@@ -791,14 +784,17 @@ def solve_plate(config=None, region=None):
     bcs = plate_boundary_conditions(config, hole_radius)
     solution = solve_problem(region, field, config.material, bcs, config.quad_order)
     n_quad = (config.quad_order or (_max_degree(region, field) + 1)) + 2
-    l2 = stress_error_l2(solution, config, hole_radius, n_quad)
+    far = config.far_stress
+    l2 = stress_error_l2(solution, lambda x, y: _kirsch_stress(x, y, far, hole_radius)[1], n_quad)
     rim = float(solution.stress(0.0, 0.0)[0])
     return PlateResult(config, solution, l2, rim)
 
 
-def stress_error_l2(solution, config, hole_radius, n_quad):
-    """Relative L2 norm of the stress error against the reference field.
+def stress_error_l2(solution, reference, n_quad):
+    """Relative L2 norm of the stress error against a reference field.
 
+    reference(x, y) returns the stresses (sxx, syy, sxy), each broadcasting
+    against x and y, on n_quad Gauss points per panel and direction.
     Frobenius norm on the symmetric tensor, so the shear component counts
     twice. The displacement gradient comes from sum factorization on each
     batch's tensor grid: the coefficients are contracted with the t-basis
@@ -831,8 +827,7 @@ def stress_error_l2(solution, config, hole_radius, n_quad):
                         for g in (du_ds, du_dt))
         du_dx, du_dy = _to_physical(_jacobian(geometry, cd, s, t), du_ds, du_dt)
         exx, eyy, gxy = du_dx[0], du_dy[1], du_dy[0] + du_dx[1]
-        sxx, syy, sxy = _kirsch_stress(cd.x[..., 0], cd.x[..., 1], config.far_stress,
-                                       hole_radius)[1]
+        sxx, syy, sxy = reference(cd.x[..., 0], cd.x[..., 1])
         dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
                          for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
         w = weights * cd.jacobian_scale

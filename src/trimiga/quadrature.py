@@ -28,15 +28,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .nurbs import MERGE_TOL, merge_close
+from .nurbs import MERGE_TOL, _check_int, merge_close
 
 
-@functools.lru_cache(maxsize=None)
+# typed: a float n equal to a cached numpy integer one must still be rejected
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_points_1d(n):
     """Gauss-Legendre abscissae and weights on [0, 1], read-only; exact to degree 2n-1."""
-    if not 1 <= n <= 64:
-        raise DomainError(f"quadrature order must be within 1..64, got {n}")
+    _check_int(n, "quadrature order", 1, 64)
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     x.flags.writeable = w.flags.writeable = False

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
-from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_order, _pack, _rank, _unpack,
+from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _pack, _rank, _unpack,
                     merge_close)
 
 _CONTAIN_TOL = 1e-9
@@ -210,7 +210,7 @@ class TrimmedRegion:
         SingularMapError names the first singular point in C order (column
         by column, panel by panel, s-major within a panel, on a batch).
         """
-        _check_order(order)
+        _check_int(order, "derivative order", 0, 2)
         s, t = self._check_st(s, t)
         rank, uv, (us, vs), (ut, vt), d2uv = self._blend(s, t, max(order, 1))
         # the blend may leave the square by roundoff and by the _CONTAIN_TOL
@@ -242,12 +242,11 @@ class TrimmedRegion:
     def validate(self, grid_n=32):
         """Sweep an (n+1) x (n+1) grid and report what it finds.
 
-        A fold-over or degeneracy is reported, not raised; only grid_n < 4
-        raises, as DomainError. Each curve is evaluated once at the n + 1
-        s-values, and det is formed on the whole (t, s) grid at once.
+        A fold-over or degeneracy is reported, not raised; a grid_n that is
+        not an integer >= 4 raises DomainError. Each curve is evaluated once
+        at the n + 1 s-values, and det is formed on the whole (t, s) grid.
         """
-        if grid_n < 4:
-            raise DomainError(f"grid_n must be at least 4, got {grid_n}")
+        _check_int(grid_n, "grid_n", 4)
         grid = np.linspace(0.0, 1.0, grid_n + 1)
         m = self._map(grid, grid[:, None])
         det = m.det

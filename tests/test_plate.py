@@ -54,6 +54,23 @@ def hole_radius(config):
     return HOLE_PARAM_RADIUS * config.scale
 
 
+def kirsch_stresses(config):
+    """The built-in plate's reference stresses as a function of (x, y)."""
+
+    def reference(x, y):
+        ref = kirsch_reference(x, y, config.far_stress, hole_radius(config), config.material)
+        return ref.sxx, ref.syy, ref.sxy
+
+    return reference
+
+
+def parametric_gradients(field, s, t):
+    """(dN_ds, dN_dt) at one (s, t), as products of the 1D tables of KnotVector.basis."""
+    _, ds = field.knot_vector_s.basis(s, 1)
+    _, dt = field.knot_vector_t.basis(t, 1)
+    return np.outer(ds[1], dt[0]).ravel(), np.outer(ds[0], dt[1]).ravel()
+
+
 def tension_bcs(direction=0, magnitude=1.0):
     load = np.zeros(2)
     load[direction] = magnitude
@@ -74,34 +91,37 @@ class TestFieldSpace:
 
     def test_bilinear_basis_at_center(self):
         field = unit_field(1)
-        idx, values, _, _ = field.basis(0.5, 0.5, order=0)
+        idx, values = field.basis(0.5, 0.5)
         assert len(values) == 4
         assert np.allclose(values, 0.25, atol=1e-15)
 
-    def test_partition_of_unity(self, plate_region, rng):
+    def test_partition_of_unity(self, plate_region, square_region, rng):
+        # the gradients on the identity map are the parametric ones
         field = FieldSpace.conforming(plate_region, 2).refined_h()
         for s, t in rng.random((40, 2)):
-            _, values, dN_ds, dN_dt = field.basis(s, t)
+            _, values = field.basis(s, t)
+            _, _, dN_ds, dN_dt, _ = physical_gradients(square_region, field, s, t)
             assert abs(values.sum() - 1.0) < 1e-13
             assert abs(dN_ds.sum()) < 1e-12
             assert abs(dN_dt.sum()) < 1e-12
 
     def test_basis_count(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2)
-        idx, values, _, _ = field.basis(0.3, 0.8)
+        idx, values = field.basis(0.3, 0.8)
         assert len(values) == 9  # (p_s + 1) * (p_t + 1)
 
-    def test_derivatives_match_finite_differences(self, plate_region, rng):
+    def test_derivatives_match_finite_differences(self, plate_region, square_region, rng):
+        # the gradients on the identity map are the parametric ones
         field = FieldSpace.conforming(plate_region, 2)
         h = 1e-6
         for _ in range(50):
             s, t = 0.05 + 0.9 * rng.random(2)
-            idx, _, dN_ds, dN_dt = field.basis(s, t)
-            _, vp, _, _ = field.basis(s + h, t)
-            _, vm, _, _ = field.basis(s - h, t)
+            _, _, dN_ds, dN_dt, _ = physical_gradients(square_region, field, s, t)
+            _, vp = field.basis(s + h, t)
+            _, vm = field.basis(s - h, t)
             fd_s = (vp - vm) / (2 * h)
-            _, vp, _, _ = field.basis(s, t + h)
-            _, vm, _, _ = field.basis(s, t - h)
+            _, vp = field.basis(s, t + h)
+            _, vm = field.basis(s, t - h)
             fd_t = (vp - vm) / (2 * h)
             assert np.abs(dN_ds - fd_s).max() / max(np.abs(dN_ds).max(), 1.0) < 1e-7
             assert np.abs(dN_dt - fd_t).max() / max(np.abs(dN_dt).max(), 1.0) < 1e-7
@@ -154,7 +174,7 @@ class TestPhysicalGradients:
     def test_identity_map_gives_parametric_gradients(self, square_region, rng):
         field = unit_field(2)
         for s, t in rng.random((15, 2)):
-            idx, _, dN_ds, dN_dt = field.basis(s, t)
+            dN_ds, dN_dt = parametric_gradients(field, s, t)
             _, _, dN_dx, dN_dy, _ = physical_gradients(square_region, field, s, t)
             assert np.abs(dN_dx - dN_ds).max() < 1e-13
             assert np.abs(dN_dy - dN_dt).max() < 1e-13
@@ -174,7 +194,8 @@ class TestPhysicalGradients:
         coeffs_y = np.linalg.solve(Cs, np.linalg.solve(Ct, V[..., 1].T).T)
         for _ in range(25):
             s, t = rng.random(2)
-            idx, _, dN_dx, dN_dy, _ = physical_gradients(region, field, s, t)
+            _, _, dN_dx, dN_dy, _ = physical_gradients(region, field, s, t)
+            idx, _ = field.basis(s, t)
             cx = coeffs_x.ravel()[idx]
             cy = coeffs_y.ravel()[idx]
             assert abs(dN_dx @ cx - 1.0) < 1e-12
@@ -206,15 +227,15 @@ class TestPhysicalGradients:
             if abs(s - 0.5) < 0.05:
                 continue
             checked += 1
-            idx, _, dN_dx, dN_dy, cd = physical_gradients(plate_region, field, s, t)
+            _, _, dN_dx, dN_dy, cd = physical_gradients(plate_region, field, s, t)
             x0 = cd.x[:2]
             for axis, analytic in ((0, dN_dx), (1, dN_dy)):
                 step = np.zeros(2)
                 step[axis] = h
                 sp, tp = invert(x0 + step, s, t)
                 sm, tm = invert(x0 - step, s, t)
-                _, vp, _, _ = field.basis(sp, tp, 0)
-                _, vm, _, _ = field.basis(sm, tm, 0)
+                _, vp = field.basis(sp, tp)
+                _, vm = field.basis(sm, tm)
                 fd = (vp - vm) / (2 * h)
                 assert np.abs(analytic - fd).max() / max(np.abs(analytic).max(), 1.0) < 1e-6
 
@@ -238,13 +259,20 @@ class TestAssembly:
 
     def test_constant_stress_patch_on_identity_trim(self, square_region):
         field = unit_field(1)
-        result = solve_problem(square_region, field, MAT, tension_bcs(0))
+        load = 1.0
+        result = solve_problem(square_region, field, MAT, tension_bcs(0, load))
         for s in np.linspace(0.0, 1.0, 7):
             for t in np.linspace(0.0, 1.0, 7):
                 sig = result.stress(s, t)
-                assert abs(sig[0] - 1.0) < 1e-10
+                assert abs(sig[0] - load) < 1e-10
                 assert abs(sig[1]) < 1e-10
                 assert abs(sig[2]) < 1e-10
+
+        # the error norm against the exact field, a uniform tension
+        def uniform(x, y):
+            return tuple(np.broadcast_to(v, np.shape(x)) for v in (load, 0.0, 0.0))
+
+        assert stress_error_l2(result, uniform, 3) <= 1e-12
 
     def test_missing_edge_is_an_error(self, square_region):
         with pytest.raises(AssemblyError):
@@ -329,7 +357,7 @@ class TestAssembly:
         for batch_points in (1, 1 << 40):
             monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
             K = assemble_stiffness(solution.geometry, solution.field, MAT, 3)
-            results.append((K, stress_error_l2(solution, config, hole_radius(config), 5)))
+            results.append((K, stress_error_l2(solution, kirsch_stresses(config), 5)))
         (K1, l2_1), (K2, l2_2) = results
         assert l2_1 == l2_2
         assert np.array_equal(K1.indices, K2.indices)
@@ -403,7 +431,8 @@ def assert_matches_point_sum(K, geometry, field, n):
     for s0, hs, t0, ht in panels(partition_regions(geometry, field)):
         for i, j in np.ndindex(n, n):
             s, t = s0 + hs * x[i], t0 + ht * x[j]
-            idx, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+            _, _, dN_dx, dN_dy, cd = physical_gradients(geometry, field, s, t)
+            idx, _ = field.basis(s, t)
             B = np.zeros((3, 2 * idx.size))
             B[0, 0::2] = B[2, 1::2] = dN_dx
             B[1, 1::2] = B[2, 0::2] = dN_dy
@@ -479,7 +508,7 @@ class TestColumnsMatchPointLoops:
                 if normal @ cd.dx_dt[:2] < 0.0:
                     normal = -normal
                 tvec = point_traction(config, cd.x[:2], normal)
-                idx, values, _, _ = field.basis(s, 1.0, 0)
+                idx, values = field.basis(s, 1.0)
                 ds = float(np.linalg.norm(tangent))
                 ref[2 * idx] += w[k] * h * ds * values * tvec[0]
                 ref[2 * idx + 1] += w[k] * h * ds * values * tvec[1]
@@ -506,7 +535,7 @@ class TestColumnsMatchPointLoops:
                 num.append(weight * (diff[0] ** 2 + diff[1] ** 2 + 2.0 * diff[2] ** 2))
                 den.append(weight * (ref.sxx ** 2 + ref.syy ** 2 + 2.0 * ref.sxy ** 2))
         expected = math.sqrt(math.fsum(num) / math.fsum(den))
-        got = stress_error_l2(solution, config, hole_radius(config), 5)
+        got = stress_error_l2(solution, kirsch_stresses(config), 5)
         assert got == result.l2_stress_error
         assert abs(got - expected) <= 1e-13 * expected
 
@@ -537,7 +566,7 @@ class TestStressErrorNorm:
     def test_matches_a_point_loop_at_other_field_degrees(self, degree):
         config = PlateConfig(stage=0, degree=degree, bc_mode="exact")
         solution = solve_plate(config).solution
-        got = stress_error_l2(solution, config, hole_radius(config), degree + 2)
+        got = stress_error_l2(solution, kirsch_stresses(config), degree + 2)
         expected = point_loop_l2(solution, config, hole_radius(config), degree + 2)
         assert abs(got - expected) <= 1e-13 * expected
 
@@ -553,7 +582,7 @@ class TestStressErrorNorm:
         assert np.allclose(values, [0.25, 0.5, 0.75]) and mults == [2, 2, 2]
         config = PlateConfig(stage=0, bc_mode="exact")
         solution = solve_plate(config, region=region).solution
-        got = stress_error_l2(solution, config, hole_radius(config), 5)
+        got = stress_error_l2(solution, kirsch_stresses(config), 5)
         expected = point_loop_l2(solution, config, hole_radius(config), 5)
         assert abs(got - expected) <= 1e-13 * expected
 
@@ -564,7 +593,7 @@ class TestStressErrorNorm:
         l2 = []
         for batch_points in (1, 1 << 40):
             monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
-            l2.append(stress_error_l2(solution, config, hole_radius(config), 6))
+            l2.append(stress_error_l2(solution, kirsch_stresses(config), 6))
         assert l2[0] == l2[1]
 
 

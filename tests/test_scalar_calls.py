@@ -16,7 +16,8 @@ import pytest
 
 from trimiga.errors import DomainError
 from trimiga.nurbs import KnotVector, _pack, _rank, _unpack
-from trimiga.quadrature import integrate
+from trimiga.plate import PlateConfig
+from trimiga.quadrature import gauss_points_1d, integrate
 from trimiga.shapes import plate_with_hole_region
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -111,6 +112,13 @@ class TestDerivativeOrder:
             with pytest.raises(DomainError, match="derivative order"):
                 call()
 
+    def test_a_float_order_after_an_equal_int_one_raises(self, plate_region):
+        # the trimming curve's last-query memo must not answer it
+        curve = plate_region.curve_bottom
+        curve.evaluate(0.3, 1)
+        with pytest.raises(DomainError, match="derivative order"):
+            curve.evaluate(0.3, 1.0)
+
     def test_a_numpy_integer_order_is_accepted(self, plate_region):
         kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
         for order in (np.int64(1), np.int32(2)):
@@ -119,6 +127,22 @@ class TestDerivativeOrder:
             want = plate_region.composite_eval(0.3, 0.7, order=int(order))
             for (name, a), (_, b) in zip(fields(got), fields(want)):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda region: PlateConfig(stage=1.5), "refinement stage"),
+    (lambda region: PlateConfig(degree=2.0), "degree"),
+    (lambda region: PlateConfig(quad_order=3.0), "quad_order"),
+    (lambda region: integrate(region, lambda cd: 1.0, 4.0), "quadrature order"),
+    # an equal numpy integer in the rule's cache does not answer a float
+    (lambda region: gauss_points_1d(np.int64(5)) and gauss_points_1d(5.0), "quadrature order"),
+    (lambda region: region.validate(8.0), "grid_n"),
+    (lambda region: region.composite_eval(0.3, 0.7, 1.0), "derivative order"),
+], ids=["stage", "degree", "quad-order", "integrate", "cached-rule", "validate", "order"])
+def test_a_float_for_an_integer_argument_raises_domain_error(plate_region, call, name):
+    """Every integer argument is checked by one rule, nurbs._check_int."""
+    with pytest.raises(DomainError, match=f"^{name}.* must be an integer, got "):
+        call(plate_region)
 
 
 def test_scalar_spellings_give_the_same_bits():
