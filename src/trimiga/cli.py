@@ -33,7 +33,7 @@ def _load_iges(path):
     model = iges.parse_file(path)
     for etype, count in sorted(model.skipped.items()):
         print(f"skipped {count} entity(ies) of unsupported type {etype}", file=sys.stderr)
-    for note in model.diagnostics + iges.boundary_gap_diagnostics(model):
+    for note in model.diagnostics:
         print(note, file=sys.stderr)
     return model
 

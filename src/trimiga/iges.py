@@ -19,7 +19,8 @@ every D pair is decoded first, so a directory fault is reported first. A
 typed cursor then reads each entity's tokens front to back. Each 144 is
 resolved once into a `TrimmedSurfaceRecord`: its surface and its outer-loop
 curves in loop order, x and y rescaled from the surface's knot ranges into
-the unit square. Extraction reads only that.
+the unit square, its boundary problems noted in `diagnostics`. Extraction
+reads only that.
 """
 
 import re
@@ -262,7 +263,12 @@ def _to_parameter_curve(curve, ranges):
 
 
 def parse(text):
-    """Parse IGES text into an IgesModel; raises IgesParseError on bad input."""
+    """Parse IGES text into an IgesModel; raises IgesParseError on bad input.
+
+    What does not stop the parse is noted in model.diagnostics: inner
+    boundaries, a boundary on another surface than its 144's, and gaps above
+    _GAP_TOL between consecutive curves of a loop of more than two.
+    """
     sections = _split_sections(text)
     entries = _read_entries(sections, *_global_delimiters(sections["G"]))
 
@@ -328,6 +334,14 @@ def parse(text):
                         "supported curve entity"
                     )
         curves = [_to_parameter_curve(model.curves[m], ranges[pts]) for m in members]
+        # a two-curve loop's closing edges are implied, so its end gaps are intended
+        for k in range(len(curves)) if len(curves) > 2 else ():
+            nxt = (k + 1) % len(curves)
+            gap = float(np.linalg.norm(curves[k].evaluate(1.0, 0).value
+                                       - curves[nxt].evaluate(0.0, 0).value))
+            if gap > _GAP_TOL:
+                model.diagnostics.append(f"trimmed surface D{de}: gap {gap:.3e} between "
+                                         f"boundary curves {k} and {nxt}")
         model.trimmed.append(TrimmedSurfaceRecord(de, model.surfaces[pts], curves, n2))
     return model
 
@@ -413,29 +427,6 @@ def extract_region_with_report(model, trimmed_index=0):
         top = top.reversed()
     region = TrimmedRegion(record.surface, bottom, top)
     return region, require_valid(region, f"trimmed surface D{record.de}: extracted region")
-
-
-def boundary_gap_diagnostics(model):
-    """Endpoint mismatches between consecutive boundary-loop curves above _GAP_TOL.
-
-    Two-curve boundaries are skipped: their closing edges are implied, so
-    the end gaps are intentional.
-    """
-    notes = []
-    for record in model.trimmed:
-        curves = record.curves
-        if len(curves) <= 2:
-            continue
-        for k in range(len(curves)):
-            here = curves[k].evaluate(1.0, 0).value
-            there = curves[(k + 1) % len(curves)].evaluate(0.0, 0).value
-            gap = float(np.linalg.norm(here - there))
-            if gap > _GAP_TOL:
-                notes.append(
-                    f"trimmed surface D{record.de}: gap {gap:.3e} between boundary "
-                    f"curves {k} and {(k + 1) % len(curves)}"
-                )
-    return notes
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ class KnotVector:
     """Clamped, non-decreasing knot sequence normalized to [0, 1]."""
 
     def __init__(self, knots, degree):
-        if degree < 0:
-            raise InvalidGeometryError(f"degree must be non-negative, got {degree}")
+        if not isinstance(degree, (int, np.integer)) or degree < 0:
+            raise InvalidGeometryError(f"degree must be a non-negative integer, got {degree!r}")
         knots = np.asarray(knots, dtype=float).copy()
         if knots.ndim != 1 or knots.size < 2 * (degree + 1):
             raise InvalidGeometryError(
@@ -177,35 +177,12 @@ class KnotVector:
         """Distinct breakpoints [0, ..., 1] delimiting the non-empty spans."""
         return merge_close(self.knots)[0]
 
-    def _clamped(self, u):
-        """u moved into [0, 1]; DomainError further than MERGE_TOL outside.
-
-        A scalar comes back as a Python float, an array as a float array.
-        NaN counts as outside.
-        """
-        if _rank(u):
-            u = np.asarray(u, dtype=float)
-            inside = (u >= -MERGE_TOL) & (u <= 1.0 + MERGE_TOL)
-            if not inside.all():
-                raise DomainError(f"parameter {u[~inside][0]} outside [0, 1]")
-            return np.minimum(np.maximum(u, 0.0), 1.0)
-        if not -MERGE_TOL <= u <= 1.0 + MERGE_TOL:
-            raise DomainError(f"parameter {u} outside [0, 1]")
-        return min(max(float(u), 0.0), 1.0)
-
     def find_span(self, u):
         """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span.
 
-        Elementwise for an array of parameters.
+        Elementwise for an array of parameters: the span that basis locates.
         """
-        return self._span(self._clamped(u))
-
-    def _span(self, u):
-        """find_span for a u already clamped into [0, 1]."""
-        last = self.num_basis - 1
-        if _rank(u):
-            return np.minimum(np.searchsorted(self.knots, u, side="right") - 1, last)
-        return min(bisect_right(self._knot_list, u) - 1, last)
+        return self.basis(u, 0)[0]
 
     def basis(self, u, order=0):
         """Nonzero basis functions and derivatives at u (Cox-de Boor).
@@ -222,17 +199,25 @@ class KnotVector:
         operations in A2.3's order: 1.0 / D, -a / D and (a1 - a0) / D, a sum
         started from 0.0 where A2.3 starts it (which fixes the sign of a
         zero), times degree (degree - 1) ... (degree - k + 1) formed as
-        A2.3 forms it. The bits are A2.3's. A scalar is checked, clamped
-        and located inline and its rows packed by one np.array; an array is
+        A2.3 forms it. The bits are A2.3's.
+
+        u further than MERGE_TOL outside [0, 1], or NaN, is a DomainError;
+        otherwise it is clamped into [0, 1] and its span found by a binary
+        search of the knots, bisect for a scalar and searchsorted for an
+        array. A scalar's rows are packed by one np.array; an array is
         filled row by row.
         """
         _check_int(order, "derivative order", 0, 2)
         p = self.degree
         rank = _rank(u)
         if rank:
-            u = self._clamped(u)
-            span = self._span(u)
+            u = np.asarray(u, dtype=float)
+            inside = (u >= -MERGE_TOL) & (u <= 1.0 + MERGE_TOL)
+            if not inside.all():
+                raise DomainError(f"parameter {u[~inside][0]} outside [0, 1]")
+            u = np.minimum(np.maximum(u, 0.0), 1.0)
             U = self.knots
+            span = np.minimum(np.searchsorted(U, u, side="right") - 1, U.size - p - 2)
         else:
             if not -MERGE_TOL <= u <= 1.0 + MERGE_TOL:
                 raise DomainError(f"parameter {u} outside [0, 1]")

@@ -2,24 +2,12 @@
 
 Point functions (field basis, gradients, strains, the reference field)
 take arrays of (s, t) or (x, y) that broadcast together; a scalar query is
-a batch of one. FieldSpace.basis gives the field functions' values and
-physical_gradients, the one gradient kernel, their (x, y) gradients; the
-error norm takes its reference stresses as a function of (x, y).
-Integrals run on the Tiling of quadrature.partition_regions,
-one batch of whole columns of Gauss panels at a time (gauss_panels): the
-(C, 1, n, 1) s-nodes of C columns against the (1, T, 1, n) t-nodes of their
-T panels each, so the trimming curves are evaluated at the batch's s-nodes
-only. Stiffness is assembled one element block per panel straight into the
-data of its CSR pattern, and a batch's arrays are freed before the next
-batch is evaluated. The error norm evaluates the solved field on each
-batch's tensor grid from 1D basis tables (sum factorization), one
-contiguous array per displacement component, and sums each integral with
-one exactly rounded fsum over all its terms. Each traction edge is
-evaluated in one call on the tiling's lines along it. The square's four
-edges are named in one table, _EDGES. The constrained system is solved by
-LAPACK's banded Cholesky: in the field's own numbering K is a band, filled
-from its CSR arrays one field s-column of dofs at a time, so no ordering,
-no copy of the free block and no copy of K's arrays are needed.
+a batch of one. Integrals run on the Tiling of quadrature.partition_regions,
+one batch of whole columns of Gauss panels at a time (gauss_panels), so the
+trimming curves are evaluated at a batch's s-nodes only, and a batch's
+arrays are freed before the next batch is evaluated, which bounds the peak
+memory. The constrained system is solved by LAPACK's banded Cholesky: in
+the field's own numbering K is a band, so no reordering is needed.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -253,8 +241,9 @@ def _require_planar(surface):
         )
 
 
-def _max_degree(geometry, field):
-    return max(geometry.max_degree(), *field.degrees)
+def _default_order(geometry, field):
+    """The default Gauss points per direction: the highest degree + 1."""
+    return max(geometry.max_degree(), *field.degrees) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +495,7 @@ def assemble(geometry, field, material, bcs, n_quad=None):
     """Stiffness matrix and traction load vector (constraints not applied)."""
     _check_bcs(bcs)
     if n_quad is None:
-        n_quad = _max_degree(geometry, field) + 1
+        n_quad = _default_order(geometry, field)
     K = assemble_stiffness(geometry, field, material, n_quad)
     f = assemble_tractions(geometry, field, bcs, n_quad)
     return K, f
@@ -660,9 +649,9 @@ def _kirsch_stress(x, y, far_stress, hole_radius):
     No trigonometric call: with r² = x² + y², the double-angle identities
     give cos 2θ = (x - y)(x + y) / r² and sin 2θ = 2xy / r², and 4θ follows
     from 2θ the same way, so the rim points (0, a) and (a, 0) get their
-    stresses exactly. The displacements are left out: the error norm needs
-    only the stresses. A hole radius or far stress that is not finite and
-    positive is a DomainError.
+    stresses exactly. The displacements are left out: the error norm and the
+    traction edge need only the stresses. A hole radius or far stress that
+    is not finite and positive is a DomainError.
     """
     _check_positive(hole_radius=hole_radius, far_stress=far_stress)
     a, T = hole_radius, far_stress
@@ -732,11 +721,10 @@ def plate_boundary_conditions(config, hole_radius):
     the reference tractions; in "exact" mode both carry reference tractions.
     """
     far = config.far_stress
-    material = config.material
 
     def outer_traction(xy, normal):
-        ref = kirsch_reference(xy[:, 0], xy[:, 1], far, hole_radius, material)
-        sig = np.moveaxis(np.array([[ref.sxx, ref.sxy], [ref.sxy, ref.syy]]), -1, 0)
+        sxx, syy, sxy = _kirsch_stress(xy[:, 0], xy[:, 1], far, hole_radius)[1]
+        sig = np.moveaxis(np.array([[sxx, sxy], [sxy, syy]]), -1, 0)
         traction = (sig @ normal[..., None])[..., 0]
         if config.bc_mode == "paper":
             right = np.abs(normal[:, 0]) > np.abs(normal[:, 1])
@@ -783,7 +771,7 @@ def solve_plate(config=None, region=None):
     field = plate_field(region, config)
     bcs = plate_boundary_conditions(config, hole_radius)
     solution = solve_problem(region, field, config.material, bcs, config.quad_order)
-    n_quad = (config.quad_order or (_max_degree(region, field) + 1)) + 2
+    n_quad = (config.quad_order or _default_order(region, field)) + 2
     far = config.far_stress
     l2 = stress_error_l2(solution, lambda x, y: _kirsch_stress(x, y, far, hole_radius)[1], n_quad)
     rim = float(solution.stress(0.0, 0.0)[0])

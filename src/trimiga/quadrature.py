@@ -70,14 +70,14 @@ class Tiling:
         return (self.s_lines.size - 1) * (self.t_lines.size - 1)
 
 
-def partition_regions(geometry, field=None, split_breakpoints=True):
+def partition_regions(geometry, field=None):
     """The Tiling for a geometry and an optional field space.
 
     Its lines are the union of the geometry's break lines (geometry.
-    breaklines(), skipped when split_breakpoints is false) and the field
-    space's interior knot lines; coincident lines are merged.
+    breaklines()) and the field space's interior knot lines; coincident
+    lines are merged.
     """
-    s_breaks, t_breaks = geometry.breaklines() if split_breakpoints else ([], [])
+    s_breaks, t_breaks = geometry.breaklines()
     if field is not None:
         s_breaks = s_breaks + field.knot_vector_s.interior()[0]
         t_breaks = t_breaks + field.knot_vector_t.interior()[0]
@@ -121,9 +121,10 @@ def integrate(region, f, n_per_dir, split_breakpoints=True):
     f maps a CompositeDerivatives bundle of one point to a number; the
     jacobian scale of the composite map multiplies the parametric Gauss
     weight. Panel sums are accumulated with fsum in a fixed order, so
-    results do not depend on evaluation scheduling.
+    results do not depend on evaluation scheduling. Without
+    split_breakpoints the rule is one Gauss panel over the whole square.
     """
-    tiling = partition_regions(region, split_breakpoints=split_breakpoints)
+    tiling = partition_regions(region) if split_breakpoints else Tiling([], [])
     sums = []
     for s, t, weights in gauss_panels(tiling, n_per_dir):
         panel = (-1, weights[0, 0].size)

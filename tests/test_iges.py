@@ -226,15 +226,17 @@ class TestExtraction:
         pts[0, 1] += 1e-3
         opened = closed[:2] + [NurbsCurve(closed[2].knot_vector, pts, closed[2].weights)] \
             + closed[3:]
-        errs = []
+        errs, notes = [], []
         for name, loop in (("closed", closed), ("opened", opened), ("two", [bottom, top])):
             path = tmp_path / f"{name}.igs"
             path.write_text(loop_file(loop))
             assert cli_main(["iges-dump", "--iges", str(path)]) == 0
             errs.append(capsys.readouterr().err)
+            notes.append(iges.parse(loop_file(loop)).diagnostics)
         # D15 is the 144, after the 128, the four 126s, the 102 and the 142
-        assert errs == ["", "trimmed surface D15: gap 1.000e-03 between boundary curves 1 and 2\n",
-                        ""]
+        gap = "trimmed surface D15: gap 1.000e-03 between boundary curves 1 and 2"
+        assert notes == [[], [gap], []]
+        assert errs == ["", gap + "\n", ""]
 
     def test_bottom_top_assignment_by_mean_v(self):
         # feed the curves in the "wrong" order; mean v sorts them out

@@ -46,6 +46,15 @@ class TestKnotVector:
             with pytest.raises(InvalidGeometryError):
                 KnotVector(knots, 1)
 
+    @pytest.mark.parametrize("degree", [2.0, np.float64(2.0), "2", None, -1])
+    def test_rejects_a_degree_that_is_not_a_non_negative_integer(self, degree):
+        with pytest.raises(InvalidGeometryError, match="non-negative integer"):
+            KnotVector([0, 0, 0, 1, 1, 1], degree)
+
+    def test_accepts_python_and_numpy_integer_degrees(self):
+        for degree in (2, np.int32(2), np.int64(2)):
+            assert KnotVector([0, 0, 0, 1, 1, 1], degree).degree == 2
+
     @pytest.mark.parametrize("knots", [[0, 0, math.nan, 1, 1], [0, 0, 0.5, math.nan, 1],
                                        [0, 0, 0.5, 1, math.inf], [-math.inf, 0, 0.5, 1, 1]])
     def test_rejects_non_finite_knots(self, knots):
@@ -108,14 +117,40 @@ class TestBasisFunctions:
             kv.basis(0.5, order=3)
 
 
+def a21_span(kv, u):
+    """NURBS Book A2.1's binary search for the span of a u in [0, 1]."""
+    U, n = kv._knot_list, kv.num_basis - 1
+    if u == U[n + 1]:
+        return n
+    low, high = kv.degree, n + 1
+    mid = (low + high) // 2
+    while u < U[mid] or u >= U[mid + 1]:
+        if u < U[mid]:
+            high = mid
+        else:
+            low = mid
+        mid = (low + high) // 2
+    return mid
+
+
 def a23_basis(kv, u, order):
     """NURBS Book A2.3 (Piegl & Tiller), as KnotVector.basis computed it
-    before its kernel was rewritten: the reference for its bits."""
-    u = kv._clamped(u)
-    span = kv._span(u)
+    before its kernel was rewritten: the reference for its bits.
+
+    u is clamped into [0, 1] and located by A2.1, elementwise for an array.
+    A rank-0 u, a 0-d array included, is clamped as a Python float, which
+    keeps the sign of -0.0 as the kernel's scalar path does.
+    """
+    if np.ndim(u):
+        u = np.minimum(np.maximum(np.asarray(u, dtype=float), 0.0), 1.0)
+        span = np.array([a21_span(kv, x) for x in u.ravel().tolist()], dtype=np.intp)
+        span = span.reshape(u.shape)
+        shape, U = u.shape, kv.knots
+    else:
+        u = min(max(float(u), 0.0), 1.0)
+        span = a21_span(kv, u)
+        shape, U = (), kv._knot_list
     p = kv.degree
-    shape = u.shape if isinstance(u, np.ndarray) else ()
-    U = kv.knots if isinstance(u, np.ndarray) else kv._knot_list
     # Triangular table of basis values and knot differences (Cox-de Boor).
     ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
     left = [0.0] * (p + 1)
