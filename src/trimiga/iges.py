@@ -379,7 +379,8 @@ def extract_region(model, trimmed_index=0):
     straight closing edges are removed, and there must be no inner boundary
     (a two-curve map has no holes). Bottom/top follow the mean v-coordinate
     (ties broken by mean u); the top curve is reversed when needed so both
-    advance in the same s-direction.
+    advance in the same s-direction. The curves are checked in loop order
+    before that, so an error names the first one bottom and the second top.
     """
     return extract_region_with_report(model, trimmed_index)[0]
 
@@ -411,7 +412,10 @@ def extract_region_with_report(model, trimmed_index=0):
                 f"reduces to {len(kept)} non-straight curve(s); need exactly two"
             )
         curves = kept
-    first, second = curves
+    # the region checks the curves before any arithmetic runs on them; it is
+    # rebuilt only if ordering them swaps or flips them
+    region = TrimmedRegion(record.surface, *curves)
+    first, second = region.curve_bottom, region.curve_top
     m1, m2 = _mean_point(first), _mean_point(second)
     if abs(m1[1] - m2[1]) > _STRAIGHT_TOL:
         bottom, top = (first, second) if m1[1] < m2[1] else (second, first)
@@ -425,7 +429,8 @@ def extract_region_with_report(model, trimmed_index=0):
     flip = np.linalg.norm(t1 - b0) + np.linalg.norm(t0 - b1)
     if flip < keep:
         top = top.reversed()
-    region = TrimmedRegion(record.surface, bottom, top)
+    if bottom is not first or top is not second:
+        region = TrimmedRegion(record.surface, bottom, top)
     return region, require_valid(region, f"trimmed surface D{record.de}: extracted region")
 
 

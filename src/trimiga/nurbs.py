@@ -360,15 +360,26 @@ def _require_finite(values, what):
     return values
 
 
-def _check_weights(weights, count):
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != count:
-        raise InvalidGeometryError(
-            f"expected {count} weights, got {weights.size}"
-        )
+def _control_net(points, weights):
+    """The weights and the homogeneous net (w * P, w) of finite control points.
+
+    One weight per point, in the shape of the points' leading axes, ones by
+    default, each positive and finite. A finite point times a finite weight
+    can still overflow, which is rejected without numpy's warning. All three
+    arrays come back read-only.
+    """
+    lead = points.shape[:-1]
+    weights = np.ones(lead) if weights is None else np.array(weights, dtype=float)
+    if weights.shape != lead:
+        raise InvalidGeometryError(f"weights must have shape {lead}, got {weights.shape}")
     if np.any(_require_finite(weights, "weights") <= 0):
         raise InvalidGeometryError("all weights must be positive")
-    return weights
+    with np.errstate(over="ignore"):
+        hnet = np.concatenate([points * weights[..., None], weights[..., None]], axis=-1)
+    _require_finite(hnet, "weighted control points")
+    for a in (points, weights, hnet):
+        a.flags.writeable = False
+    return weights, hnet
 
 
 class NurbsCurve:
@@ -387,17 +398,9 @@ class NurbsCurve:
             raise InvalidGeometryError(
                 f"knot vector implies {n} control points, got {pts.shape[0]}"
             )
-        if weights is None:
-            weights = np.ones(n)
         self.knot_vector = knot_vector
         self.control_points = pts
-        self.weights = _check_weights(weights, n)
-        self.control_points.flags.writeable = False
-        self.weights.flags.writeable = False
-        self._homogeneous = np.hstack(
-            [self.control_points * self.weights[:, None], self.weights[:, None]]
-        )
-        self._homogeneous.flags.writeable = False
+        self.weights, self._homogeneous = _control_net(pts, weights)
         #: (s, order, value, d1, ...) of the last Python-float query
         self._last = (None, None)
 
@@ -477,30 +480,15 @@ class NurbsSurface:
             raise InvalidGeometryError(
                 f"control net must have shape ({A}, {B}, 3), got {net.shape}"
             )
-        if weights is None:
-            weights = np.ones((A, B))
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (A, B):
-            raise InvalidGeometryError(
-                f"weights must have shape ({A}, {B}), got {weights.shape}"
-            )
-        weights = _check_weights(weights, A * B).reshape(A, B)
-        # a finite net can still overflow in its weighted points or in the
-        # square of its size; the checks below reject that without a warning
+        self.weights, self._homogeneous = _control_net(net, weights)
+        # a finite net can still overflow in the square of its size
         with np.errstate(over="ignore"):
-            hnet = np.concatenate([net * weights[..., None], weights[..., None]], axis=2)
             points = net.reshape(-1, 3)
             size = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
-        _require_finite(hnet, "weighted control points")
         _require_finite(size * size, "the squared control net size")
         self.knot_vector_u = knot_vector_u
         self.knot_vector_v = knot_vector_v
         self.control_net = net
-        self.weights = weights
-        self.control_net.flags.writeable = False
-        self.weights.flags.writeable = False
-        self._homogeneous = hnet
-        self._homogeneous.flags.writeable = False
         # the net with v outermost, flattened, and the offsets of a point's
         # (q+1, p+1) block in it: the array path gathers with one np.take
         self._net_vu = self._homogeneous.transpose(1, 0, 2).reshape(B * A, 4)

@@ -112,16 +112,20 @@ class RegionReport:
 
 
 def _as_parameter_curve(curve, name):
-    """Accept a 2D curve, or a 3D one whose z coordinate is identically zero."""
-    if curve.dim == 2:
-        return curve
-    z = curve.control_points[:, 2]
-    if np.max(np.abs(z)) > _CONTAIN_TOL:
+    """curve as a 2D curve in the unit square; a 3D one needs z identically zero."""
+    pts = curve.control_points
+    z = np.max(np.abs(pts[:, 2:]), initial=0.0)
+    if z > _CONTAIN_TOL:
         raise InvalidGeometryError(
-            f"{name} trimming curve must live in the parameter plane "
-            f"(max |z| = {np.max(np.abs(z)):.3g})"
+            f"{name} trimming curve must live in the parameter plane (max |z| = {z:.3g})"
         )
-    return NurbsCurve(curve.knot_vector, curve.control_points[:, :2], curve.weights)
+    pts = pts[:, :2]
+    if np.any(pts < -_CONTAIN_TOL) or np.any(pts > 1.0 + _CONTAIN_TOL):
+        raise InvalidGeometryError(
+            f"{name} trimming curve control points must lie in the unit "
+            f"square (found {pts.min():.6g}..{pts.max():.6g})"
+        )
+    return curve if curve.dim == 2 else NurbsCurve(curve.knot_vector, pts, curve.weights)
 
 
 class TrimmedRegion:
@@ -132,13 +136,6 @@ class TrimmedRegion:
             raise InvalidGeometryError("surface must be a NurbsSurface")
         bottom = _as_parameter_curve(curve_bottom, "bottom")
         top = _as_parameter_curve(curve_top, "top")
-        for name, c in (("bottom", bottom), ("top", top)):
-            pts = c.control_points
-            if np.any(pts < -_CONTAIN_TOL) or np.any(pts > 1.0 + _CONTAIN_TOL):
-                raise InvalidGeometryError(
-                    f"{name} trimming curve control points must lie in the unit "
-                    f"square (found {pts.min():.6g}..{pts.max():.6g})"
-                )
         self.surface = surface
         self.curve_bottom = bottom
         self.curve_top = top

@@ -490,11 +490,13 @@ def test_non_finite_degree_in_a_native_file_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize("point, message", [
     ("1e300 1 0 1", "the squared control net size must be finite"),
     ("5 5 0 1e308", "weighted control points must be finite"),
+    ("1e300 0 1e10", "weighted control points must be finite"),
 ])
 def test_overflowing_control_net_exits_1_without_a_warning(capsys, tmp_path, point, message):
+    # a four-number row replaces a surface row, a three-number one a trimming curve row
+    row = "\n1 1 0 1\n" if len(point.split()) == 4 else "\n1 0 1\n"
     path = tmp_path / "huge.trim"
-    path.write_text(native.format_region(plate_with_hole_region()).replace(
-        "\n1 1 0 1\n", f"\n{point}\n"))
+    path.write_text(native.format_region(plate_with_hole_region()).replace(row, f"\n{point}\n"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "area", "--region", str(path))

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,12 @@ class TestRoundTrip:
             pts = curve.control_points
             assert np.all(pts >= -1e-9) and np.all(pts <= 1 + 1e-9)
 
+    def test_the_terminate_record_counts_each_section(self, plate_region):
+        lines = iges.region_to_iges(plate_region).splitlines()
+        counts = Counter(line[72] for line in lines)
+        assert counts["T"] == 1
+        assert lines[-1][:32] == "S{:>7}G{:>7}D{:>7}P{:>7}".format(*(counts[k] for k in "SGDP"))
+
     def test_file_round_trip(self, tmp_path, plate_region):
         path = tmp_path / "plate.igs"
         path.write_text(iges.region_to_iges(plate_region), encoding="utf-8")
@@ -155,6 +164,15 @@ class TestSingleEntities:
         assert model.trimmed == []
         (curve,) = model.curves.values()
         assert np.allclose(curve.weights, [1.0, 0.707, 1.0])
+
+    def test_surface_of_degree_0_in_v(self):
+        # K2 = M2 = 0: one row of control points, two v knots; M2 = -1 is no degree
+        params = "128,1,0,1,{},0,0,0,0,0,0,0,1,1,0,1,1,1,0,0,0,1,0,0,0,1,0,1;"
+        surface = iges.parse(_single_entity_file(128, params.format(0))).surfaces[1]
+        assert surface.degrees == (1, 0)
+        assert np.array_equal(surface.evaluate(0.25, 0.5, 0).value, [0.25, 0.0, 0.0])
+        with pytest.raises(IgesParseError, match="invalid indices K1=1, K2=0, M1=1, M2=-1"):
+            iges.parse(_single_entity_file(128, params.format(-1)))
 
     def test_skipped_entities_are_counted(self, plate_region):
         w = iges._Writer()
@@ -464,6 +482,26 @@ class TestReaderErrors:
         else:
             assert iges.parse(text).diagnostics == expected
             assert_same_region(text)
+
+    def test_a_curve_whose_weighted_points_overflow_is_rejected(self):
+        # finite numbers, but 1e300 * 1e10 is not
+        params = "126,1,1,0,0,1,0,0,0,1,1,1e10,1,1e300,0,0,1,1,0,0,1,0,0,1;"
+        with pytest.raises(IgesParseError) as err:
+            iges.parse(_single_entity_file(126, params))
+        assert str(err.value) == ("entity 126 (D1): weighted control points must be finite "
+                                  "[section P] [line 5]")
+
+    def test_a_huge_trim_coordinate_exits_1_without_a_warning(self, tmp_path, capsys):
+        # the arc's first y, same length, so the columns hold
+        path = tmp_path / "huge.igs"
+        path.write_text(plate_iges_with("0.20000000000000001,0,0.2", "1.7000000000000E308,0,0.2"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["area", "--iges", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (1, "", [])
+        assert err == ("error: bottom trimming curve control points must lie in the unit "
+                       "square (found 0..1.7e+308)\n")
 
     def test_directory_faults_are_found_before_parameter_faults(self):
         # the first entry's record is unterminated, the fifth's types disagree

@@ -151,10 +151,13 @@ def test_non_finite_degree_is_a_format_error(bad):
 @pytest.mark.parametrize("point, message", [
     ("1e300 1 0 1", "squared control net size"),  # finite net, size**2 overflows
     ("5 5 0 1e308", "weighted control points"),  # x * w overflows
+    ("1e300 0 1e10", "weighted control points"),  # a trimming curve's x * w overflows
 ])
 def test_a_control_net_that_overflows_is_rejected(plate_region, point, message):
-    # pytest makes warnings errors, so numpy's overflow warnings would fail this too
+    # pytest makes warnings errors, so numpy's overflow warnings would fail this too;
+    # a four-number row replaces a surface row, a three-number one a curve row
+    row = "\n1 1 0 1\n" if len(point.split()) == 4 else "\n1 0 1\n"
     text = native.format_region(plate_region)
-    assert text.count("\n1 1 0 1\n") == 1
+    assert text.count(row) == 1
     with pytest.raises(InvalidGeometryError, match=message):
-        native.parse_region(text.replace("\n1 1 0 1\n", f"\n{point}\n"))
+        native.parse_region(text.replace(row, f"\n{point}\n"))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ class TestKnotVector:
     def test_rejects_unclamped(self):
         with pytest.raises(InvalidGeometryError):
             KnotVector([0, 0.2, 0.5, 1], 1)
+        # unclamped only at its start, so the check of the end cannot catch it
+        with pytest.raises(InvalidGeometryError, match="must be clamped"):
+            KnotVector([0, 0, 0.3, 0.6, 1, 1, 1], 2)
 
     def test_rejects_interior_multiplicity_above_degree(self):
         with pytest.raises(InvalidGeometryError):
@@ -684,6 +688,37 @@ class TestDegreeElevation:
         assert np.abs(d.d2 - ref.d2).max() < 1e-8
 
 
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_COORDINATES = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), _MAGNITUDES)
+
+
+@pytest.mark.parametrize("kind", ["curve", "surface"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_a_finite_control_net_gives_finite_homogeneous_points_or_a_typed_error(kind, data):
+    """Points and weights of any finite size from 1e-300 to 1e300: the product
+    w * P either stays finite or is rejected, without a numpy warning."""
+    kv_u, kv_v = data.draw(knot_vectors()), data.draw(knot_vectors())
+    if kind == "curve":
+        shape, dim = (kv_u.num_basis,), data.draw(st.sampled_from([2, 3]))
+    else:
+        shape, dim = (kv_u.num_basis, kv_v.num_basis), 3
+    size = math.prod(shape)
+    points = np.reshape(data.draw(st.lists(_COORDINATES, min_size=size * dim,
+                                           max_size=size * dim)), shape + (dim,))
+    weights = np.reshape(data.draw(st.lists(_MAGNITUDES, min_size=size, max_size=size)), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if kind == "curve":
+                geometry = NurbsCurve(kv_u, points, weights)
+            else:
+                geometry = NurbsSurface(kv_u, kv_v, points, weights)
+        except InvalidGeometryError:
+            return
+    assert np.all(np.isfinite(geometry._homogeneous))
+
+
 class TestValidation:
     def test_control_point_count_mismatch(self):
         kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
@@ -716,6 +751,11 @@ class TestValidation:
         net[0, 1, 2] = math.inf
         with pytest.raises(InvalidGeometryError, match="control points must be finite"):
             NurbsSurface(kv, kv, net)
+
+    def test_curve_weights_take_the_points_leading_shape(self):
+        kv = KnotVector([0, 0, 1, 1], 1)
+        with pytest.raises(InvalidGeometryError, match=r"weights must have shape \(2,\)"):
+            NurbsCurve(kv, [[0, 0], [1, 1]], [[1.0], [1.0]])
 
     def test_surface_net_shape(self):
         kv = KnotVector([0, 0, 1, 1], 1)
