@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IgesParseError, InvalidGeometryError, UnsupportedTopologyError
 from .nurbs import KnotVector, NurbsCurve, NurbsSurface
-from .trimming import TrimmedRegion, require_valid
+from .trimming import TrimmedRegion, _as_parameter_curve, require_valid
 
 _STRAIGHT_TOL = 1e-9
 _GAP_TOL = 1e-6
@@ -334,8 +334,11 @@ def parse(text):
                         "supported curve entity"
                     )
         curves = [_to_parameter_curve(model.curves[m], ranges[pts]) for m in members]
-        # a two-curve loop's closing edges are implied, so its end gaps are intended
-        for k in range(len(curves)) if len(curves) > 2 else ():
+        # a two-curve loop's closing edges are implied, so its end gaps are
+        # intended; a loop with a curve off the parameter square fails to
+        # extract with a typed error, and its gaps could overflow
+        measured = len(curves) > 2 and all(map(_in_square, curves))
+        for k in range(len(curves)) if measured else ():
             nxt = (k + 1) % len(curves)
             gap = float(np.linalg.norm(curves[k].evaluate(1.0, 0).value
                                        - curves[nxt].evaluate(0.0, 0).value))
@@ -356,7 +359,20 @@ def parse_file(path):
 # region extraction
 
 
+def _in_square(curve):
+    """Whether TrimmedRegion accepts curve as a parameter curve."""
+    try:
+        _as_parameter_curve(curve, "boundary")
+    except InvalidGeometryError:
+        return False
+    return True
+
+
 def _is_straight(curve):
+    """Whether curve is a straight edge to drop; one off the parameter square
+    is kept, so that TrimmedRegion rejects it by name before any arithmetic."""
+    if not _in_square(curve):
+        return False
     pts = curve.control_points
     chord = pts[-1] - pts[0]
     norm = np.linalg.norm(chord)

@@ -16,7 +16,10 @@ Conventions:
 
 The quotient rule is written once, on components: Python floats for a scalar
 query and views for a batch (_unpack), after shared matmuls. Elementwise IEEE
-arithmetic rounds alike on both, so both give the same bits.
+arithmetic rounds alike on both, so both give the same bits. An evaluator
+reads the query's rank once, from its basis tables' ndim, gathers a scalar
+query's span block by slices, and builds its bundle once, positionally, from
+named components, which trimming.TrimmedRegion reads once per bundle.
 
 The knot-span basis (KnotVector.basis) is one kernel text for both as well:
 the Cox-de Boor triangle of NURBS Book A2.2 (Piegl & Tiller), one list of
@@ -316,18 +319,8 @@ def collocation_matrix(kv, params):
     span, ders = kv.basis(np.asarray(params, dtype=float), 0)
     M = np.zeros((span.size, kv.num_basis))
     rows = np.arange(span.size)[:, None]
-    M[rows, _support(span, kv.degree)] = ders[:, 0]
+    M[rows, span[:, None] + np.arange(-kv.degree, 1)] = ders[:, 0]
     return M
-
-
-def _support(span, degree):
-    """Indices span-degree..span of the nonzero functions.
-
-    A slice for one span; for an array of spans, indices in a new last axis.
-    """
-    if not _rank(span):
-        return slice(span - degree, span + 1)
-    return span[..., None] + np.arange(-degree, 1)
 
 
 # The derivative bundles are slotted, not frozen: every scalar evaluation
@@ -401,8 +394,8 @@ class NurbsCurve:
         self.knot_vector = knot_vector
         self.control_points = pts
         self.weights, self._homogeneous = _control_net(pts, weights)
-        #: (s, order, value, d1, ...) of the last Python-float query
-        self._last = (None, None)
+        #: (s, order, value, d1, d2) of the last Python-float query
+        self._last = (None,) * 5
 
     @property
     def degree(self):
@@ -430,24 +423,30 @@ class NurbsCurve:
         # `is`, not ==: a float order equal to the last int one must reach basis
         # and fail there, while an int order, a shared small int, still hits
         if memo and (last := self._last)[0] == s and last[1] is order:
-            return CurveDerivatives(*last[2:])
+            return CurveDerivatives(last[2], last[3], last[4])
         kv = self.knot_vector
+        p = kv.degree
         span, ders = kv.basis(s, order)
-        rank = _rank(s)
+        rank = ders.ndim - 2
+        H = self._homogeneous
         # A[k][c]: k-th derivative of homogeneous coordinate c, the weight last
-        A = _unpack(ders @ self._homogeneous[_support(span, kv.degree)], rank, 2)
+        A = ders @ (H[span[..., None] + np.arange(-p, 1)] if rank else H[span - p:span + 1])
+        A = _unpack(A, rank, 2)
         w = A[0][-1]
-        fields = [_quotient(A[0], w)]
-        if order >= 1:
-            fields.append(_quotient(A[1], w, [(A[1][-1], fields[0])]))
-        if order >= 2:
-            fields.append(_quotient(A[2], w, [(2.0 * A[1][-1], fields[1]), (A[2][-1], fields[0])]))
-        fields = [_pack(f, rank) for f in fields]
+        value = _quotient(A[0], w)
+        d1 = d2 = None
+        if order:
+            w1 = A[1][-1]
+            d1 = _quotient(A[1], w, [(w1, value)])
+            if order == 2:
+                d2 = _pack(_quotient(A[2], w, [(2.0 * w1, d1), (A[2][-1], value)]), rank)
+            d1 = _pack(d1, rank)
+        value = _pack(value, rank)
         if memo:
-            for a in fields:
+            for a in (value, d1, d2)[:order + 1]:
                 a.setflags(write=False)
-            self._last = (s, order, *fields)
-        return CurveDerivatives(*fields)
+            self._last = (s, order, value, d1, d2)
+        return CurveDerivatives(value, d1, d2)
 
     def insert_knot(self, value, multiplicity=1):
         """Exact knot insertion, `multiplicity` copies of `value` at once."""
@@ -514,43 +513,44 @@ class NurbsSurface:
         u and v may be arrays that broadcast together; every field then
         gains their broadcast shape in front of its last axis.
         """
-        p, q = self.degrees
-        span_u, du = self.knot_vector_u.basis(u, order)
-        span_v, dv = self.knot_vector_v.basis(v, order)
-        rank = _rank(span_u) or _rank(span_v)
+        kv_u, kv_v = self.knot_vector_u, self.knot_vector_v
+        p, q = kv_u.degree, kv_v.degree
+        span_u, du = kv_u.basis(u, order)
+        span_v, dv = kv_v.basis(v, order)
+        rank = du.ndim + dv.ndim - 4
         # A[k, l] = sum_i du[k, i] G[i, l], G[i, l] = sum_j dv[l, j] H[i, j];
         # explicit sizes, so that an empty batch reshapes too
         if rank:
             # H[j, i] per point by one take on the v-major net, then one
             # product per point per direction; G comes out as G[i, c, l],
             # ready for the u product without a copy
-            first = (span_v - q) * self.knot_vector_u.num_basis + (span_u - p)
+            first = (span_v - q) * kv_u.num_basis + (span_u - p)
             H = np.take(self._net_vu, first[..., None, None] + self._block, axis=0)
             H = H.reshape(H.shape[:-3] + (q + 1, (p + 1) * 4))
             G = H.swapaxes(-1, -2) @ dv.swapaxes(-1, -2)
             A = du @ G.reshape(G.shape[:-2] + (p + 1, 4 * (order + 1)))
             A = A.reshape(A.shape[:-1] + (4, order + 1)).swapaxes(-1, -2)
         else:
-            H = self._homogeneous[_support(span_u, p), _support(span_v, q)]
+            H = self._homogeneous[span_u - p:span_u + 1, span_v - q:span_v + 1]
             A = du @ (dv[None] @ H).reshape(p + 1, (order + 1) * 4)
             A = A.reshape(order + 1, order + 1, 4)
         # A[k][l][c]: the (k, l)-th partial of homogeneous coordinate c
         A = _unpack(A, rank, 3)
         w = A[0][0][3]
         value = _quotient(A[0][0], w)
-        fields = [value]
-        if order >= 1:
-            wu, wv = A[1][0][3], A[0][1][3]
-            su = _quotient(A[1][0], w, [(wu, value)])
-            sv = _quotient(A[0][1], w, [(wv, value)])
-            fields += [su, sv]
-        if order >= 2:
-            fields += [
-                _quotient(A[2][0], w, [(2 * wu, su), (A[2][0][3], value)]),
-                _quotient(A[1][1], w, [(wu, sv), (wv, su), (A[1][1][3], value)]),
-                _quotient(A[0][2], w, [(2 * wv, sv), (A[0][2][3], value)]),
-            ]
-        return SurfaceDerivatives(*(_pack(f, rank) for f in fields))
+        if not order:
+            return SurfaceDerivatives(_pack(value, rank))
+        wu, wv = A[1][0][3], A[0][1][3]
+        su = _quotient(A[1][0], w, [(wu, value)])
+        sv = _quotient(A[0][1], w, [(wv, value)])
+        if order == 1:
+            return SurfaceDerivatives(_pack(value, rank), _pack(su, rank), _pack(sv, rank))
+        return SurfaceDerivatives(
+            _pack(value, rank), _pack(su, rank), _pack(sv, rank),
+            _pack(_quotient(A[2][0], w, [(2 * wu, su), (A[2][0][3], value)]), rank),
+            _pack(_quotient(A[1][1], w, [(wu, sv), (wv, su), (A[1][1][3], value)]), rank),
+            _pack(_quotient(A[0][2], w, [(2 * wv, sv), (A[0][2][3], value)]), rank),
+        )
 
     def insert_knot(self, value, direction, multiplicity=1):
         """Exact knot insertion along 'u' or 'v'."""

@@ -16,7 +16,10 @@ reproduce.
 
 The blend, the chain rule, MapDerivatives.det and cross_norm are written
 once, on components: floats for a scalar query, views for a batch, with the
-same bits (nurbs._unpack).
+same bits (nurbs._unpack). A query reads its rank once, in _check_st, and
+runs straight through named components: the curves' into the blend, written
+u = r * b_u + t * c_u with r = 1 - t, the blend's and the surface's into the
+chain rule. Each bundle is built once, positionally.
 """
 
 import math
@@ -154,45 +157,48 @@ class TrimmedRegion:
         return max(*self.surface.degrees, self.curve_bottom.degree, self.curve_top.degree)
 
     def _check_st(self, s, t):
-        """(s, t) moved into the unit square.
+        """(rank, s, t): the query's rank (nurbs._rank), read once here, and
+        (s, t) moved into the unit square.
 
         DomainError where a point lies further than MERGE_TOL outside, as
         a NaN coordinate does.
         """
-        if _rank(s) or _rank(t):
+        rank = _rank(s) or _rank(t)
+        if rank:
             s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
             inside = (s >= -MERGE_TOL) & (s <= 1.0 + MERGE_TOL)
             inside = inside & (t >= -MERGE_TOL) & (t <= 1.0 + MERGE_TOL)
             if not inside.all():
                 s0, t0 = _first_where(~inside, s, t)
                 raise DomainError(f"(s, t) = ({s0}, {t0}) outside the unit square")
-            return np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
+            return rank, np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
         if not (-MERGE_TOL <= s <= 1.0 + MERGE_TOL) or not (
             -MERGE_TOL <= t <= 1.0 + MERGE_TOL
         ):
             raise DomainError(f"(s, t) = ({s}, {t}) outside the unit square")
-        return min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
+        return 0, min(max(s, 0.0), 1.0), min(max(t, 0.0), 1.0)
 
-    def _blend(self, s, t, order):
-        """(rank, uv, duv_ds, duv_dt, d2uv): the query's rank and the blend's
-        (u, v) components at (s, t) (nurbs._unpack), evaluating the curves at
-        s's values only. d2uv is [] below order 2, else d2uv_ds2 and
-        d2uv_dsdt; d2uv_dt2 is zero, as the blend is linear in t."""
-        rank = _rank(s) or _rank(t)
+    def _blend(self, rank, s, t, order):
+        """The blend's components at (s, t) for order 1 or 2, evaluating the
+        curves at s's values only (nurbs._unpack): u, v, u_s, v_s, u_t, v_t,
+        then u_ss, v_ss, u_st, v_st at order 2 or four Nones at order 1.
+        u_tt and v_tt are zero, as the blend is linear in t."""
         b = self.curve_bottom.evaluate(s, order)
         c = self.curve_top.evaluate(s, order)
-        # per s-derivative k, the components of C_I^(k) and C_II^(k)
-        pairs = [(_unpack(p, rank), _unpack(q, rank))
-                 for p, q in zip((b.value, b.d1, b.d2)[:order + 1], (c.value, c.d1, c.d2))]
         r = 1.0 - t
-        mix = [[r * p + t * q for p, q in zip(*pair)] for pair in pairs]
-        gap = [[q - p for p, q in zip(*pair)] for pair in pairs[:order]]
-        return rank, mix[0], mix[1], gap[0], mix[2:] + gap[1:]
+        (bu, bv), (cu, cv) = _unpack(b.value, rank), _unpack(c.value, rank)
+        (bus, bvs), (cus, cvs) = _unpack(b.d1, rank), _unpack(c.d1, rank)
+        first = (r * bu + t * cu, r * bv + t * cv, r * bus + t * cus, r * bvs + t * cvs,
+                 cu - bu, cv - bv)
+        if order < 2:
+            return first + (None,) * 4
+        (buss, bvss), (cuss, cvss) = _unpack(b.d2, rank), _unpack(c.d2, rank)
+        return first + (r * buss + t * cuss, r * bvss + t * cvss, cus - bus, cvs - bvs)
 
-    def _map(self, s, t):
+    def _map(self, rank, s, t):
         """map_point for (s, t) already inside the square."""
-        rank, *fields, _ = self._blend(s, t, 1)
-        return MapDerivatives(*(_pack(f, rank) for f in fields))
+        u, v, us, vs, ut, vt, *_ = self._blend(rank, s, t, 1)
+        return MapDerivatives(_pack([u, v], rank), _pack([us, vs], rank), _pack([ut, vt], rank))
 
     def map_point(self, s, t):
         """Blend map with first derivatives at (s, t)."""
@@ -208,33 +214,39 @@ class TrimmedRegion:
         by column, panel by panel, s-major within a panel, on a batch).
         """
         _check_int(order, "derivative order", 0, 2)
-        s, t = self._check_st(s, t)
-        rank, uv, (us, vs), (ut, vt), d2uv = self._blend(s, t, max(order, 1))
+        rank, s, t = self._check_st(s, t)
+        u, v, us, vs, ut, vt, uss, vss, ust, vst = self._blend(rank, s, t, order or 1)
         # the blend may leave the square by roundoff and by the _CONTAIN_TOL
         # the constructor allows control points, and the surface raises
-        # DomainError outside it
-        u, v = (np.minimum(np.maximum(x, 0.0), 1.0) if rank else min(max(x, 0.0), 1.0)
-                for x in uv)
-        sd = self.surface.evaluate(u, v, max(order, 1))
+        # DomainError outside it; a batch's u and v are the blend's own new
+        # arrays, clamped in place
+        if rank:
+            for x in (u, v):
+                np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
+        else:
+            u, v = min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
+        sd = self.surface.evaluate(u, v, order or 1)
         # the chain rule, per model-space component
         xu, xv = _unpack(sd.du, rank), _unpack(sd.dv, rank)
-        dx_ds = [a * us + b * vs for a, b in zip(xu, xv)]
-        dx_dt = [a * ut + b * vt for a, b in zip(xu, xv)]
+        dx_ds, dx_dt = [], []
+        for a, b in zip(xu, xv):
+            dx_ds.append(a * us + b * vs)
+            dx_dt.append(a * ut + b * vt)
         scale = cross_norm(dx_ds, dx_dt)
         check_regular(scale, self.surface.singular_area, s, t)
-        first = (sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank))
         if order < 2:
-            return CompositeDerivatives(*first, jacobian_scale=scale)
-        (uss, vss), (ust, vst) = d2uv
-        xuu, xuv, xvv = (_unpack(f, rank) for f in (sd.duu, sd.duv, sd.dvv))
+            return CompositeDerivatives(sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank),
+                                        None, None, None, scale)
+        xuu, xuv, xvv = _unpack(sd.duu, rank), _unpack(sd.duv, rank), _unpack(sd.dvv, rank)
         d2x_ds2, d2x_dt2, d2x_dsdt = [], [], []
         for a, b, aa, ab, bb in zip(xu, xv, xuu, xuv, xvv):
             d2x_ds2.append(aa * us * us + 2.0 * ab * us * vs + bb * vs * vs + a * uss + b * vss)
             d2x_dt2.append(aa * ut * ut + 2.0 * ab * ut * vt + bb * vt * vt)
             d2x_dsdt.append(aa * us * ut + ab * (us * vt + ut * vs) + bb * vs * vt
                             + a * ust + b * vst)
-        second = [_pack(f, rank) for f in (d2x_ds2, d2x_dt2, d2x_dsdt)]
-        return CompositeDerivatives(*first, *second, scale)
+        return CompositeDerivatives(sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank),
+                                    _pack(d2x_ds2, rank), _pack(d2x_dt2, rank),
+                                    _pack(d2x_dsdt, rank), scale)
 
     def validate(self, grid_n=32):
         """Sweep an (n+1) x (n+1) grid and report what it finds.
@@ -245,7 +257,7 @@ class TrimmedRegion:
         """
         _check_int(grid_n, "grid_n", 4)
         grid = np.linspace(0.0, 1.0, grid_n + 1)
-        m = self._map(grid, grid[:, None])
+        m = self._map(1, grid, grid[:, None])
         det = m.det
         min_det, max_det = float(det.min()), float(det.max())
         sign_change = not (min_det > 0.0 or max_det < 0.0)

@@ -6,7 +6,8 @@ import pytest
 
 from trimiga import iges
 from trimiga.cli import main as cli_main
-from trimiga.errors import IgesParseError, TrimigaError, UnsupportedTopologyError
+from trimiga.errors import (IgesParseError, InvalidGeometryError, TrimigaError,
+                            UnsupportedTopologyError)
 from trimiga.nurbs import KnotVector, NurbsCurve
 from trimiga.shapes import (
     hole_arc_curve,
@@ -502,6 +503,28 @@ class TestReaderErrors:
         assert (code, out, caught) == (1, "", [])
         assert err == ("error: bottom trimming curve control points must lie in the unit "
                        "square (found 0..1.7e+308)\n")
+
+    def test_a_huge_coordinate_in_a_four_curve_loop_fails_without_a_warning_or_gap_note(self):
+        # the four-curve loop of test_four_curve_loop_drops_straight_edges with
+        # the hole arc's first y at 1.7e308: neither the boundary-gap note nor
+        # the straight-edge test may run arithmetic on it
+        bottom, top = hole_arc_curve(), outer_polyline_curve()
+        pts = bottom.control_points.copy()
+        pts[0, 1] = 1.7e308
+        loop = [
+            NurbsCurve(bottom.knot_vector, pts, bottom.weights),
+            segment3(bottom.evaluate(1, 0).value, top.evaluate(1, 0).value),
+            top.reversed(),
+            segment3(top.evaluate(0, 0).value, bottom.evaluate(0, 0).value),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = iges.parse(loop_file(loop))
+            assert model.diagnostics == []
+            with pytest.raises(InvalidGeometryError) as err:
+                iges.extract_region(model)
+        assert str(err.value) == ("bottom trimming curve control points must lie in the unit "
+                                  "square (found 0..1.7e+308)")
 
     def test_directory_faults_are_found_before_parameter_faults(self):
         # the first entry's record is unterminated, the fifth's types disagree

@@ -1,11 +1,12 @@
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
-from trimiga.nurbs import KnotVector, NurbsCurve
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 from trimiga.quadrature import Tiling, gauss_panels, integrate
 from trimiga.shapes import identity_region, unit_square_surface
 from trimiga.trimming import RegionReport, TrimmedRegion, check_regular
@@ -387,6 +388,27 @@ class TestArrayCompositeEval:
             region.composite_eval(np.array([[0.25], [0.75], [0.75]]),
                                   np.array([[0.125, 0.5]]), 1)
         assert (err.value.s, err.value.t, err.value.scale) == (0.75, 0.125, 0.0)
+
+
+@pytest.mark.parametrize("s, t", [(0.3, 0.7), (np.array([[0.3], [0.6]]), np.array([[0.2, 0.7]]))],
+                         ids=["scalar", "batch"])
+def test_each_query_goes_through_the_public_evaluators(plate_region, monkeypatch, s, t):
+    """composite_eval calls NurbsCurve.evaluate twice and NurbsSurface.evaluate
+    once, map_point the curves' alone: perfbench's tracer counts these class
+    attributes, so a query that went round them would hide its work there."""
+    counts = Counter()
+    for cls in (NurbsCurve, NurbsSurface):
+        def counted(self, *args, _evaluate=cls.evaluate, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            return _evaluate(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "evaluate", counted)
+    for order in (0, 1, 2):
+        counts.clear()
+        plate_region.composite_eval(s, t, order)
+        assert counts == {"NurbsCurve": 2, "NurbsSurface": 1}, order
+    counts.clear()
+    plate_region.map_point(s, t)
+    assert counts == {"NurbsCurve": 2}
 
 
 class TestSingularThreshold:
