@@ -261,8 +261,7 @@ def _dump_fields(result, path, grid):
     columns = np.column_stack([s, t, xy, sol.displacement(s, t), sol.stress(s, t)])
     rows = ["s,t,x,y,ux,uy,sxx,syy,sxy"]
     rows += [",".join(_fmt(v) for v in row) for row in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_output("\n".join(rows) + "\n", path)
 
 
 def build_parser():

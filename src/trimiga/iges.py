@@ -18,9 +18,9 @@ each complete `DirectoryEntry` from its D-line pair and its checked P lines;
 every D pair is decoded first, so a directory fault is reported first. A
 typed cursor then reads each entity's tokens front to back. Each 144 is
 resolved once into a `TrimmedSurfaceRecord`: its surface and its outer-loop
-curves in loop order, x and y rescaled from the surface's knot ranges into
-the unit square, its boundary problems noted in `diagnostics`. Extraction
-reads only that.
+curves in loop order, x and y rescaled by the surface's knot ranges and not
+checked, its boundary problems noted in `diagnostics`. Extraction reads only
+that: `TrimmedRegion` checks each curve and snaps it into the unit square.
 """
 
 import re
@@ -48,11 +48,11 @@ class DirectoryEntry:
 
 @dataclass
 class TrimmedSurfaceRecord:
-    """One 144 entity resolved to its surface and unit-square boundary curves."""
+    """One 144 entity resolved to its surface and rescaled boundary curves."""
 
     de: int
     surface: NurbsSurface
-    curves: list      # outer-loop NurbsCurves in the unit square, in loop order
+    curves: list      # outer-loop NurbsCurves rescaled by the knot ranges, unchecked
     inner_loops: int  # N2, the count of inner boundaries (holes)
 
 

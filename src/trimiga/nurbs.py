@@ -96,6 +96,12 @@ def _quotient(a, w, terms=()):
     return out
 
 
+def _first_where(mask, *values):
+    """The values, broadcast against mask, at its first True in C order, as Python numbers."""
+    k = int(np.argmax(mask))
+    return [np.broadcast_to(v, np.shape(mask)).item(k) for v in values]
+
+
 def _check_int(value, name, lo, hi=math.inf):
     """DomainError unless value is an integer, Python's or numpy's, within lo..hi."""
     if not isinstance(value, (int, np.integer)):
@@ -139,8 +145,6 @@ class KnotVector:
         if span <= 0:
             raise InvalidGeometryError("knot range is empty")
         knots = (knots - knots[0]) / span
-        knots[0] = 0.0
-        knots[-1] = 1.0
         p = degree
         if np.any(np.abs(knots[: p + 1]) > MERGE_TOL) or np.any(
             np.abs(knots[-(p + 1):] - 1.0) > MERGE_TOL
@@ -217,7 +221,7 @@ class KnotVector:
             u = np.asarray(u, dtype=float)
             inside = (u >= -MERGE_TOL) & (u <= 1.0 + MERGE_TOL)
             if not inside.all():
-                raise DomainError(f"parameter {u[~inside][0]} outside [0, 1]")
+                raise DomainError(f"parameter {_first_where(~inside, u)[0]} outside [0, 1]")
             u = np.minimum(np.maximum(u, 0.0), 1.0)
             U = self.knots
             span = np.minimum(np.searchsorted(U, u, side="right") - 1, U.size - p - 2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import KnotVector, _check_int, _rank, _unpack
+from .nurbs import KnotVector, _check_int, _first_where, _rank, _unpack
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
 from .trimming import CompositeDerivatives, check_regular, cross_norm
@@ -398,9 +398,10 @@ def _element_blocks(geometry, field, coef, s, t, weights):
     split = (np.any(span_s != span_s[:, :1], axis=1)[:, None]
              | np.any(span_t != span_t[:, :1], axis=1))
     if split.any():
-        c, k = divmod(int(np.argmax(split)), T)
+        # a panel is named by its first node: its column's first s, its row's first t
+        s0, t0 = _first_where(split, s[:, :1, 0, 0], t[0, :, 0, 0])
         raise AssemblyError(
-            f"the Gauss panel at (s, t) = ({s[c].flat[0]:.6g}, {t[0, k].flat[0]:.6g}) "
+            f"the Gauss panel at (s, t) = ({s0:.6g}, {t0:.6g}) "
             "spans more than one field knot span"
         )
     P, q, m = C * T, n * n, dN_dx.shape[-1]
@@ -658,7 +659,7 @@ def _kirsch_stress(x, y, far_stress, hole_radius):
     r = np.hypot(x, y)
     inside = r < a * (1.0 - 1e-12)
     if np.any(inside):
-        xi, yi = (np.broadcast_to(v, r.shape)[inside][0] for v in (x, y))
+        xi, yi = _first_where(inside, x, y)
         raise DomainError(f"point ({xi}, {yi}) lies inside the hole of radius {a}")
     r2 = x * x + y * y
     c2, s2 = (x - y) * (x + y) / r2, 2.0 * x * y / r2
@@ -742,8 +743,7 @@ def plate_boundary_conditions(config, hole_radius):
 class PlateResult:
     """SolveResult plus the convergence metrics of the benchmark."""
 
-    def __init__(self, config, solution, l2_stress_error, rim_stress):
-        self.config = config
+    def __init__(self, solution, l2_stress_error, rim_stress):
         self.solution = solution
         self.l2_stress_error = l2_stress_error
         self.rim_stress = rim_stress
@@ -775,7 +775,7 @@ def solve_plate(config=None, region=None):
     far = config.far_stress
     l2 = stress_error_l2(solution, lambda x, y: _kirsch_stress(x, y, far, hole_radius)[1], n_quad)
     rim = float(solution.stress(0.0, 0.0)[0])
-    return PlateResult(config, solution, l2, rim)
+    return PlateResult(solution, l2, rim)
 
 
 def stress_error_l2(solution, reference, n_quad):

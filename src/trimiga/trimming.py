@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
-from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _pack, _rank, _unpack,
-                    merge_close)
+from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _first_where, _pack,
+                    _rank, _unpack, merge_close)
 
 _CONTAIN_TOL = 1e-9
 
@@ -85,9 +85,9 @@ class Breakpoint:
 class RegionReport:
     """Grid sweep diagnostics produced by TrimmedRegion.validate.
 
-    The blend stays within _CONTAIN_TOL of the unit square: the constructor
-    keeps every control point that close, a positive-weight curve stays in
-    the convex hull of its control points, and the blend is convex in t.
+    The blend stays inside the unit square, up to roundoff: the constructor
+    puts every control point in it, a positive-weight curve stays in the
+    convex hull of its control points, and the blend is convex in t.
     """
 
     grid_n: int
@@ -115,7 +115,10 @@ class RegionReport:
 
 
 def _as_parameter_curve(curve, name):
-    """curve as a 2D curve in the unit square; a 3D one needs z identically zero."""
+    """curve as a 2D curve in the unit square; a 3D one needs z identically zero.
+
+    A control point up to _CONTAIN_TOL outside is snapped onto the square, as
+    KnotVector snaps its end knots; a 2D curve inside is returned uncopied."""
     pts = curve.control_points
     z = np.max(np.abs(pts[:, 2:]), initial=0.0)
     if z > _CONTAIN_TOL:
@@ -123,12 +126,17 @@ def _as_parameter_curve(curve, name):
             f"{name} trimming curve must live in the parameter plane (max |z| = {z:.3g})"
         )
     pts = pts[:, :2]
-    if np.any(pts < -_CONTAIN_TOL) or np.any(pts > 1.0 + _CONTAIN_TOL):
+    lo, hi = pts.min(), pts.max()
+    if lo < -_CONTAIN_TOL or hi > 1.0 + _CONTAIN_TOL:
         raise InvalidGeometryError(
             f"{name} trimming curve control points must lie in the unit "
-            f"square (found {pts.min():.6g}..{pts.max():.6g})"
+            f"square (found {lo:.6g}..{hi:.6g})"
         )
-    return curve if curve.dim == 2 else NurbsCurve(curve.knot_vector, pts, curve.weights)
+    if lo < 0.0 or hi > 1.0:
+        pts = np.clip(pts, 0.0, 1.0)
+    elif curve.dim == 2:
+        return curve
+    return NurbsCurve(curve.knot_vector, pts, curve.weights)
 
 
 class TrimmedRegion:
@@ -216,15 +224,7 @@ class TrimmedRegion:
         _check_int(order, "derivative order", 0, 2)
         rank, s, t = self._check_st(s, t)
         u, v, us, vs, ut, vt, uss, vss, ust, vst = self._blend(rank, s, t, order or 1)
-        # the blend may leave the square by roundoff and by the _CONTAIN_TOL
-        # the constructor allows control points, and the surface raises
-        # DomainError outside it; a batch's u and v are the blend's own new
-        # arrays, clamped in place
-        if rank:
-            for x in (u, v):
-                np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
-        else:
-            u, v = min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
+        # the blend leaves the square by roundoff at most, which basis clamps
         sd = self.surface.evaluate(u, v, order or 1)
         # the chain rule, per model-space component
         xu, xv = _unpack(sd.du, rank), _unpack(sd.dv, rank)
@@ -248,7 +248,7 @@ class TrimmedRegion:
                                     _pack(d2x_ds2, rank), _pack(d2x_dt2, rank),
                                     _pack(d2x_dsdt, rank), scale)
 
-    def validate(self, grid_n=32):
+    def validate(self, grid_n):
         """Sweep an (n+1) x (n+1) grid and report what it finds.
 
         A fold-over or degeneracy is reported, not raised; a grid_n that is
@@ -286,12 +286,6 @@ def cross_norm(a, b):
     c2 = a[0] * b[1] - a[1] * b[0]
     square = c0 * c0 + c1 * c1 + c2 * c2
     return np.sqrt(square) if _rank(square) else math.sqrt(square)
-
-
-def _first_where(mask, *values):
-    """The values at the first True of mask in C order (s-major on a panel)."""
-    k = int(np.argmax(mask))
-    return [float(np.broadcast_to(v, np.shape(mask)).flat[k]) for v in values]
 
 
 def check_regular(measure, tol, s, t):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import Counter
 
@@ -594,3 +595,42 @@ def _single_entity_file(etype, params):
         "{:<72}T{:>7}".format("S      1G      1D      2P{:>7}".format(len(chunks)), 1)
     )
     return "\n".join(lines) + "\n"
+
+
+def _without_g_section(text):
+    return "".join(line for line in text.splitlines(keepends=True) if line[72] != "G")
+
+
+def _tie_loop():
+    # two vertical edges, both of mean v 0.5: the mean u picks the bottom
+    return loop_file([segment3([0.8, 1.0], [0.8, 0.0]), segment3([0.2, 0.0], [0.2, 1.0])])
+
+
+def _loop_with_a_closed_curve():
+    # a curve that ends where it starts has no chord, so it is not a
+    # straight edge to drop, and the loop keeps three curves
+    kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
+    closed = NurbsCurve(kv, [[0.5, 0.5, 0.0], [0.6, 0.6, 0.0], [0.5, 0.5, 0.0]])
+    return loop_file([hole_arc_curve(), outer_polyline_curve(), closed])
+
+
+def _round_trip(text):
+    return iges.region_to_iges(iges.extract_region(iges.parse(text)))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: iges.parse(""), IgesParseError("empty file")),
+    (lambda: _round_trip(PLATE_IGES.replace("\n", "\n\n   \n", 1)), PLATE_IGES),
+    (lambda: _round_trip(_without_g_section(PLATE_IGES)), PLATE_IGES),
+    (lambda: iges.extract_region(iges.parse(_loop_with_a_closed_curve())),
+     UnsupportedTopologyError("boundary with 3 curves reduces to 3 non-straight curve(s)")),
+    (lambda: iges.extract_region(iges.parse(_tie_loop())).curve_bottom.control_points.tolist(),
+     [[0.2, 0.0], [0.2, 1.0]]),
+], ids=["empty file", "blank lines", "no G section", "zero chord", "mean-u tie"])
+def test_reader_branches(call, expected):
+    # each case reaches one branch of the reader that no other test reaches
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected

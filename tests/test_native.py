@@ -4,6 +4,7 @@ import pytest
 from trimiga import native
 from trimiga.errors import InvalidGeometryError, NativeFormatError, TrimigaError
 from trimiga.nurbs import NurbsCurve, NurbsSurface
+from trimiga.shapes import plate_with_hole_region
 
 PASTED_LISTING = """
 # plate region as printed in a CAD listing
@@ -161,3 +162,22 @@ def test_a_control_net_that_overflows_is_rejected(plate_region, point, message):
     assert text.count(row) == 1
     with pytest.raises(InvalidGeometryError, match=message):
         native.parse_region(text.replace(row, f"\n{point}\n"))
+
+
+def _blocks(*kinds):
+    """A region file's text with its entities in the given order."""
+    region = plate_with_hole_region()
+    blocks = {"surface": native.format_surface(region.surface),
+              "curve": native.format_curve(region.curve_bottom)}
+    return "".join(blocks[kind] for kind in kinds)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# a comment and no entity\n", "no geometry entities found"),
+    (_blocks("curve", "surface", "curve"), "first entity of a region file must be a surface"),
+    (_blocks("surface", "surface", "curve"), "second and third entities must be curves"),
+    (_blocks("surface", "curve", "surface"), "second and third entities must be curves"),
+])
+def test_a_region_file_without_a_surface_and_two_curves_is_rejected(text, message):
+    with pytest.raises(NativeFormatError, match=message):
+        native.parse_region(text)

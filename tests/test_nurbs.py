@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -761,3 +762,51 @@ class TestValidation:
         kv = KnotVector([0, 0, 1, 1], 1)
         with pytest.raises(InvalidGeometryError):
             NurbsSurface(kv, kv, np.zeros((3, 2, 3)))
+
+
+KV1 = KnotVector([0, 0, 1, 1], 1)
+SQUARE_NET = [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: KnotVector([0.5] * 4, 1), InvalidGeometryError("knot range is empty")),
+    (lambda: KnotVector([2, 4], 0).greville().tolist(), [0.5]),
+    (lambda: KV1.inserted(1.0),
+     InvalidRefinementError("new knot 1.0 must lie strictly in (0, 1)")),
+    (lambda: KV1.inserted(-0.5),
+     InvalidRefinementError("new knot -0.5 must lie strictly in (0, 1)")),
+    (lambda: repr(KnotVector([0, 0, 2, 2], 1)),
+     "KnotVector(degree=1, knots=[0.0, 0.0, 1.0, 1.0])"),
+    (lambda: NurbsCurve([0, 0, 1, 1], [[0, 0], [1, 1]]),
+     InvalidGeometryError("knot_vector must be a KnotVector")),
+    (lambda: NurbsCurve(KV1, [0, 1]),
+     InvalidGeometryError("control points must be an (n, 2) or (n, 3) array")),
+    (lambda: NurbsCurve(KV1, [[0, 0, 0, 1], [1, 1, 0, 1]]),
+     InvalidGeometryError("control points must be an (n, 2) or (n, 3) array")),
+    (lambda: NurbsSurface([0, 0, 1, 1], KV1, SQUARE_NET),
+     InvalidGeometryError("knot vectors must be KnotVector instances")),
+    (lambda: NurbsSurface(KV1, None, SQUARE_NET),
+     InvalidGeometryError("knot vectors must be KnotVector instances")),
+    (lambda: NurbsSurface(KV1, KV1, SQUARE_NET).insert_knot(0.5, "w"),
+     InvalidRefinementError("direction must be 'u' or 'v', got 'w'")),
+    (lambda: NurbsSurface(KV1, KV1, SQUARE_NET).elevate_degree(0),
+     InvalidRefinementError("direction must be 'u' or 'v', got 0")),
+], ids=["empty knot range", "degree-0 greville", "insert at 1", "insert below 0", "repr",
+        "curve knot type", "curve points rank", "curve points width", "surface u knot type",
+        "surface v knot type", "insert direction", "elevate direction"])
+def test_branches_no_other_test_reaches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
+
+
+@pytest.mark.parametrize("u, named", [
+    ([[0.5, 1.5], [-3.0, 0.2]], 1.5),
+    ([[0.5, -3.0], [1.5, 0.2]], -3.0),
+    (np.array([[0.5, 1.5], [-3.0, 0.2]]).T, -3.0),  # C order, not memory order
+])
+def test_a_batch_names_its_first_bad_parameter_in_c_order(u, named):
+    with pytest.raises(DomainError, match=re.escape(f"parameter {named} outside [0, 1]")):
+        KV1.basis(np.asarray(u))

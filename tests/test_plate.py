@@ -975,3 +975,27 @@ class TestSolver:
         builtin = solve_plate(cfg)
         assert abs(from_cad.l2_stress_error - builtin.l2_stress_error) < 1e-12
         assert abs(from_cad.rim_stress - builtin.rim_stress) < 1e-9
+
+
+@pytest.mark.parametrize("condition, error", [
+    ("fixed", AssemblyError("edge s1: unsupported condition 'fixed'")),
+    (None, AssemblyError("edge s1: unsupported condition None")),
+    # a NaN load solves to NaN displacements, which the residual gate rejects
+    (Traction(lambda x, n: np.array([math.nan, 0.0])),
+     SolveError("solver residual nan exceeds 1e-10")),
+], ids=["string", "None", "NaN traction"])
+def test_a_condition_the_solver_cannot_use_is_a_typed_error(square_region, condition, error):
+    bcs = tension_bcs() | {"s1": condition}
+    with pytest.raises(type(error), match=re.escape(str(error))):
+        solve_problem(square_region, unit_field(), MAT, bcs)
+
+
+@pytest.mark.parametrize("x, y, named", [
+    ([[2.0, 0.1], [0.2, 2.0]], [[0.0, 0.3], [0.1, 0.0]], (0.1, 0.3)),
+    ([[2.0, 0.2], [0.1, 2.0]], [[0.0, 0.1], [0.3, 0.0]], (0.2, 0.1)),
+    ([[2.0], [0.1]], [0.0, 0.2, 0.5], (0.1, 0.0)),  # broadcast against each other
+])
+def test_a_batch_names_its_first_point_inside_the_hole_in_c_order(x, y, named):
+    message = f"point {named} lies inside the hole of radius 1.0"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        kirsch_reference(np.array(x), np.array(y), 1.0, 1.0, MAT)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from trimiga import iges, native
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 from trimiga.quadrature import Tiling, gauss_panels, integrate
@@ -224,8 +225,9 @@ class TestCompositeEval:
         assert "0.3" in str(err.value)
 
     def test_curve_just_outside_the_square_stays_evaluable(self):
-        # the constructor accepts control points up to _CONTAIN_TOL outside
-        # the square; the clip before the surface keeps such a map evaluable
+        # the constructor snaps control points up to _CONTAIN_TOL outside
+        # the square onto it, so the map stays evaluable and the region is
+        # the whole square
         surface = unit_square_surface()
         region = TrimmedRegion(
             surface, segment([0.0, -5e-10], [1.0, -5e-10]), segment([0.0, 1.0], [1.0, 1.0])
@@ -233,7 +235,7 @@ class TestCompositeEval:
         with pytest.raises(DomainError):
             surface.evaluate(0.5, -5e-10)
         assert np.array_equal(region.composite_eval(0.5, 0.0, 1).x, [0.5, 0.0, 0.0])
-        assert integrate(region, lambda cd: 1.0, 4) == pytest.approx(1.0 + 5e-10, abs=1e-15)
+        assert integrate(region, lambda cd: 1.0, 4) == pytest.approx(1.0, abs=1e-15)
 
     def test_fully_curved_composite_against_finite_differences(
         self, curved_surface, rng
@@ -536,6 +538,52 @@ class TestConstruction:
         lifted = NurbsCurve(kv, [[0.0, 0.0, 0.2], [1.0, 0.0, 0.2]])
         with pytest.raises(InvalidGeometryError):
             TrimmedRegion(unit_square_surface(), lifted, segment([0, 1], [1, 1]))
+
+
+@pytest.mark.parametrize("surface", ["plane", None, segment([0, 0], [1, 1])],
+                         ids=["string", "None", "curve"])
+def test_a_surface_that_is_not_a_nurbs_surface_is_rejected(surface):
+    with pytest.raises(InvalidGeometryError, match="surface must be a NurbsSurface"):
+        TrimmedRegion(surface, segment([0, 0], [1, 0]), segment([0, 1], [1, 1]))
+
+
+OUT = 5e-10  # outside the square, within _CONTAIN_TOL
+
+
+class TestSnapIntoTheSquare:
+    """Control points within _CONTAIN_TOL outside the square are snapped onto it."""
+
+    @staticmethod
+    def region():
+        # rational curves with control points OUT outside the square on every side
+        kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
+        bottom = NurbsCurve(kv, [[-OUT, -OUT], [0.5, 0.4], [1 + OUT, -OUT]], [1.0, 0.7, 1.0])
+        top = NurbsCurve(kv, [[-OUT, 1 + OUT], [0.5, 0.6], [1 + OUT, 1 + OUT]], [1.0, 1.3, 1.0])
+        return TrimmedRegion(unit_square_surface(), bottom, top)
+
+    def test_a_point_just_below_is_stored_on_the_edge(self):
+        top = segment([0, 1], [1, 1])
+        region = TrimmedRegion(unit_square_surface(), segment([0.0, -OUT], [1.0, -OUT]), top)
+        assert region.curve_bottom.control_points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert region.curve_top is top  # a 2D curve inside is neither copied nor rebuilt
+
+    def test_the_map_stays_in_the_square_on_a_grid_with_its_edges(self):
+        region = self.region()
+        grid = np.linspace(0.0, 1.0, 33)
+        uv = region.map_point(grid, grid[:, None]).uv
+        assert uv.min() >= -1e-15 and uv.max() <= 1.0 + 1e-15
+        cd = region.composite_eval(grid, grid[:, None], 2)
+        assert np.abs(cd.x[..., :2] - uv).max() <= 1e-15  # the surface is the identity
+
+    @pytest.mark.parametrize("write, read", [
+        (iges.region_to_iges, lambda text: list(iges.parse(text).curves.values())),
+        (native.format_region, lambda text: native.parse_entities(text)[1:]),
+    ], ids=["iges", "native"])
+    def test_round_trips_write_the_snapped_points(self, write, read):
+        region = self.region()
+        written = read(write(region))
+        snapped = [[[0.0, 0.0], [0.5, 0.4], [1.0, 0.0]], [[0.0, 1.0], [0.5, 0.6], [1.0, 1.0]]]
+        assert [c.control_points[:, :2].tolist() for c in written] == snapped
 
 
 def test_a_nan_measure_is_singular():
