@@ -17,10 +17,11 @@ section, where an empty field keeps its default, `,` or `;`. One pass builds
 each complete `DirectoryEntry` from its D-line pair and its checked P lines;
 every D pair is decoded first, so a directory fault is reported first. A
 typed cursor then reads each entity's tokens front to back. Each 144 is
-resolved once into a `TrimmedSurfaceRecord`: its surface and its outer-loop
-curves in loop order, x and y rescaled by the surface's knot ranges and not
-checked, its boundary problems noted in `diagnostics`. Extraction reads only
-that: `TrimmedRegion` checks each curve and snaps it into the unit square.
+resolved once into a `TrimmedSurfaceRecord`: its surface, its boundary
+problems noted in `diagnostics`, and its outer-loop curves in loop order, x
+and y rescaled by the surface's knot ranges and each checked once by
+trimming's parameter-curve rule: a 2D curve snapped into the unit square, or
+the rescaled 3D curve where the rule rejects it. Extraction reads only that.
 """
 
 import re
@@ -52,7 +53,7 @@ class TrimmedSurfaceRecord:
 
     de: int
     surface: NurbsSurface
-    curves: list      # outer-loop NurbsCurves rescaled by the knot ranges, unchecked
+    curves: list      # outer loop: checked 2D curves, or a rejected one 3D as read
     inner_loops: int  # N2, the count of inner boundaries (holes)
 
 
@@ -251,15 +252,20 @@ def _build_surface_128(cursor):
 
 
 def _to_parameter_curve(curve, ranges):
-    """Rescale control points' x and y into the unit parameter square.
+    """curve with x and y rescaled by the knot ranges, as a checked 2D curve.
 
-    z is kept, so that TrimmedRegion rejects a curve off the parameter plane.
+    A curve that trimming's rule rejects is returned 3D, as rescaled, so that
+    TrimmedRegion names it bottom or top on extraction.
     """
     u0, u1, v0, v1 = ranges
     pts = curve.control_points.copy()
     pts[:, 0] = (pts[:, 0] - u0) / (u1 - u0)
     pts[:, 1] = (pts[:, 1] - v0) / (v1 - v0)
-    return NurbsCurve(curve.knot_vector, pts, curve.weights)
+    curve = NurbsCurve(curve.knot_vector, pts, curve.weights)
+    try:
+        return _as_parameter_curve(curve, "boundary")
+    except InvalidGeometryError:
+        return curve
 
 
 def parse(text):
@@ -335,9 +341,9 @@ def parse(text):
                     )
         curves = [_to_parameter_curve(model.curves[m], ranges[pts]) for m in members]
         # a two-curve loop's closing edges are implied, so its end gaps are
-        # intended; a loop with a curve off the parameter square fails to
-        # extract with a typed error, and its gaps could overflow
-        measured = len(curves) > 2 and all(map(_in_square, curves))
+        # intended; a loop with a rejected (3D) curve fails to extract with a
+        # typed error, and its gaps could overflow
+        measured = len(curves) > 2 and all(c.dim == 2 for c in curves)
         for k in range(len(curves)) if measured else ():
             nxt = (k + 1) % len(curves)
             gap = float(np.linalg.norm(curves[k].evaluate(1.0, 0).value
@@ -359,19 +365,10 @@ def parse_file(path):
 # region extraction
 
 
-def _in_square(curve):
-    """Whether TrimmedRegion accepts curve as a parameter curve."""
-    try:
-        _as_parameter_curve(curve, "boundary")
-    except InvalidGeometryError:
-        return False
-    return True
-
-
 def _is_straight(curve):
-    """Whether curve is a straight edge to drop; one off the parameter square
-    is kept, so that TrimmedRegion rejects it by name before any arithmetic."""
-    if not _in_square(curve):
+    """Whether curve is a straight edge to drop; a rejected (3D) one is kept,
+    so that TrimmedRegion rejects it by name before any arithmetic."""
+    if curve.dim != 2:
         return False
     pts = curve.control_points
     chord = pts[-1] - pts[0]

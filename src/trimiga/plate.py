@@ -175,8 +175,9 @@ class Free:
 class Traction:
     """Prescribed traction: fn(x, n) with the (N, 2) points of one edge.
 
-    n holds the outward unit normals, also (N, 2); fn returns (N, 2)
-    tractions, or a (2,) one that applies to every point.
+    n holds the outward unit normals, also (N, 2); fn returns finite (N, 2)
+    tractions, or a (2,) one that applies to every point. Anything else is
+    an AssemblyError before any assembly.
     """
 
     fn: object
@@ -452,6 +453,24 @@ def _edge_geometry(geometry, edge, r):
     return s, t, xy, norm, normal
 
 
+def _checked_traction(edge, value, xy):
+    """value as floats; AssemblyError unless finite and xy's (N, 2) shape or (2,)."""
+    try:
+        tvec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise AssemblyError(f"edge {edge}: traction must be numbers, got {value!r}") from None
+    if tvec.shape not in (xy.shape, (2,)):
+        raise AssemblyError(f"edge {edge}: traction must have shape {xy.shape} or (2,), "
+                            f"got {tvec.shape}")
+    full = np.broadcast_to(tvec, xy.shape)
+    bad = ~np.isfinite(full).all(axis=-1)
+    if bad.any():
+        x, y, tx, ty = _first_where(bad, xy[:, 0], xy[:, 1], full[:, 0], full[:, 1])
+        raise AssemblyError(f"edge {edge}: traction ({tx}, {ty}) at point ({x}, {y}) "
+                            "is not finite")
+    return tvec
+
+
 def assemble_tractions(geometry, field, bcs, n_quad):
     """Load vector from the Traction edges, on the tiling's lines along each."""
     f = np.zeros(2 * field.dim)
@@ -464,7 +483,7 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         h = np.diff(lines)[:, None]
         r = (lines[:-1, None] + h * x).ravel()
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
-        tvec = np.asarray(bc.fn(xy, normal), dtype=float)
+        tvec = _checked_traction(edge, bc.fn(xy, normal), xy)
         idx, values = field.basis(s, t)
         scale = ((w * h).ravel() * ds)[:, None] * values
         np.add.at(f, 2 * idx, scale * tvec[..., :1])
@@ -497,8 +516,9 @@ def assemble(geometry, field, material, bcs, n_quad=None):
     _check_bcs(bcs)
     if n_quad is None:
         n_quad = _default_order(geometry, field)
-    K = assemble_stiffness(geometry, field, material, n_quad)
+    # tractions first: a load that cannot be used fails before the stiffness
     f = assemble_tractions(geometry, field, bcs, n_quad)
+    K = assemble_stiffness(geometry, field, material, n_quad)
     return K, f
 
 

@@ -4,23 +4,36 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trimiga import iges
+from trimiga import iges, native, trimming
 from trimiga.cli import main as cli_main
 from trimiga.errors import (IgesParseError, InvalidGeometryError, TrimigaError,
                             UnsupportedTopologyError)
-from trimiga.nurbs import KnotVector, NurbsCurve
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 from trimiga.shapes import (
     hole_arc_curve,
     outer_polyline_curve,
     plate_with_hole_region,
     unit_square_surface,
 )
+from trimiga.trimming import TrimmedRegion
 
 
 def segment3(p0, p1):
     kv = KnotVector([0, 0, 1, 1], 1)
     return NurbsCurve(kv, [list(p0) + [0.0], list(p1) + [0.0]])
+
+
+def closed_loop(bottom, top):
+    """bottom, the straight right edge, top reversed, the straight left edge."""
+    return [
+        bottom,
+        segment3(bottom.evaluate(1, 0).value, top.evaluate(1, 0).value),
+        top.reversed(),
+        segment3(top.evaluate(0, 0).value, bottom.evaluate(0, 0).value),
+    ]
 
 
 def loop_file(curves, surface=None):
@@ -157,6 +170,80 @@ class TestRoundTrip:
             ).max() < 1e-9
 
 
+def _spread(draw, n, lo, hi):
+    """n strictly increasing values from lo to hi with step ratios within 1:3."""
+    steps = np.cumsum([0.0] + draw(st.lists(st.floats(0.5, 1.5), min_size=n - 1,
+                                            max_size=n - 1)))
+    return lo + (hi - lo) * steps / steps[-1]
+
+
+def _floats(n, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+
+@st.composite
+def valid_regions(draw):
+    """A region valid by construction, as perfbench/regions.py builds them.
+
+    Both curves share one curve space, of three control points or more, and
+    strictly increasing abscissae from within 0.1 of u = 0 to within 0.1 of
+    u = 1, so the blend never folds. Each curve's inner control points lie
+    0.05 to 0.1 off its chord, all to one side, so neither is a straight edge;
+    the top lies at least 0.1 above the bottom, so extraction keeps the curves
+    in order and never reverses the top. The surface's net increases in x
+    along u and in y along v, with free heights, so it is regular.
+    """
+    def knots(degree, min_spans=1):
+        spans = draw(st.integers(min_spans, 3))
+        interior = list(_spread(draw, spans + 1, 0.0, 1.0)[1:-1])
+        return KnotVector([0.0] * (degree + 1) + interior + [1.0] * (degree + 1), degree)
+
+    def ordinates(lo, hi):
+        ends = draw(_floats(2, lo, hi))
+        chord = ends[0] + (ends[1] - ends[0]) * (g - g[0]) / (g[-1] - g[0])
+        offsets = np.array([0.0] + draw(_floats(n - 2, 0.05, 0.1)) + [0.0])
+        return chord + draw(st.sampled_from((-1.0, 1.0))) * offsets
+
+    degree = draw(st.integers(1, 3))
+    kv = knots(degree, min_spans=2 if degree == 1 else 1)  # three points or more
+    n = kv.num_basis
+    g = _spread(draw, n, draw(st.floats(0.0, 0.1)), draw(st.floats(0.9, 1.0)))
+    weights = draw(_floats(n, 0.5, 2.0))
+    bottom = NurbsCurve(kv, np.column_stack([g, ordinates(0.2, 0.35)]), weights)
+    top = NurbsCurve(kv, np.column_stack([g, ordinates(0.65, 0.8)]), weights)
+    ku, kv_ = knots(draw(st.integers(1, 3))), knots(draw(st.integers(1, 3)))
+    A, B = ku.num_basis, kv_.num_basis
+    net = np.zeros((A, B, 3))
+    net[..., 0] = _spread(draw, A, 0.0, draw(st.floats(1.0, 5.0)))[:, None]
+    net[..., 1] = _spread(draw, B, 0.0, draw(st.floats(1.0, 5.0)))[None, :]
+    net[..., 2] = np.reshape(draw(_floats(A * B, -1.0, 1.0)), (A, B))
+    surface_weights = np.outer(draw(_floats(A, 0.5, 2.0)), draw(_floats(B, 0.5, 2.0)))
+    return TrimmedRegion(NurbsSurface(ku, kv_, net, surface_weights), bottom, top)
+
+
+class TestRoundTripProperty:
+    """Writing a valid region and reading it back gives the same region."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(valid_regions())
+    def test_written_regions_read_back_unchanged(self, region):
+        expected = region_arrays(region)
+        four_curves = loop_file(closed_loop(region.curve_bottom, region.curve_top),
+                                region.surface)
+        # the four-curve loop reverses the top curve twice, and reversing its
+        # knots (the eighth array) rounds; all else comes back bit for bit
+        for text, knot_tol in ((iges.region_to_iges(region), 0.0), (four_curves, 1e-15)):
+            model = iges.parse(text)
+            assert model.diagnostics == []
+            got = region_arrays(iges.extract_region(model))
+            tols = [0.0] * 7 + [knot_tol, 0.0, 0.0]
+            for a, b, tol in zip(got, expected, tols, strict=True):
+                assert np.abs(a - b).max() <= tol
+        native_back = native.parse_region(native.format_region(region))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(region_arrays(native_back), expected, strict=True))
+
+
 class TestSingleEntities:
     def test_single_curve_file(self):
         w = iges._Writer()
@@ -204,14 +291,7 @@ class TestPointers:
 
 class TestExtraction:
     def test_four_curve_loop_drops_straight_edges(self, plate_region, rng):
-        bottom, top = hole_arc_curve(), outer_polyline_curve()
-        loop = [
-            bottom,
-            segment3(bottom.evaluate(1, 0).value, top.evaluate(1, 0).value),
-            top.reversed(),
-            segment3(top.evaluate(0, 0).value, bottom.evaluate(0, 0).value),
-        ]
-        model = iges.parse(loop_file(loop))
+        model = iges.parse(loop_file(closed_loop(hole_arc_curve(), outer_polyline_curve())))
         region = iges.extract_region(model)
         for _ in range(50):
             s, t = rng.random(2)
@@ -235,12 +315,7 @@ class TestExtraction:
 
     def test_boundary_gaps_are_reported_by_iges_dump(self, tmp_path, capsys):
         bottom, top = hole_arc_curve(), outer_polyline_curve()
-        closed = [
-            bottom,
-            segment3(bottom.evaluate(1, 0).value, top.evaluate(1, 0).value),
-            top.reversed(),
-            segment3(top.evaluate(0, 0).value, bottom.evaluate(0, 0).value),
-        ]
+        closed = closed_loop(bottom, top)
         # the third curve starts 1e-3 above the end of the second
         pts = closed[2].control_points.copy()
         pts[0, 1] += 1e-3
@@ -257,6 +332,32 @@ class TestExtraction:
         gap = "trimmed surface D15: gap 1.000e-03 between boundary curves 1 and 2"
         assert notes == [[], [gap], []]
         assert errs == ["", gap + "\n", ""]
+
+    def test_parse_converts_each_curve_once_and_extraction_none(self, monkeypatch):
+        # the closed loop of test_boundary_gaps_are_reported_by_iges_dump: its
+        # four curves are each built, rescaled and made 2D once in parse, and
+        # extraction builds only the reversed top curve
+        text = loop_file(closed_loop(hole_arc_curve(), outer_polyline_curve()))
+        counts = Counter()
+        convert, init = trimming._as_parameter_curve, NurbsCurve.__init__
+
+        def counted_convert(curve, name):
+            converted = convert(curve, name)
+            counts["conversions"] += converted is not curve
+            return converted
+
+        def counted_init(curve, *args, **kwargs):
+            counts["constructions"] += 1
+            init(curve, *args, **kwargs)
+
+        for module in (iges, trimming):
+            monkeypatch.setattr(module, "_as_parameter_curve", counted_convert)
+        monkeypatch.setattr(NurbsCurve, "__init__", counted_init)
+        model = iges.parse(text)
+        assert counts["conversions"] == 4
+        iges.extract_region(model)
+        assert counts["conversions"] == 4
+        assert counts["constructions"] <= 13
 
     def test_bottom_top_assignment_by_mean_v(self):
         # feed the curves in the "wrong" order; mean v sorts them out

@@ -980,14 +980,35 @@ class TestSolver:
 @pytest.mark.parametrize("condition, error", [
     ("fixed", AssemblyError("edge s1: unsupported condition 'fixed'")),
     (None, AssemblyError("edge s1: unsupported condition None")),
-    # a NaN load solves to NaN displacements, which the residual gate rejects
+    # a load that is not finite fails before assembly, naming its first point
     (Traction(lambda x, n: np.array([math.nan, 0.0])),
-     SolveError("solver residual nan exceeds 1e-10")),
-], ids=["string", "None", "NaN traction"])
+     AssemblyError("edge s1: traction (nan, 0.0) at point (1.0, 0.21132486540518")),
+    (Traction(lambda x, n: np.where(x[:, 1:] > 0.5, [0.0, -math.inf], x)),
+     AssemblyError("edge s1: traction (0.0, -inf) at point (1.0, 0.78867513459481")),
+    (Traction(lambda x, n: 1.0),
+     AssemblyError("edge s1: traction must have shape (2, 2) or (2,), got ()")),
+    (Traction(lambda x, n: np.zeros((len(x), 3))),
+     AssemblyError("edge s1: traction must have shape (2, 2) or (2,), got (2, 3)")),
+    (Traction(lambda x, n: np.zeros(1)),
+     AssemblyError("edge s1: traction must have shape (2, 2) or (2,), got (1,)")),
+    (Traction(lambda x, n: "load"),
+     AssemblyError("edge s1: traction must be numbers, got 'load'")),
+], ids=["string", "None", "NaN traction", "inf traction", "scalar traction",
+        "(N, 3) traction", "(1,) traction", "text traction"])
 def test_a_condition_the_solver_cannot_use_is_a_typed_error(square_region, condition, error):
     bcs = tension_bcs() | {"s1": condition}
     with pytest.raises(type(error), match=re.escape(str(error))):
         solve_problem(square_region, unit_field(), MAT, bcs)
+
+
+def test_a_solution_that_misses_the_load_fails_the_residual_gate(square_region, monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.cho_solve_banded
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
+                        lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
+    with pytest.raises(SolveError, match=r"solver residual 1\.0\d\de-06 exceeds 1e-10"):
+        solve_problem(square_region, unit_field(), MAT, tension_bcs())
 
 
 @pytest.mark.parametrize("x, y, named", [
