@@ -19,7 +19,10 @@ query and views for a batch (_unpack), after shared matmuls. Elementwise IEEE
 arithmetic rounds alike on both, so both give the same bits. An evaluator
 reads the query's rank once, from its basis tables' ndim, gathers a scalar
 query's span block by slices, and builds its bundle once, positionally, from
-named components, which trimming.TrimmedRegion reads once per bundle.
+named components. A scalar query's bundle keeps each field as the list of
+floats the formulas produced and builds its array the first time a caller
+reads the field (_Field); trimming.TrimmedRegion reads the lists themselves,
+so the curves' and the surface's fields never become arrays on its way.
 
 The knot-span basis (KnotVector.basis) is one kernel text for both as well:
 the Cox-de Boor triangle of NURBS Book A2.2 (Piegl & Tiller), one list of
@@ -59,11 +62,13 @@ def _unpack(a, rank, axes=1):
     """a's last `axes` axes in front, indexed a[k][l][c]: nested lists of
     Python floats for a scalar query (rank 0), views of a for a batch.
 
-    The batch view is one transpose with its axis order written out, the
-    view np.moveaxis gives without its Python-side axis normalisation.
+    A scalar's list, as _pack leaves it, passes through; a scalar's array
+    becomes one by tolist(). The batch view is one transpose with its axis
+    order written out, the view np.moveaxis gives without its Python-side
+    axis normalisation.
     """
     if not rank:
-        return a.tolist()
+        return a if type(a) is list else a.tolist()
     lead = a.ndim - axes
     return a.transpose((*range(lead, a.ndim), *range(lead)))
 
@@ -71,11 +76,13 @@ def _unpack(a, rank, axes=1):
 def _pack(components, rank):
     """The field whose last axis holds these components, the inverse of _unpack.
 
-    A batch fills one empty array component by component: the values of
-    np.stack(components, axis=-1), without its per-call overhead.
+    A scalar query's components stay the list they are: a bundle's _Field
+    turns it into an array when a caller reads it. A batch fills one empty
+    array component by component: the values of np.stack(components,
+    axis=-1), without its per-call overhead.
     """
     if not rank:
-        return np.array(components)
+        return components
     out = np.empty(np.shape(components[0]) + (len(components),))
     for k, c in enumerate(components):
         out[..., k] = c
@@ -327,27 +334,66 @@ def collocation_matrix(kv, params):
     return M
 
 
+class _Field:
+    """An array field of a derivative bundle, kept in the slot of its name
+    with a leading underscore.
+
+    A batch keeps its array, which a read returns as it is. A scalar query
+    keeps the list of floats _pack leaves; the first read turns it into an
+    array by np.array and keeps that instead. So each bundle builds its own
+    arrays, and a field never read is never built. Code that reads a
+    bundle's components, as trimming does, reads the slot: _unpack takes
+    both forms.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = owner.__dict__["_" + name]
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            return self
+        a = self.slot.__get__(bundle)
+        if type(a) is list:
+            a = np.array(a)
+            self.slot.__set__(bundle, a)
+        return a
+
+    def __set__(self, bundle, value):
+        self.slot.__set__(bundle, value)
+
+
 # The derivative bundles are slotted, not frozen: every scalar evaluation
 # builds several, and a frozen dataclass takes about 2 microseconds more.
-@dataclass(slots=True)
+# Their fields are _Field descriptors over private slots, so each bundle
+# writes its own __init__ (init=False); fields, replace and repr still work.
+@dataclass(init=False)
 class CurveDerivatives:
     """Point on a curve with derivatives w.r.t. its single parameter."""
 
-    value: np.ndarray
-    d1: np.ndarray | None = None
-    d2: np.ndarray | None = None
+    __slots__ = ("_value", "_d1", "_d2")
+    value: np.ndarray = _Field()
+    d1: np.ndarray | None = _Field()
+    d2: np.ndarray | None = _Field()
+
+    def __init__(self, value, d1=None, d2=None):
+        self._value, self._d1, self._d2 = value, d1, d2
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class SurfaceDerivatives:
     """Point on a surface with partials w.r.t. its two parameters."""
 
-    value: np.ndarray
-    du: np.ndarray | None = None
-    dv: np.ndarray | None = None
-    duu: np.ndarray | None = None
-    duv: np.ndarray | None = None
-    dvv: np.ndarray | None = None
+    __slots__ = ("_value", "_du", "_dv", "_duu", "_duv", "_dvv")
+    value: np.ndarray = _Field()
+    du: np.ndarray | None = _Field()
+    dv: np.ndarray | None = _Field()
+    duu: np.ndarray | None = _Field()
+    duv: np.ndarray | None = _Field()
+    dvv: np.ndarray | None = _Field()
+
+    def __init__(self, value, du=None, dv=None, duu=None, duv=None, dvv=None):
+        self._value, self._du, self._dv = value, du, dv
+        self._duu, self._duv, self._dvv = duu, duv, dvv
 
 
 def _require_finite(values, what):
@@ -398,7 +444,7 @@ class NurbsCurve:
         self.knot_vector = knot_vector
         self.control_points = pts
         self.weights, self._homogeneous = _control_net(pts, weights)
-        #: (s, order, value, d1, d2) of the last Python-float query
+        #: (s, order, value, d1, d2) of the last Python-float query, as lists
         self._last = (None,) * 5
 
     @property
@@ -418,8 +464,8 @@ class NurbsCurve:
         """Rational point and derivatives at s via the quotient rule.
 
         For an array s every field gains s's shape in front of its last axis.
-        For a Python float s other than ±0.0 the arrays are read-only, and a
-        repeat of the last such query returns them in a fresh bundle: the
+        A repeat of the last Python-float query other than ±0.0 returns its
+        components in a fresh bundle, which builds its own arrays: the
         per-point quadrature.integrate asks for each s-node once per t-node.
         This memo is a stopgap, deleted with that loop (see ROADMAP.md).
         """
@@ -447,8 +493,6 @@ class NurbsCurve:
             d1 = _pack(d1, rank)
         value = _pack(value, rank)
         if memo:
-            for a in (value, d1, d2)[:order + 1]:
-                a.setflags(write=False)
             self._last = (s, order, value, d1, d2)
         return CurveDerivatives(value, d1, d2)
 

@@ -221,9 +221,11 @@ class DirectGeometry:
             raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
         sd = self.surface.evaluate(s, t, order=1)
         rank = _rank(s) or _rank(t)
-        scale = cross_norm(_unpack(sd.du, rank), _unpack(sd.dv, rank))
+        # the surface's own components, unbuilt lists for a scalar (nurbs._Field)
+        du, dv = sd._du, sd._dv
+        scale = cross_norm(_unpack(du, rank), _unpack(dv, rank))
         check_regular(scale, self.surface.singular_area, s, t)
-        return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
+        return CompositeDerivatives(sd._value, du, dv, jacobian_scale=scale)
 
     def breaklines(self):
         surface = self.surface

@@ -19,7 +19,11 @@ once, on components: floats for a scalar query, views for a batch, with the
 same bits (nurbs._unpack). A query reads its rank once, in _check_st, and
 runs straight through named components: the curves' into the blend, written
 u = r * b_u + t * c_u with r = 1 - t, the blend's and the surface's into the
-chain rule. Each bundle is built once, positionally.
+chain rule. Each bundle is built once, positionally. The components are read
+from the bundles' private slots, so for a scalar query they stay the lists
+of floats the formulas produced: no curve or surface field becomes an array,
+and an answer's fields become arrays only when a caller reads them
+(nurbs._Field).
 """
 
 import math
@@ -28,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
-from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _first_where, _pack,
-                    _rank, _unpack, merge_close)
+from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _Field, _first_where,
+                    _pack, _rank, _unpack, merge_close)
 
 _CONTAIN_TOL = 1e-9
 
 
-@dataclass(slots=True)
+# slotted bundles of nurbs._Field fields, built as nurbs.CurveDerivatives is
+@dataclass(init=False)
 class MapDerivatives:
     """Blend map value and first derivatives at (s, t).
 
@@ -44,33 +49,46 @@ class MapDerivatives:
     of t, gains s's shape only, which broadcasts against the points'.
     """
 
-    uv: np.ndarray
-    duv_ds: np.ndarray
-    duv_dt: np.ndarray
+    __slots__ = ("_uv", "_duv_ds", "_duv_dt")
+    uv: np.ndarray = _Field()
+    duv_ds: np.ndarray = _Field()
+    duv_dt: np.ndarray = _Field()
+
+    def __init__(self, uv, duv_ds, duv_dt):
+        self._uv, self._duv_ds, self._duv_dt = uv, duv_ds, duv_dt
 
     @property
     def det(self):
         """Signed parameter-space Jacobian det d(u,v)/d(s,t)."""
-        rank = self.duv_ds.ndim - 1
-        (us, vs), (ut, vt) = _unpack(self.duv_ds, rank), _unpack(self.duv_dt, rank)
+        ds, dt = self._duv_ds, self._duv_dt
+        rank = 0 if type(ds) is list else ds.ndim - 1
+        (us, vs), (ut, vt) = _unpack(ds, rank), _unpack(dt, rank)
         return us * vt - vs * ut
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class CompositeDerivatives:
     """Model-space point and derivatives of the composite map at (s, t).
 
     For array queries every field gains the points' shape in front of its
-    last axis; jacobian_scale has the points' shape.
+    last axis; jacobian_scale has the points' shape, a float for a scalar.
     """
 
-    x: np.ndarray
-    dx_ds: np.ndarray
-    dx_dt: np.ndarray
-    d2x_ds2: np.ndarray | None = None
-    d2x_dt2: np.ndarray | None = None
-    d2x_dsdt: np.ndarray | None = None
-    jacobian_scale: float | np.ndarray = 0.0
+    __slots__ = ("_x", "_dx_ds", "_dx_dt", "_d2x_ds2", "_d2x_dt2", "_d2x_dsdt",
+                 "jacobian_scale")
+    x: np.ndarray = _Field()
+    dx_ds: np.ndarray = _Field()
+    dx_dt: np.ndarray = _Field()
+    d2x_ds2: np.ndarray | None = _Field()
+    d2x_dt2: np.ndarray | None = _Field()
+    d2x_dsdt: np.ndarray | None = _Field()
+    jacobian_scale: float | np.ndarray
+
+    def __init__(self, x, dx_ds, dx_dt, d2x_ds2=None, d2x_dt2=None, d2x_dsdt=None,
+                 jacobian_scale=0.0):
+        self._x, self._dx_ds, self._dx_dt = x, dx_ds, dx_dt
+        self._d2x_ds2, self._d2x_dt2, self._d2x_dsdt = d2x_ds2, d2x_dt2, d2x_dsdt
+        self.jacobian_scale = jacobian_scale
 
 
 @dataclass(frozen=True)
@@ -194,13 +212,13 @@ class TrimmedRegion:
         b = self.curve_bottom.evaluate(s, order)
         c = self.curve_top.evaluate(s, order)
         r = 1.0 - t
-        (bu, bv), (cu, cv) = _unpack(b.value, rank), _unpack(c.value, rank)
-        (bus, bvs), (cus, cvs) = _unpack(b.d1, rank), _unpack(c.d1, rank)
+        (bu, bv), (cu, cv) = _unpack(b._value, rank), _unpack(c._value, rank)
+        (bus, bvs), (cus, cvs) = _unpack(b._d1, rank), _unpack(c._d1, rank)
         first = (r * bu + t * cu, r * bv + t * cv, r * bus + t * cus, r * bvs + t * cvs,
                  cu - bu, cv - bv)
         if order < 2:
             return first + (None,) * 4
-        (buss, bvss), (cuss, cvss) = _unpack(b.d2, rank), _unpack(c.d2, rank)
+        (buss, bvss), (cuss, cvss) = _unpack(b._d2, rank), _unpack(c._d2, rank)
         return first + (r * buss + t * cuss, r * bvss + t * cvss, cus - bus, cvs - bvs)
 
     def _map(self, rank, s, t):
@@ -227,7 +245,7 @@ class TrimmedRegion:
         # the blend leaves the square by roundoff at most, which basis clamps
         sd = self.surface.evaluate(u, v, order or 1)
         # the chain rule, per model-space component
-        xu, xv = _unpack(sd.du, rank), _unpack(sd.dv, rank)
+        xu, xv = _unpack(sd._du, rank), _unpack(sd._dv, rank)
         dx_ds, dx_dt = [], []
         for a, b in zip(xu, xv):
             dx_ds.append(a * us + b * vs)
@@ -235,16 +253,16 @@ class TrimmedRegion:
         scale = cross_norm(dx_ds, dx_dt)
         check_regular(scale, self.surface.singular_area, s, t)
         if order < 2:
-            return CompositeDerivatives(sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank),
+            return CompositeDerivatives(sd._value, _pack(dx_ds, rank), _pack(dx_dt, rank),
                                         None, None, None, scale)
-        xuu, xuv, xvv = _unpack(sd.duu, rank), _unpack(sd.duv, rank), _unpack(sd.dvv, rank)
+        xuu, xuv, xvv = _unpack(sd._duu, rank), _unpack(sd._duv, rank), _unpack(sd._dvv, rank)
         d2x_ds2, d2x_dt2, d2x_dsdt = [], [], []
         for a, b, aa, ab, bb in zip(xu, xv, xuu, xuv, xvv):
             d2x_ds2.append(aa * us * us + 2.0 * ab * us * vs + bb * vs * vs + a * uss + b * vss)
             d2x_dt2.append(aa * ut * ut + 2.0 * ab * ut * vt + bb * vt * vt)
             d2x_dsdt.append(aa * us * ut + ab * (us * vt + ut * vs) + bb * vs * vt
                             + a * ust + b * vst)
-        return CompositeDerivatives(sd.value, _pack(dx_ds, rank), _pack(dx_dt, rank),
+        return CompositeDerivatives(sd._value, _pack(dx_ds, rank), _pack(dx_dt, rank),
                                     _pack(d2x_ds2, rank), _pack(d2x_dt2, rank),
                                     _pack(d2x_dsdt, rank), scale)
 

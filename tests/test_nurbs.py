@@ -411,7 +411,7 @@ def test_the_last_query_memo_is_invisible(data):
 
     Two random rational curves of degree 1-3, with interior knots of any
     allowed multiplicity, take turns; after each answer its arrays are
-    written to where they allow it, and every field of its bundle is rebound.
+    written to, and every field of its bundle is rebound.
     """
     pair = [data.draw(curves()) for _ in range(2)]
     for k, s, order, spelling in data.draw(curve_queries()):
@@ -423,10 +423,7 @@ def test_the_last_query_memo_is_invisible(data):
             assert (a is None) == (b is None), name
             if a is not None:
                 assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
-                if spelling is float and s != 0.0:
-                    assert not a.flags.writeable, name
-                else:
-                    a[...] = 7.0
+                a[...] = 7.0
             setattr(got, name, np.full(3, 9.0))
 
 

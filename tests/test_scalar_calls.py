@@ -2,11 +2,13 @@
 
 A scalar query takes the evaluators' scalar branches, chosen by nurbs._rank.
 These tests check that every scalar spelling of a point gives the same bits,
-that NaN is rejected like any parameter outside [0, 1], and that a grid of
+that NaN is rejected like any parameter outside [0, 1], that a scalar
+query's bundle builds its own arrays when they are read, and that a grid of
 scalar calls on seeded benchmark regions, and their areas by integrate,
 still give the recorded bits.
 """
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -16,7 +18,7 @@ import pytest
 
 from trimiga.errors import DomainError
 from trimiga.nurbs import KnotVector, _pack, _rank, _unpack
-from trimiga.plate import PlateConfig
+from trimiga.plate import DirectGeometry, PlateConfig
 from trimiga.quadrature import gauss_points_1d, integrate
 from trimiga.shapes import plate_with_hole_region
 
@@ -232,3 +234,72 @@ def test_integrate_matches_the_recorded_bits():
     for region, _ in generate_regions(1001)[::3]:
         h.update(np.float64(integrate(region, lambda cd: 1.0, 16)).tobytes())
     assert h.hexdigest()[:16] == RECORDED_AREAS
+
+
+#: each bundle type's field names, and a query at (s, t) that returns one
+#: with every field present
+BUNDLES = [
+    (("value", "d1", "d2"),
+     lambda region, s, t: region.curve_bottom.evaluate(s, 2)),
+    (("value", "du", "dv", "duu", "duv", "dvv"),
+     lambda region, s, t: region.surface.evaluate(s, t, 2)),
+    (("uv", "duv_ds", "duv_dt"),
+     lambda region, s, t: region.map_point(s, t)),
+    (("x", "dx_ds", "dx_dt", "d2x_ds2", "d2x_dt2", "d2x_dsdt", "jacobian_scale"),
+     lambda region, s, t: region.composite_eval(s, t, 2)),
+]
+
+
+def array_fields(bundle):
+    """The names of the bundle's array fields: all but jacobian_scale."""
+    return [f.name for f in dataclasses.fields(bundle) if f.name != "jacobian_scale"]
+
+
+@pytest.mark.parametrize("names, query", BUNDLES, ids=["curve", "surface", "map", "composite"])
+def test_a_scalar_bundle_is_a_dataclass_of_its_own_arrays(plate_region, names, query):
+    """A scalar query's fields become arrays when read, each bundle its own.
+
+    The second query at the same s is answered by the trimming curves'
+    last-query memo, so both bundles are built from one memo entry.
+    """
+    want = query(plate_region, np.array([0.3]), np.array([0.7]))  # a batch of one
+    first = query(plate_region, 0.3, 0.7)
+    second = query(plate_region, 0.3, 0.7)
+    assert tuple(f.name for f in dataclasses.fields(first)) == names
+    for name in array_fields(first):
+        a = getattr(first, name)
+        assert getattr(first, name) is a and a.flags.writeable, name
+        b = getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape[1:], b.dtype, b[0].tobytes()), name
+        a[...] = 7.0
+    for later in (second, query(plate_region, 0.3, 0.7)):
+        for name in array_fields(later):
+            assert getattr(later, name).tobytes() == getattr(want, name)[0].tobytes(), name
+    name = names[1]
+    replaced = dataclasses.replace(second, **{name: np.full(2, 9.0)})
+    assert type(replaced) is type(second) and getattr(replaced, name).tolist() == [9.0, 9.0]
+    for other in array_fields(second):
+        if other != name:
+            assert getattr(replaced, other).tobytes() == getattr(second, other).tobytes()
+    assert repr(second).startswith(f"{type(second).__name__}({names[0]}=array(")
+
+
+def test_reading_only_the_jacobian_scale_builds_no_field_array(plate_region):
+    cd = plate_region.composite_eval(0.3, 0.7, 1)
+    assert cd.jacobian_scale > 0.0
+    assert [type(a) for a in (cd._x, cd._dx_ds, cd._dx_dt)] == [list] * 3
+    x = cd.x
+    assert cd._x is x and type(x) is np.ndarray
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 0.0), (0.3, 0.7), (1.0, 0.25)])
+def test_a_direct_geometry_answers_with_the_surface_bits(curved_surface, s, t):
+    """A scalar and a batch-of-one query give the surface's own bits."""
+    geometry = DirectGeometry(curved_surface)
+    sd = curved_surface.evaluate(s, t, 1)
+    one = geometry.composite_eval(s, t, 1)
+    batch = geometry.composite_eval(np.array([s]), np.array([t]), 1)
+    for name, want in (("x", sd.value), ("dx_ds", sd.du), ("dx_dt", sd.dv)):
+        assert getattr(one, name).tobytes() == getattr(batch, name)[0].tobytes() == want.tobytes()
+    assert type(one.jacobian_scale) is float
+    assert np.float64(one.jacobian_scale).tobytes() == batch.jacobian_scale[0].tobytes()
