@@ -304,6 +304,8 @@ class KnotVector:
         """Knot vector with `value` inserted `multiplicity` more times."""
         if not 0.0 < value < 1.0:
             raise InvalidRefinementError(f"new knot {value} must lie strictly in (0, 1)")
+        if not isinstance(multiplicity, (int, np.integer)):
+            raise InvalidRefinementError(f"multiplicity must be an integer, got {multiplicity!r}")
         if multiplicity < 1:
             raise InvalidRefinementError("multiplicity must be at least 1")
         have = self.multiplicity(value)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import KnotVector, _check_int, _first_where, _rank, _unpack
+from .nurbs import MERGE_TOL, KnotVector, _check_int, _first_where, _rank, _unpack
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
-from .trimming import CompositeDerivatives, check_regular, cross_norm
+from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
 
 _PLANAR_TOL = 1e-9
 #: the square's edges: the parameter axis each one fixes (0 for s, 1 for t)
@@ -221,11 +221,9 @@ class DirectGeometry:
             raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
         sd = self.surface.evaluate(s, t, order=1)
         rank = _rank(s) or _rank(t)
-        # the surface's own components, unbuilt lists for a scalar (nurbs._Field)
-        du, dv = sd._du, sd._dv
-        scale = cross_norm(_unpack(du, rank), _unpack(dv, rank))
+        scale = cross_norm(_unpack(sd.du, rank), _unpack(sd.dv, rank))
         check_regular(scale, self.surface.singular_area, s, t)
-        return CompositeDerivatives(sd._value, du, dv, jacobian_scale=scale)
+        return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
 
     def breaklines(self):
         surface = self.surface
@@ -233,6 +231,19 @@ class DirectGeometry:
 
     def max_degree(self):
         return max(self.surface.degrees)
+
+
+def _check_closing_edges(geometry):
+    """AssemblyError naming a closing edge of a TrimmedRegion that is one point,
+    where the clamped trimming curves' first (s0) or last (s1) control points
+    meet within MERGE_TOL: no stiffness integral exists there."""
+    if not isinstance(geometry, TrimmedRegion):
+        return
+    bottom, top = geometry.curve_bottom.control_points, geometry.curve_top.control_points
+    for edge, k in (("s0", 0), ("s1", -1)):
+        if np.abs(bottom[k] - top[k]).max() <= MERGE_TOL:
+            raise AssemblyError(f"edge {edge}: the trimming curves meet there, so the "
+                                "closing edge is a single point")
 
 
 def _require_planar(surface):
@@ -488,8 +499,7 @@ def assemble_tractions(geometry, field, bcs, n_quad):
         tvec = _checked_traction(edge, bc.fn(xy, normal), xy)
         idx, values = field.basis(s, t)
         scale = ((w * h).ravel() * ds)[:, None] * values
-        np.add.at(f, 2 * idx, scale * tvec[..., :1])
-        np.add.at(f, 2 * idx + 1, scale * tvec[..., 1:])
+        np.add.at(f.reshape(-1, 2), idx, scale[..., None] * tvec[..., None, :])
     return f
 
 
@@ -514,8 +524,10 @@ def symmetry_constraints(geometry, field, bcs):
 
 
 def assemble(geometry, field, material, bcs, n_quad=None):
-    """Stiffness matrix and traction load vector (constraints not applied)."""
+    """Stiffness matrix and traction load vector (constraints not applied);
+    a closing edge that is one point fails first (_check_closing_edges)."""
     _check_bcs(bcs)
+    _check_closing_edges(geometry)
     if n_quad is None:
         n_quad = _default_order(geometry, field)
     # tractions first: a load that cannot be used fails before the stiffness
@@ -565,9 +577,9 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     arrays into a C-ordered (n, kd + 1) array, row j holding K[j + k, j] at
     k, one field s-column of dofs (2 n_t rows) at a time, so no copy of K's
     arrays is made; its transpose is LAPACK's band[i - j, j] = K[i, j] in
-    Fortran order, factored in place. Each fixed dof is an identity row and
-    column of the band with a zero load. A pivot that is not positive is a
-    SolveError.
+    Fortran order, factored in place. A fixed dof's row is masked out as the
+    band is filled, and it becomes an identity row and column of the band
+    with a zero load. A pivot that is not positive is a SolveError.
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
@@ -595,8 +607,9 @@ def _constrained_band(K, free, run):
 
     Returns the C-ordered (n, kd + 1) array whose row j holds K[j + k, j]
     at k; kd is the largest distance from a row to its first stored column.
-    The stored K[i, j] with i >= j are copied one run of rows at a time, so
-    no array the size of K's is made besides the band.
+    The stored K[i, j] with i >= j are copied one run of rows at a time, a
+    fixed dof's row masked out, so no array the size of K's is made besides
+    the band; a fixed dof's column is then zeroed and its diagonal set to 1.
     """
     n = K.shape[0]
     indptr, indices, data = K.indptr, K.indices, K.data
@@ -608,14 +621,10 @@ def _constrained_band(K, free, run):
         lo, hi = indptr[r0], indptr[r0 + run]
         rows = np.repeat(np.arange(r0, r0 + run), row_len[r0:r0 + run])
         cols = indices[lo:hi]
-        lower = rows >= cols
+        keep = (rows >= cols) & np.repeat(free[r0:r0 + run], row_len[r0:r0 + run])
         # K[i, j] is flat[j (kd + 1) + i - j]
-        flat[(rows + np.multiply(cols, kd, dtype=np.intp))[lower]] = data[lo:hi][lower]
+        flat[(rows + np.multiply(cols, kd, dtype=np.intp))[keep]] = data[lo:hi][keep]
     fixed = np.flatnonzero(~free)
-    # a fixed dof g's row K[g, g - k] lies on the band's anti-diagonal
-    # j + k = g: from j = max(g - kd, 0) on, a slice of stride kd of flat
-    for g in fixed.tolist():
-        flat[g + max(g - kd, 0) * kd:g * (kd + 1) + 1:kd] = 0.0
     band[fixed] = 0.0  # its column
     band[fixed, 0] = 1.0
     return band

@@ -627,6 +627,15 @@ class TestKnotInsertion:
         with pytest.raises(InvalidRefinementError):
             curved_surface.insert_knot(0.5, "u", multiplicity=0)
 
+    @pytest.mark.parametrize("multiplicity", [1.5, "2"])
+    def test_a_multiplicity_that_is_not_an_integer_is_rejected(
+            self, arc_curve, curved_surface, multiplicity):
+        for insert in (lambda: arc_curve.knot_vector.inserted(0.5, multiplicity),
+                       lambda: arc_curve.insert_knot(0.5, multiplicity),
+                       lambda: curved_surface.insert_knot(0.3, "u", multiplicity)):
+            with pytest.raises(InvalidRefinementError, match="multiplicity must be an integer"):
+                insert()
+
     def test_surface_insertion_both_directions(self, curved_surface, rng):
         refined = curved_surface.insert_knot(0.3, "u").insert_knot(0.7, "v")
         for u, v in rng.random((20, 2)):

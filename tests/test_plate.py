@@ -41,6 +41,8 @@ from trimiga.shapes import (
 )
 from trimiga.trimming import CompositeDerivatives, TrimmedRegion
 
+from conftest import segment
+
 MAT = Material(1e5, 0.3)
 
 
@@ -999,6 +1001,24 @@ def test_a_condition_the_solver_cannot_use_is_a_typed_error(square_region, condi
     bcs = tension_bcs() | {"s1": condition}
     with pytest.raises(type(error), match=re.escape(str(error))):
         solve_problem(square_region, unit_field(), MAT, bcs)
+
+
+# the triangle (0, 0), (1, 0), (1, 1) from two curves out of (0, 0), and its
+# mirror (0, 0), (1, 1), (0, 1) from two curves into (1, 1); each is solvable
+# without the check, by conditions that leave the point edge free
+@pytest.mark.parametrize("bottom, top, edge, bcs", [
+    (([0, 0], [1, 0]), ([0, 0], [1, 1]), "s0",
+     {"s0": Free(), "s1": Symmetry(), "t0": Symmetry(), "t1": Traction(lambda x, n: [1.0, 0.0])}),
+    (([0, 0], [1, 1]), ([0, 1], [1, 1]), "s1",
+     {"s0": Symmetry(), "s1": Free(), "t0": Traction(lambda x, n: [1.0, 0.0]), "t1": Symmetry()}),
+], ids=["meet at s = 0", "meet at s = 1"])
+def test_a_closing_edge_that_is_one_point_is_an_assembly_error(bottom, top, edge, bcs):
+    region = TrimmedRegion(unit_square_surface(), segment(*bottom), segment(*top))
+    field = FieldSpace.conforming(region, 2)
+    for call in (lambda: solve_problem(region, field, MAT, bcs),
+                 lambda: assemble(region, field, MAT, bcs)):
+        with pytest.raises(AssemblyError, match=f"edge {edge}: the trimming curves meet there"):
+            call()
 
 
 def test_a_solution_that_misses_the_load_fails_the_residual_gate(square_region, monkeypatch):

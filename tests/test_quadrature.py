@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trimiga import quadrature
+from trimiga import iges, quadrature
 from trimiga.errors import DomainError, SingularMapError
-from trimiga.nurbs import KnotVector
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 from trimiga.plate import DirectGeometry, FieldSpace
 from trimiga.quadrature import gauss_panels, gauss_points_1d, integrate, partition_regions
 from trimiga.shapes import unit_square_surface
@@ -52,6 +52,41 @@ def contour_area(region, n=64):
                     d.value[0] * d.d1[1] - d.value[1] * d.d1[0]
                 )
     return total
+
+
+def cylinder_region():
+    """A quarter cylinder of radius 2 and height 3 trimmed by two rational
+    quadratic curves with an interior knot at 0.4."""
+    arc = [[2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
+    net = [[[x, y, z] for z in (0.0, 3.0)] for x, y in arc]
+    weights = [[w, w] for w in (1.0, math.sqrt(0.5), 1.0)]
+    surface = NurbsSurface(KnotVector([0, 0, 0, 1, 1, 1], 2), KnotVector([0, 0, 1, 1], 1),
+                           net, weights)
+    kv = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
+    bottom = NurbsCurve(kv, [[0, 0.1], [0.3, 0.3], [0.6, 0.05], [1, 0.2]], [1, 0.8, 1.3, 1])
+    top = NurbsCurve(kv, [[0, 0.8], [0.4, 0.95], [0.7, 0.6], [1, 0.75]], [1, 1.2, 0.9, 1])
+    return TrimmedRegion(surface, bottom, top)
+
+
+def unrolled_cylinder_area(region, n=40):
+    """Independent area oracle on the radius-2 cylinder about z: unrolled,
+    a point is (a, z) with a = 2 atan2(y, x), and the area is
+    |0.5 * closed contour integral of (a dz - z da)| along the images of
+    the square's edges, n Gauss points per piece between breakpoints."""
+    x, w = gauss_points_1d(n)
+    cuts = [0.0] + [bp.s for bp in region.breakpoints()] + [1.0]
+    # counter-clockwise around the square: the point at r, its derivative
+    edges = [(cuts, lambda r: (r, 0.0), "dx_ds", 1.0), ([0.0, 1.0], lambda r: (1.0, r), "dx_dt", 1.0),
+             (cuts, lambda r: (r, 1.0), "dx_ds", -1.0), ([0.0, 1.0], lambda r: (0.0, r), "dx_dt", -1.0)]
+    terms = []
+    for lines, st, tangent, sign in edges:
+        for lo, hi in zip(lines[:-1], lines[1:]):
+            for xi, wi in zip(x, w):
+                cd = region.composite_eval(*st(lo + (hi - lo) * xi), 1)
+                (px, py, pz), (dx, dy, dz) = cd.x, getattr(cd, tangent)
+                a, da = 2.0 * math.atan2(py, px), 2.0 * (px * dy - py * dx) / (px * px + py * py)
+                terms.append(sign * wi * (hi - lo) * 0.5 * (a * dz - pz * da))
+    return abs(math.fsum(terms))
 
 
 class TestGaussPoints:
@@ -248,6 +283,22 @@ class TestIntegrate:
         degenerate = TrimmedRegion(unit_square_surface(), curve, curve)
         with pytest.raises(SingularMapError):
             integrate(degenerate, lambda cd: 1.0, 2)
+
+    def test_a_region_whose_curves_meet_is_integrated(self):
+        # the triangle (0, 0), (1, 0), (1, 1): its closing edge at s = 0 is a point
+        region = TrimmedRegion(unit_square_surface(), segment([0.0, 0.0], [1.0, 0.0]),
+                               segment([0.0, 0.0], [1.0, 1.0]))
+        assert abs(integrate(region, lambda cd: 1.0, 16) - 0.5) < 1e-15
+
+    def test_curved_cad_area_matches_the_unrolled_cylinder(self):
+        region = cylinder_region()
+        oracle = unrolled_cylinder_area(region)
+        assert abs(unrolled_cylinder_area(region, 60) - oracle) < 1e-14 * oracle
+        refined = region.surface.insert_knot(0.3, "u").elevate_degree("v")
+        for same in (region,
+                     TrimmedRegion(refined, region.curve_bottom, region.curve_top),
+                     iges.extract_region(iges.parse(iges.region_to_iges(region)))):
+            assert abs(integrate(same, lambda cd: 1.0, 16) - oracle) < 1e-12 * oracle
 
     def test_physical_measure_scales_with_the_surface(self, rng):
         region = TrimmedRegion(
