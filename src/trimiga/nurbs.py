@@ -19,10 +19,11 @@ query and views for a batch (_unpack), after shared matmuls. Elementwise IEEE
 arithmetic rounds alike on both, so both give the same bits. An evaluator
 reads the query's rank once, from its basis tables' ndim, gathers a scalar
 query's span block by slices, and builds its bundle once, positionally, from
-named components. A scalar query's bundle keeps each field as the list of
-floats the formulas produced and builds its array the first time a caller
-reads the field (_Field); trimming.TrimmedRegion reads the lists themselves,
-so the curves' and the surface's fields never become arrays on its way.
+named components. A bundle keeps each field as the list of components the
+formulas produced, floats for a scalar query and arrays for a batch, and
+builds its array the first time a caller reads the field (_Field);
+trimming.TrimmedRegion reads the lists themselves, so the curves' and the
+surface's fields never become arrays on its way, at either rank.
 
 The knot-span basis (KnotVector.basis) is one kernel text for both as well:
 the Cox-de Boor triangle of NURBS Book A2.2 (Piegl & Tiller), one list of
@@ -32,6 +33,7 @@ A2.3's floating-point operations in A2.3's order, so its bits are A2.3's.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -62,31 +64,17 @@ def _unpack(a, rank, axes=1):
     """a's last `axes` axes in front, indexed a[k][l][c]: nested lists of
     Python floats for a scalar query (rank 0), views of a for a batch.
 
-    A scalar's list, as _pack leaves it, passes through; a scalar's array
-    becomes one by tolist(). The batch view is one transpose with its axis
-    order written out, the view np.moveaxis gives without its Python-side
-    axis normalisation.
+    A list, as the evaluators leave a bundle's field at either rank, passes
+    through; a scalar's array becomes one by tolist(). The batch view is one
+    transpose with its axis order written out, the view np.moveaxis gives
+    without its Python-side axis normalisation.
     """
+    if type(a) is list:
+        return a
     if not rank:
-        return a if type(a) is list else a.tolist()
+        return a.tolist()
     lead = a.ndim - axes
     return a.transpose((*range(lead, a.ndim), *range(lead)))
-
-
-def _pack(components, rank):
-    """The field whose last axis holds these components, the inverse of _unpack.
-
-    A scalar query's components stay the list they are: a bundle's _Field
-    turns it into an array when a caller reads it. A batch fills one empty
-    array component by component: the values of np.stack(components,
-    axis=-1), without its per-call overhead.
-    """
-    if not rank:
-        return components
-    out = np.empty(np.shape(components[0]) + (len(components),))
-    for k, c in enumerate(components):
-        out[..., k] = c
-    return out
 
 
 def _quotient(a, w, terms=()):
@@ -302,6 +290,8 @@ class KnotVector:
 
     def inserted(self, value, multiplicity=1):
         """Knot vector with `value` inserted `multiplicity` more times."""
+        if not isinstance(value, numbers.Real):
+            raise InvalidRefinementError(f"new knot must be a real number, got {value!r}")
         if not 0.0 < value < 1.0:
             raise InvalidRefinementError(f"new knot {value} must lie strictly in (0, 1)")
         if not isinstance(multiplicity, (int, np.integer)):
@@ -340,12 +330,15 @@ class _Field:
     """An array field of a derivative bundle, kept in the slot of its name
     with a leading underscore.
 
-    A batch keeps its array, which a read returns as it is. A scalar query
-    keeps the list of floats _pack leaves; the first read turns it into an
-    array by np.array and keeps that instead. So each bundle builds its own
-    arrays, and a field never read is never built. Code that reads a
-    bundle's components, as trimming does, reads the slot: _unpack takes
-    both forms.
+    The evaluators leave each field as the list of its components: Python
+    floats for a scalar query, arrays for a batch. The first read turns the
+    list into the array whose last axis holds them and keeps that instead:
+    np.array for floats, and for a batch one empty array filled component
+    by component, the values of np.stack(components, axis=-1) without its
+    per-call overhead. An array set on the bundle is returned as it is. So
+    each bundle builds its own arrays, and a field never read is never
+    built. Code that reads a bundle's components, as trimming does, reads
+    the slot: _unpack takes both forms.
     """
 
     def __set_name__(self, owner, name):
@@ -356,7 +349,13 @@ class _Field:
             return self
         a = self.slot.__get__(bundle)
         if type(a) is list:
-            a = np.array(a)
+            if type(a[0]) is float:
+                a = np.array(a)
+            else:
+                out = np.empty(np.shape(a[0]) + (len(a),))
+                for k, c in enumerate(a):
+                    out[..., k] = c
+                a = out
             self.slot.__set__(bundle, a)
         return a
 
@@ -491,9 +490,7 @@ class NurbsCurve:
             w1 = A[1][-1]
             d1 = _quotient(A[1], w, [(w1, value)])
             if order == 2:
-                d2 = _pack(_quotient(A[2], w, [(2.0 * w1, d1), (A[2][-1], value)]), rank)
-            d1 = _pack(d1, rank)
-        value = _pack(value, rank)
+                d2 = _quotient(A[2], w, [(2.0 * w1, d1), (A[2][-1], value)])
         if memo:
             self._last = (s, order, value, d1, d2)
         return CurveDerivatives(value, d1, d2)
@@ -589,17 +586,17 @@ class NurbsSurface:
         w = A[0][0][3]
         value = _quotient(A[0][0], w)
         if not order:
-            return SurfaceDerivatives(_pack(value, rank))
+            return SurfaceDerivatives(value)
         wu, wv = A[1][0][3], A[0][1][3]
         su = _quotient(A[1][0], w, [(wu, value)])
         sv = _quotient(A[0][1], w, [(wv, value)])
         if order == 1:
-            return SurfaceDerivatives(_pack(value, rank), _pack(su, rank), _pack(sv, rank))
+            return SurfaceDerivatives(value, su, sv)
         return SurfaceDerivatives(
-            _pack(value, rank), _pack(su, rank), _pack(sv, rank),
-            _pack(_quotient(A[2][0], w, [(2 * wu, su), (A[2][0][3], value)]), rank),
-            _pack(_quotient(A[1][1], w, [(wu, sv), (wv, su), (A[1][1][3], value)]), rank),
-            _pack(_quotient(A[0][2], w, [(2 * wv, sv), (A[0][2][3], value)]), rank),
+            value, su, sv,
+            _quotient(A[2][0], w, [(2 * wu, su), (A[2][0][3], value)]),
+            _quotient(A[1][1], w, [(wu, sv), (wv, su), (A[1][1][3], value)]),
+            _quotient(A[0][2], w, [(2 * wv, sv), (A[0][2][3], value)]),
         )
 
     def insert_knot(self, value, direction, multiplicity=1):

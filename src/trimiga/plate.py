@@ -275,8 +275,8 @@ def physical_gradients(geometry, field, s, t):
     cd = geometry.composite_eval(s, t, 1)
     span_s, ds = field.knot_vector_s.basis(s, 1)
     span_t, dt = field.knot_vector_t.basis(t, 1)
-    # one axis over the functions after the points'
-    jac = [e[..., None] for e in _jacobian(geometry, cd, s, t)]
+    # one axis over the functions after the points' (a scalar's are floats)
+    jac = [np.asarray(e)[..., None] for e in _jacobian(geometry, cd, s, t)]
     dN_dx, dN_dy = _to_physical(jac, _products(ds, dt, 1, 0), _products(ds, dt, 0, 1))
     return span_s, span_t, dN_dx, dN_dy, cd
 
@@ -284,11 +284,12 @@ def physical_gradients(geometry, field, s, t):
 def _jacobian(geometry, cd, s, t):
     """(a, b, c, d, det) of the planar J = [[x_s, x_t], [y_s, y_t]] per point.
 
-    A point whose determinant is singular raises SingularMapError.
+    The entries are the bundle's own components (nurbs._unpack), floats
+    for a scalar query and arrays for a batch, so no derivative field is
+    packed. A point whose determinant is singular raises SingularMapError.
     """
     _require_planar(geometry.surface)
-    a, b = cd.dx_ds[..., 0], cd.dx_dt[..., 0]
-    c, d = cd.dx_ds[..., 1], cd.dx_dt[..., 1]
+    (a, c, _), (b, d, _) = _unpack(cd._dx_ds, 1), _unpack(cd._dx_dt, 1)
     det = a * d - b * c
     check_regular(np.abs(det), geometry.surface.singular_area, s, t)
     return a, b, c, d, det
@@ -377,7 +378,9 @@ def assemble_stiffness(geometry, field, material, n_quad):
     w |J| B^T D B; its points must share one field span. The block is
     formed from the three Gram products sum w dN_x^T dN_x, sum w dN_x^T dN_y
     and sum w dN_y^T dN_y, and added straight into the data of the CSR
-    pattern, one batch of panels at a time.
+    pattern, one batch of panels at a time. Which panels share a batch sets
+    the order of those additions (_add_blocks), so K's last bits depend on
+    quadrature.BATCH_POINTS, and bytes recorded from a solve pin it too.
     """
     from scipy import sparse
 
@@ -432,7 +435,12 @@ def _element_blocks(geometry, field, coef, s, t, weights):
 
 
 def _add_blocks(data, positions, first, blocks):
-    """Add _element_blocks' blocks into the CSR data at their positions."""
+    """Add _element_blocks' blocks into the CSR data at their positions.
+
+    One batch's blocks are summed per entry by bincount and the run is then
+    added to data: an entry shared by panels of two batches is rounded once
+    per batch, so its last bits depend on where the batches split.
+    """
     # consecutive columns fill a contiguous run of rows: sum over that run
     pos = positions(first)
     lo = int(pos.min())
@@ -821,8 +829,11 @@ def stress_error_l2(solution, reference, n_quad):
     Both are fixed-order sums, so a point's value does not depend on its
     batch. Each gradient component is then one contiguous (c, T, n, n)
     array, in gauss_panels' order, and J^-T is applied to both at once.
-    Each of the two integrals is one exactly rounded fsum over all its
-    terms, fed one batch at a time, so neither depends on the batching.
+    Each of the two integrals is one exactly rounded sum over all its
+    terms (_fsum), so neither depends on the batching. A term that is not
+    finite, as a NaN reference stress gives, is a DomainError naming its
+    point, the first in gauss_panels' order; so is a reference that is zero
+    on the whole region.
     """
     geometry, field = solution.geometry, solution.field
     kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
@@ -846,19 +857,66 @@ def stress_error_l2(solution, reference, n_quad):
                         for g in (du_ds, du_dt))
         du_dx, du_dy = _to_physical(_jacobian(geometry, cd, s, t), du_ds, du_dt)
         exx, eyy, gxy = du_dx[0], du_dy[1], du_dy[0] + du_dx[1]
-        sxx, syy, sxy = reference(cd.x[..., 0], cd.x[..., 1])
+        x, y, _ = _unpack(cd._x, 1)
+        sxx, syy, sxy = reference(x, y)
         dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
                          for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
         w = weights * cd.jacobian_scale
-        num_parts.append(w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2))
-        den_parts.append(w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2))
-    return math.sqrt(_fsum(num_parts) / _fsum(den_parts))
+        num = w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
+        den = w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2)
+        for what, terms in (("reference stress", den), ("stress error", num)):
+            finite = np.isfinite(terms)
+            if not finite.all():
+                x0, y0 = _first_where(~finite, x, y)
+                raise DomainError(f"the {what} term is not finite at (x, y) = ({x0}, {y0})")
+        num_parts.append(num)
+        den_parts.append(den)
+    reference_norm = _fsum(den_parts)
+    if not reference_norm:
+        raise DomainError("the reference stress is zero on the whole region")
+    return math.sqrt(_fsum(num_parts) / reference_norm)
 
 
 def _fsum(arrays):
-    """The exactly rounded sum of every entry of the arrays, as one fsum
-    that reads one array's floats at a time."""
-    return math.fsum(itertools.chain.from_iterable(a.ravel().tolist() for a in arrays))
+    """The exactly rounded sum of every entry of the finite float arrays,
+    which it overwrites.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31): with n terms, the largest
+    |term| below 2**e and sigma = 2**(e + n.bit_length() + 1), hi = (sigma +
+    x) - sigma rounds each term to one grid of 2**-53 sigma, x - hi is exact,
+    and every partial sum of the hi values stays on that grid below sigma,
+    so each array's hi.sum() is exact in any order. The remainders, at most 2**-54
+    sigma, are summed the same way until all are zero, and one fsum of these
+    few level sums rounds once. Where sigma would overflow, the terms are
+    scaled by 2**-shift for the extraction, exactly where it matters: a term
+    that underflows there lies far below the grid and gives hi = 0. The
+    remainder then comes off in two halves, neither of which overflows, and
+    the level sums are combined as fractions.
+    """
+    n = sum(a.size for a in arrays)
+    levels = []  # (exact level sum, shift): the level adds that times 2**shift
+    while big := max((float(np.abs(a).max()) for a in arrays if a.size), default=0.0):
+        if not math.isfinite(big):
+            raise ValueError("_fsum needs finite terms")
+        e = math.frexp(big)[1] + n.bit_length() + 1
+        shift = max(e - 1023, 0)
+        sigma = math.ldexp(1.0, e - shift)
+        for a in arrays:
+            hi = sigma + (a * math.ldexp(1.0, -shift) if shift else a)
+            hi -= sigma
+            levels.append((float(hi.sum()), shift))
+            if shift:
+                hi *= math.ldexp(1.0, shift - 1)
+                a -= hi
+            a -= hi
+    if any(shift for _, shift in levels):
+        # imported here: only sums near the largest double need it, and
+        # fractions imports decimal, which would add to every start-up
+        from fractions import Fraction
+
+        return float(sum(Fraction(level) * 2 ** shift for level, shift in levels))
+    return math.fsum(level for level, _ in levels)
 
 
 def _contract(coeffs, first, ders, axis):

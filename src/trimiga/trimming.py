@@ -19,11 +19,11 @@ once, on components: floats for a scalar query, views for a batch, with the
 same bits (nurbs._unpack). A query reads its rank once, in _check_st, and
 runs straight through named components: the curves' into the blend, written
 u = r * b_u + t * c_u with r = 1 - t, the blend's and the surface's into the
-chain rule. Each bundle is built once, positionally. The components are read
-from the bundles' private slots, so for a scalar query they stay the lists
-of floats the formulas produced: no curve or surface field becomes an array,
-and an answer's fields become arrays only when a caller reads them
-(nurbs._Field).
+chain rule. Each bundle is built once, positionally, from lists of
+components. The components are read from the bundles' private slots, where
+they stay the lists the formulas produced, floats for a scalar query and
+arrays for a batch: no curve or surface field becomes an array, and an
+answer's fields become arrays only when a caller reads them (nurbs._Field).
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidGeometryError, SingularMapError, UnsupportedTopologyError
 from .nurbs import (MERGE_TOL, NurbsCurve, NurbsSurface, _check_int, _Field, _first_where,
-                    _pack, _rank, _unpack, merge_close)
+                    _rank, _unpack, merge_close)
 
 _CONTAIN_TOL = 1e-9
 
@@ -224,7 +224,7 @@ class TrimmedRegion:
     def _map(self, rank, s, t):
         """map_point for (s, t) already inside the square."""
         u, v, us, vs, ut, vt, *_ = self._blend(rank, s, t, 1)
-        return MapDerivatives(_pack([u, v], rank), _pack([us, vs], rank), _pack([ut, vt], rank))
+        return MapDerivatives([u, v], [us, vs], [ut, vt])
 
     def map_point(self, s, t):
         """Blend map with first derivatives at (s, t)."""
@@ -253,8 +253,7 @@ class TrimmedRegion:
         scale = cross_norm(dx_ds, dx_dt)
         check_regular(scale, self.surface.singular_area, s, t)
         if order < 2:
-            return CompositeDerivatives(sd._value, _pack(dx_ds, rank), _pack(dx_dt, rank),
-                                        None, None, None, scale)
+            return CompositeDerivatives(sd._value, dx_ds, dx_dt, None, None, None, scale)
         xuu, xuv, xvv = _unpack(sd._duu, rank), _unpack(sd._duv, rank), _unpack(sd._dvv, rank)
         d2x_ds2, d2x_dt2, d2x_dsdt = [], [], []
         for a, b, aa, ab, bb in zip(xu, xv, xuu, xuv, xvv):
@@ -262,9 +261,7 @@ class TrimmedRegion:
             d2x_dt2.append(aa * ut * ut + 2.0 * ab * ut * vt + bb * vt * vt)
             d2x_dsdt.append(aa * us * ut + ab * (us * vt + ut * vs) + bb * vs * vt
                             + a * ust + b * vst)
-        return CompositeDerivatives(sd._value, _pack(dx_ds, rank), _pack(dx_dt, rank),
-                                    _pack(d2x_ds2, rank), _pack(d2x_dt2, rank),
-                                    _pack(d2x_dsdt, rank), scale)
+        return CompositeDerivatives(sd._value, dx_ds, dx_dt, d2x_ds2, d2x_dt2, d2x_dsdt, scale)
 
     def validate(self, grid_n):
         """Sweep an (n+1) x (n+1) grid and report what it finds.

@@ -636,6 +636,15 @@ class TestKnotInsertion:
             with pytest.raises(InvalidRefinementError, match="multiplicity must be an integer"):
                 insert()
 
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5]])
+    def test_a_knot_value_that_is_not_a_real_number_is_rejected(
+            self, arc_curve, curved_surface, value):
+        for insert in (lambda: arc_curve.knot_vector.inserted(value),
+                       lambda: arc_curve.insert_knot(value),
+                       lambda: curved_surface.insert_knot(value, "u")):
+            with pytest.raises(InvalidRefinementError, match="new knot must be a real number"):
+                insert()
+
     def test_surface_insertion_both_directions(self, curved_surface, rng):
         refined = curved_surface.insert_knot(0.3, "u").insert_knot(0.7, "v")
         for u, v in rng.random((20, 2)):

@@ -3,9 +3,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimiga import plate, quadrature
 from trimiga.errors import AssemblyError, DomainError, SingularMapError, SolveError
@@ -597,6 +600,98 @@ class TestStressErrorNorm:
             monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
             l2.append(stress_error_l2(solution, kirsch_stresses(config), 6))
         assert l2[0] == l2[1]
+
+    def test_a_reference_zero_on_the_whole_region_is_a_domain_error(self):
+        solution = solve_plate(PlateConfig(stage=0, bc_mode="exact")).solution
+        with pytest.raises(DomainError, match="the reference stress is zero on the whole region"):
+            stress_error_l2(solution, lambda x, y: (0.0, 0.0, 0.0), 4)
+
+    @staticmethod
+    def first_point(solution, hit):
+        """(x, y) of the first point in gauss_panels' order where hit(x) holds."""
+        geometry = solution.geometry
+        for s, t, _ in quadrature.gauss_panels(partition_regions(geometry, solution.field), 4):
+            x = geometry.composite_eval(s, t, 1).x
+            if hit(x).any():
+                return x[hit(x)][0, :2].tolist()
+
+    def test_a_reference_that_is_not_finite_is_named_at_its_first_point(self):
+        config = PlateConfig(stage=0, bc_mode="exact")
+        solution = solve_plate(config).solution
+        exact = kirsch_stresses(config)
+
+        def reference(x, y):
+            sxx, syy, sxy = exact(x, y)
+            return np.where(y > 2.0, np.nan, sxx), syy, sxy
+
+        x0, y0 = self.first_point(solution, lambda x: x[..., 1] > 2.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"the reference stress term is not finite at (x, y) = ({x0}, {y0})")):
+            stress_error_l2(solution, reference, 4)
+
+    def test_an_error_term_that_is_not_finite_is_named_at_its_first_point(self):
+        config = PlateConfig(stage=0, bc_mode="exact")
+        solution = solve_plate(config).solution
+        # NaN coefficients: every strain, so every error term, is NaN
+        broken = plate.SolveResult(solution.geometry, solution.field, solution.material,
+                                   np.full_like(solution.coeffs, np.nan), solution.residual,
+                                   solution.fixed_dofs)
+        x0, y0 = self.first_point(solution, lambda x: np.ones(x.shape[:-1], bool))
+        with pytest.raises(DomainError, match=re.escape(
+                f"the stress error term is not finite at (x, y) = ({x0}, {y0})")):
+            stress_error_l2(broken, kirsch_stresses(config), 4)
+
+
+def exact_sum(values):
+    """math.fsum, or the exact sum rounded once where a partial sum of fsum
+    overflows; OverflowError where the exact sum does."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values)))
+
+
+#: exact zeros of both signs, subnormals, the smallest normal and terms near
+#: the largest double
+SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.0 ** 1023,
+                 np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max,
+                 -np.finfo(float).max]
+
+
+@st.composite
+def term_arrays(draw):
+    """0-6 arrays of 0-5,000 terms, of both signs or all positive as the
+    norm's are, their exponents drawn from a window of any width anywhere in
+    the double range, with special terms at drawn places."""
+    arrays = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(0, 5000))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        signs = rng.choice([-1.0, 1.0], size) if draw(st.booleans()) else 1.0
+        lo = draw(st.integers(-1080, 1024))
+        hi = min(lo + draw(st.integers(0, 2104)), 1024)
+        terms = np.ldexp(rng.uniform(0.5, 1.0, size) * signs, rng.integers(lo, hi + 1, size))
+        if size:
+            special = draw(st.lists(st.sampled_from(SPECIAL_TERMS)
+                                    | st.floats(allow_nan=False, allow_infinity=False),
+                                    max_size=8))
+            terms[draw(st.lists(st.integers(0, size - 1), min_size=len(special),
+                                max_size=len(special)))] = special
+        arrays.append(terms)
+    return arrays
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(term_arrays())
+def test_the_norm_sum_is_fsum_bit_for_bit(arrays):
+    values = [v for a in arrays for v in a.tolist()]
+    try:
+        want = exact_sum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            plate._fsum(arrays)
+        return
+    assert np.float64(plate._fsum(arrays)).tobytes() == np.float64(want).tobytes()
 
 
 def polar_kirsch_stress(x, y, far_stress, hole_radius):

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from trimiga.errors import DomainError
-from trimiga.nurbs import KnotVector, _pack, _rank, _unpack
+from trimiga.nurbs import CurveDerivatives, KnotVector, _rank, _unpack
 from trimiga.plate import DirectGeometry, PlateConfig
-from trimiga.quadrature import gauss_points_1d, integrate
+from trimiga.quadrature import gauss_panels, gauss_points_1d, integrate, partition_regions
 from trimiga.shapes import plate_with_hole_region
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -64,12 +64,17 @@ def test_batch_unpack_and_pack_match_moveaxis_and_stack_bitwise(shape, axes):
     assert got.shape == want.shape and got.strides == want.strides
     assert got.base is a  # a view, not a copy
     assert got.tobytes() == want.tobytes()
-    # the last unpacked axis's components, packed back
+    # the last unpacked axis's components, kept by a bundle as they are and
+    # packed on the field's first read
     components = list(_unpack(a, 1, 1))
-    packed = _pack(components, 1)
+    assert _unpack(components, 1) is components
+    bundle = CurveDerivatives(components)
+    assert bundle._value is components
+    packed = bundle.value
     stacked = np.stack(components, axis=-1)
     assert packed.shape == stacked.shape == a.shape and packed.dtype == stacked.dtype
     assert packed.tobytes() == stacked.tobytes() == a.tobytes()
+    assert bundle.value is packed and bundle._value is packed
 
 
 class TestNaNIsOutside:
@@ -165,6 +170,21 @@ def test_scalar_spellings_give_the_same_bits():
                     for (name, a), (_, b) in zip(ref, got):
                         assert np.shape(a) == np.shape(b), name
                         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("s, t", [(0.3, np.array([0.0, 0.6, 1.0])),
+                                  (np.array([0.0, 0.3, 1.0]), 0.6)])
+def test_a_float_with_an_array_matches_the_broadcast_batch(plate_region, s, t):
+    """A Python float beside an array gives the bits of the broadcast batch;
+    the curves then run a scalar query, and duv_dt keeps s's shape."""
+    for call in calls(plate_region):
+        got = fields(call(s, t))
+        want = fields(call(*np.broadcast_arrays(s, t)))
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            if name == "duv_dt" and np.ndim(s) == 0:
+                b = b[0]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def grid_digest(region):
@@ -284,12 +304,15 @@ def test_a_scalar_bundle_is_a_dataclass_of_its_own_arrays(plate_region, names, q
     assert repr(second).startswith(f"{type(second).__name__}({names[0]}=array(")
 
 
-def test_reading_only_the_jacobian_scale_builds_no_field_array(plate_region):
-    cd = plate_region.composite_eval(0.3, 0.7, 1)
-    assert cd.jacobian_scale > 0.0
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "gauss_panels batch"])
+def test_reading_only_the_jacobian_scale_builds_no_field_array(plate_region, batch):
+    s, t = next(gauss_panels(partition_regions(plate_region), 3))[:2] if batch else (0.3, 0.7)
+    cd = plate_region.composite_eval(s, t, 1)
+    assert np.all(cd.jacobian_scale > 0.0)
     assert [type(a) for a in (cd._x, cd._dx_ds, cd._dx_dt)] == [list] * 3
     x = cd.x
     assert cd._x is x and type(x) is np.ndarray
+    assert x.shape == np.shape(cd.jacobian_scale) + (3,)
 
 
 @pytest.mark.parametrize("s, t", [(0.0, 0.0), (0.3, 0.7), (1.0, 0.25)])
