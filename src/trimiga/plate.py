@@ -27,8 +27,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import quadrature
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import MERGE_TOL, KnotVector, _check_int, _first_where, _rank, _unpack
+from .nurbs import (MERGE_TOL, KnotVector, _check_int, _first_where, _rank, _unpack,
+                    merge_close)
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
 from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
@@ -118,10 +120,13 @@ def _open_knots(degree):
     return KnotVector([0.0] * (degree + 1) + [1.0] * (degree + 1), degree)
 
 
-def _bisected(kv):
-    spans = kv.spans()
-    mids = [0.5 * (a + b) for a, b in zip(spans[:-1], spans[1:])]
-    return KnotVector(np.sort(np.concatenate([kv.knots, mids])), kv.degree)
+def _bisected(kv, times=1):
+    """kv with every span bisected, `times` over; one KnotVector is built."""
+    knots = kv.knots.tolist()
+    for _ in range(times):
+        spans = merge_close(knots)[0]
+        knots = sorted(knots + [0.5 * (a + b) for a, b in zip(spans[:-1], spans[1:])])
+    return KnotVector(knots, kv.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +463,12 @@ def _edge_geometry(geometry, edge, r):
     axis, value = _EDGES[edge]
     r = np.asarray(r, dtype=float)
     st = [r, r]
-    st[axis] = np.full_like(r, value)
-    s, t = st
+    st[axis] = value
     _require_planar(geometry.surface)
-    cd = geometry.composite_eval(s, t, 1)
+    # the fixed parameter stays a float: that gives the broadcast batch's
+    # bits, and on an s-edge the trimming curves run one scalar query
+    cd = geometry.composite_eval(*st, 1)
+    s, t = np.broadcast_arrays(*st)
     xy = cd.x[..., :2]
     d = (cd.dx_ds[..., :2], cd.dx_dt[..., :2])  # along s, along t
     tangent, outward = d[1 - axis], (d[axis] if value else -d[axis])
@@ -492,21 +499,27 @@ def _checked_traction(edge, value, xy):
     return tvec
 
 
+def _edge_rule(tiling, edge, n_quad):
+    """Gauss parameters and weights along an edge, n_quad between each two
+    neighbouring tiling lines that cross it."""
+    x, w = gauss_points_1d(n_quad)
+    lines = (tiling.t_lines, tiling.s_lines)[_EDGES[edge][0]]
+    h = np.diff(lines)[:, None]
+    return (lines[:-1, None] + h * x).ravel(), (w * h).ravel()
+
+
 def assemble_tractions(geometry, field, bcs, n_quad):
     """Load vector from the Traction edges, on the tiling's lines along each."""
     f = np.zeros(2 * field.dim)
-    x, w = gauss_points_1d(n_quad)
     tiling = partition_regions(geometry, field)
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        lines = (tiling.t_lines, tiling.s_lines)[_EDGES[edge][0]]
-        h = np.diff(lines)[:, None]
-        r = (lines[:-1, None] + h * x).ravel()
+        r, w = _edge_rule(tiling, edge, n_quad)
         s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
         tvec = _checked_traction(edge, bc.fn(xy, normal), xy)
         idx, values = field.basis(s, t)
-        scale = ((w * h).ravel() * ds)[:, None] * values
+        scale = (w * ds)[:, None] * values
         np.add.at(f.reshape(-1, 2), idx, scale[..., None] * tvec[..., None, :])
     return f
 
@@ -583,11 +596,11 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     (i ± degree_s, j ± degree_t), so the half-bandwidth is about
     2 (degree_s n_t + degree_t). The lower band is filled from K's CSR
     arrays into a C-ordered (n, kd + 1) array, row j holding K[j + k, j] at
-    k, one field s-column of dofs (2 n_t rows) at a time, so no copy of K's
-    arrays is made; its transpose is LAPACK's band[i - j, j] = K[i, j] in
-    Fortran order, factored in place. A fixed dof's row is masked out as the
-    band is filled, and it becomes an identity row and column of the band
-    with a zero load. A pivot that is not positive is a SolveError.
+    k, three field s-columns of dofs (3 x 2 n_t rows) at a time, so no copy
+    of K's arrays is made; its transpose is LAPACK's band[i - j, j] =
+    K[i, j] in Fortran order, factored in place. A fixed dof's row is masked
+    out as the band is filled, and it becomes an identity row and column of
+    the band with a zero load. A pivot that is not positive is a SolveError.
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
@@ -595,7 +608,9 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     fixed = symmetry_constraints(geometry, field, bcs)
     free = np.ones(K.shape[0], dtype=bool)
     free[list(fixed)] = False
-    band = _constrained_band(K, free, 2 * field.shape[1])
+    # three s-columns per pass: one per pass made 67 passes at stage 3, and
+    # more than three hold larger index arrays for no further gain
+    band = _constrained_band(K, free, 3 * 2 * field.shape[1])
     rhs = np.where(free, f, 0.0)
     try:
         factor = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
@@ -626,10 +641,11 @@ def _constrained_band(K, free, run):
     flat = band.reshape(-1)
     row_len = np.diff(indptr)
     for r0 in range(0, n, run):
-        lo, hi = indptr[r0], indptr[r0 + run]
-        rows = np.repeat(np.arange(r0, r0 + run), row_len[r0:r0 + run])
+        r1 = min(r0 + run, n)
+        lo, hi = indptr[r0], indptr[r1]
+        rows = np.repeat(np.arange(r0, r1), row_len[r0:r1])
         cols = indices[lo:hi]
-        keep = (rows >= cols) & np.repeat(free[r0:r0 + run], row_len[r0:r0 + run])
+        keep = (rows >= cols) & np.repeat(free[r0:r1], row_len[r0:r1])
         # K[i, j] is flat[j (kd + 1) + i - j]
         flat[(rows + np.multiply(cols, kd, dtype=np.intp))[keep]] = data[lo:hi][keep]
     fixed = np.flatnonzero(~free)
@@ -791,9 +807,9 @@ class PlateResult:
 
 def plate_field(region, config):
     field = FieldSpace.conforming(region, config.degree)
-    for _ in range(BASE_HALVINGS + config.stage):
-        field = field.refined_h()
-    return field
+    halvings = BASE_HALVINGS + config.stage
+    return FieldSpace(*(_bisected(kv, halvings)
+                        for kv in (field.knot_vector_s, field.knot_vector_t)))
 
 
 def solve_plate(config=None, region=None):
@@ -801,20 +817,46 @@ def solve_plate(config=None, region=None):
 
     A custom region (same layout: hole arc at t=0, straight symmetry edges at
     s=0 and s=1) may replace the built-in geometry. Either way the hole
-    radius is read off the rim point at (s, t) = (0, 0).
+    radius is read off the rim point at (s, t) = (0, 0), and a custom
+    region's t = 0 edge must lie on that circle (_check_circular_hole).
     """
     config = config or PlateConfig()
-    if region is None:
+    custom = region is not None
+    if not custom:
         region = plate_with_hole_region(config.scale, config.arc_weight)
     hole_radius = float(np.linalg.norm(region.composite_eval(0.0, 0.0, 0).x[:2]))
     field = plate_field(region, config)
+    n_quad = config.quad_order or _default_order(region, field)
+    if custom:
+        _check_circular_hole(region, field, n_quad, hole_radius)
     bcs = plate_boundary_conditions(config, hole_radius)
-    solution = solve_problem(region, field, config.material, bcs, config.quad_order)
-    n_quad = (config.quad_order or _default_order(region, field)) + 2
+    solution = solve_problem(region, field, config.material, bcs, n_quad)
     far = config.far_stress
-    l2 = stress_error_l2(solution, lambda x, y: _kirsch_stress(x, y, far, hole_radius)[1], n_quad)
+    l2 = stress_error_l2(solution, lambda x, y: _kirsch_stress(x, y, far, hole_radius)[1],
+                         n_quad + 2)
     rim = float(solution.stress(0.0, 0.0)[0])
     return PlateResult(solution, l2, rim)
+
+
+#: how far, relative to the rim radius, a custom hole edge may stray from
+#: the circle: the printed 0.707 arc weight strays 2.6e-5 at the stage-0
+#: Gauss points, a weight of 1.0 strays 6.1e-2
+_HOLE_TOL = 1e-4
+
+
+def _check_circular_hole(region, field, n_quad, radius):
+    """DomainError naming the first Gauss point of the t = 0 edge, on the
+    tiling's lines, whose distance from the origin is not radius within
+    _HOLE_TOL relative: the reference field is Kirsch's, for a circular
+    hole about the origin."""
+    r = _edge_rule(partition_regions(region, field), "t0", n_quad)[0]
+    xy = region.composite_eval(r, 0.0, 0).x
+    x, y = xy[:, 0], xy[:, 1]
+    off = ~(np.abs(np.hypot(x, y) - radius) <= _HOLE_TOL * radius)  # NaN too
+    if off.any():
+        x0, y0 = _first_where(off, x, y)
+        raise DomainError(f"the hole edge (t = 0) leaves the circle of radius {radius} "
+                          f"about the origin at (x, y) = ({x0}, {y0})")
 
 
 def stress_error_l2(solution, reference, n_quad):
@@ -830,15 +872,18 @@ def stress_error_l2(solution, reference, n_quad):
     batch. Each gradient component is then one contiguous (c, T, n, n)
     array, in gauss_panels' order, and J^-T is applied to both at once.
     Each of the two integrals is one exactly rounded sum over all its
-    terms (_fsum), so neither depends on the batching. A term that is not
-    finite, as a NaN reference stress gives, is a DomainError naming its
-    point, the first in gauss_panels' order; so is a reference that is zero
-    on the whole region.
+    terms (_fsum), so neither depends on the batching. So the batches hold
+    twice the stiffness's quadrature.BATCH_POINTS, read at each call: fewer
+    numpy calls per point, for a transient that stays below the solve's
+    band phase. A term that is not finite, as a NaN reference stress gives,
+    is a DomainError naming its point, the first in gauss_panels' order; so
+    is a reference that is zero on the whole region.
     """
     geometry, field = solution.geometry, solution.field
     kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
     D = solution.material.plane_stress_matrix()
-    batches = gauss_panels(partition_regions(geometry, field), n_quad)
+    batches = gauss_panels(partition_regions(geometry, field), n_quad,
+                           2 * quadrature.BATCH_POINTS)
     batch = next(batches)
     # t-side, once: every batch has the same (1, T, 1, n) t-nodes, at which
     # u and u_t are the (2, n_s, T * n) t-contracted values and t-derivatives

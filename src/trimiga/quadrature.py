@@ -84,35 +84,40 @@ def partition_regions(geometry, field=None):
     return Tiling(s_breaks, t_breaks)
 
 
-#: the most Gauss points gauss_panels puts in one batch of whole columns;
+#: the most Gauss points gauss_panels puts in one batch of whole columns,
+#: unless its caller names another size. This is the stiffness's batch:
 #: smaller batches keep the plate solve's peak memory down, and of 2^8 to
-#: 2^14 points 2^12 gave the fastest stage-3 solve. The stiffness matrix's
-#: last bits depend on the batching (plate.assemble_stiffness), so the
-#: recorded solution bytes, the CLI's golden output among them, pin this
-#: constant too: the stage-3 coefficients' bytes differ between 2^10, 2^11,
-#: 2^12 and 2^14
+#: 2^14 points 2^12 gave the fastest stage-3 assembly. K's last bits depend
+#: on the batching (plate.assemble_stiffness), so the recorded solution
+#: bytes, the CLI's golden output among them, pin this constant: the
+#: stage-3 coefficients' bytes differ between 2^10, 2^11, 2^12 and 2^14.
+#: The error norm's exact sums do not depend on the batching, so it sizes
+#: its own batches (plate.stress_error_l2)
 BATCH_POINTS = 1 << 12
 
 
-def gauss_panels(tiling, n_per_dir):
+def gauss_panels(tiling, n_per_dir, batch_points=None):
     """Tensor Gauss rule per panel of a Tiling, in batches of whole columns.
 
     The tiling has C columns between its s-lines, each of the T panels
     between its t-lines. Yields, per run of consecutive columns, (s, t,
     weights) as arrays: s-nodes of shape (c, 1, n, 1), t-nodes of shape
     (1, T, 1, n) and weights of shape (c, T, n, n). A batch holds as many
-    columns as fit in BATCH_POINTS points, and at least one. The broadcast
-    (c, T, n, n) grid is panel-major and s-major within a panel, so its
-    C-order flattening follows the tiling's s-major panel order. Weight
-    [k, l, i, j] is w_i * w_j * hs_k * ht_l multiplied in that order, so
-    per-panel fsums see the same terms however the columns are batched.
+    columns as fit in batch_points points, and at least one; None means
+    BATCH_POINTS, read at each call. The broadcast (c, T, n, n) grid is
+    panel-major and s-major within a panel, so its C-order flattening
+    follows the tiling's s-major panel order. Weight [k, l, i, j] is w_i *
+    w_j * hs_k * ht_l multiplied in that order, so per-panel fsums see the
+    same terms however the columns are batched.
     """
     x, w = gauss_points_1d(n_per_dir)
     ww = np.outer(w, w)
     s0, hs = tiling.s_lines[:-1], np.diff(tiling.s_lines)
     t0, ht = tiling.t_lines[:-1], np.diff(tiling.t_lines)
     t = (t0[:, None] + ht[:, None] * x)[None, :, None, :]
-    step = max(1, BATCH_POINTS // (t0.size * n_per_dir * n_per_dir))
+    if batch_points is None:
+        batch_points = BATCH_POINTS
+    step = max(1, batch_points // (t0.size * n_per_dir * n_per_dir))
     for k in range(0, s0.size, step):
         c0, c1 = s0[k:k + step, None], hs[k:k + step, None]
         s = (c0 + c1 * x)[:, None, :, None]

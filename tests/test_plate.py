@@ -39,6 +39,7 @@ from trimiga.shapes import (
     HOLE_PARAM_RADIUS,
     hole_arc_curve,
     identity_region,
+    outer_polyline_curve,
     plate_with_hole_region,
     unit_square_surface,
 )
@@ -928,27 +929,42 @@ class TestSolver:
         assert bands[0].shape == reference.shape
         assert np.array_equal(bands[0], reference)
 
-    def test_stage3_solve_holds_little_besides_the_matrix_and_its_band(self):
-        # K's CSR arrays and the n x (kd + 1) band are what the solve must
-        # hold; the allowance covers one batch of the assembly or one
-        # s-column of the band fill, not a copy of K's arrays
-        config = PlateConfig(stage=3, bc_mode="exact")
+    @staticmethod
+    def assert_holds_little_besides_the_matrix_and_its_band(config, solve):
+        """A warm solve() traces within 1.25 x K's CSR arrays and its n x (kd + 1) band."""
         region = plate_with_hole_region(config.scale, config.arc_weight)
-        field = plate_field(region, config)
         bcs = plate_boundary_conditions(config, hole_radius(config))
-        solve_problem(region, field, MAT, bcs)  # warm: the lazy imports and caches
+        solve()  # warm: the lazy imports and caches
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            solve_problem(region, field, MAT, bcs)
+            solve()
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        K, _ = assemble(region, field, MAT, bcs)
+        K, _ = assemble(region, plate_field(region, config), MAT, bcs)
         coo = K.tocoo()
         width = int((coo.row - coo.col).max()) + 1
         held = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + K.shape[0] * width * 8
         assert peak <= 1.25 * held
+
+    def test_stage3_solve_holds_little_besides_the_matrix_and_its_band(self):
+        # K's CSR arrays and the band are what the solve must hold; the
+        # allowance covers one batch of the assembly or three s-columns of
+        # the band fill, not a copy of K's arrays
+        config = PlateConfig(stage=3, bc_mode="exact")
+        region = plate_with_hole_region(config.scale, config.arc_weight)
+        field = plate_field(region, config)
+        bcs = plate_boundary_conditions(config, hole_radius(config))
+        self.assert_holds_little_besides_the_matrix_and_its_band(
+            config, lambda: solve_problem(region, field, MAT, bcs))
+
+    def test_stage3_plate_solve_with_its_error_norm_holds_no_more(self):
+        # the error norm's batches, twice the stiffness's points, must stay
+        # within the allowance of the matrix and its band
+        config = PlateConfig(stage=3, bc_mode="exact")
+        self.assert_holds_little_besides_the_matrix_and_its_band(
+            config, lambda: solve_plate(config))
 
     def test_under_integrated_plate_is_a_solve_error(self):
         # one Gauss point per panel leaves K singular: the factor meets a
@@ -1058,6 +1074,17 @@ class TestSolver:
             cd = region.composite_eval(s, t, 1)
             exact = np.array([gx * cd.x[0], gy * cd.x[1]])
             assert np.abs(result.displacement(s, t) - exact).max() < 1e-10
+
+    @pytest.mark.parametrize("arc", [
+        [[0.0, 0.2], [0.3, 0.2], [0.3, 0.0]],  # unchecked, it solved with L2 0.0828
+        [[0.0, 0.3], [0.2, 0.3], [0.2, 0.0]],  # unchecked, it failed in the reference
+    ], ids=["wide", "tall"])
+    def test_a_custom_hole_that_is_not_a_circle_is_a_domain_error(self, arc):
+        bottom = NurbsCurve(KnotVector([0, 0, 0, 1, 1, 1], 2), arc, [1.0, 0.707, 1.0])
+        region = TrimmedRegion(unit_square_surface(5.0), bottom, outer_polyline_curve())
+        with pytest.raises(DomainError, match=r"the hole edge \(t = 0\) leaves the circle "
+                                              r"of radius 1\.\d+ about the origin at \(x, y\)"):
+            solve_plate(PlateConfig(stage=0, bc_mode="exact"), region=region)
 
     def test_full_cad_pipeline(self):
         # IGES export -> parse -> region extraction -> solve: the analysis

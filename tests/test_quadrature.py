@@ -68,11 +68,41 @@ def cylinder_region():
     return TrimmedRegion(surface, bottom, top)
 
 
-def unrolled_cylinder_area(region, n=40):
-    """Independent area oracle on the radius-2 cylinder about z: unrolled,
-    a point is (a, z) with a = 2 atan2(y, x), and the area is
-    |0.5 * closed contour integral of (a dz - z da)| along the images of
-    the square's edges, n Gauss points per piece between breakpoints."""
+def revolved_arcs(profile, weights):
+    """Quarter turn about z of a rational quadratic profile arc in (rho, z):
+    the tensor product of the exact quarter circle in u and the profile in v."""
+    turn = [([1.0, 0.0], 1.0), ([1.0, 1.0], math.sqrt(0.5)), ([0.0, 1.0], 1.0)]
+    net = [[[rho * cx, rho * cy, z] for rho, z in profile] for (cx, cy), _ in turn]
+    kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
+    return NurbsSurface(kv, kv, net, [[wu * wv for wv in weights] for _, wu in turn])
+
+
+def trimmed_inside(surface):
+    """The surface trimmed by cylinder_region's curves, away from its edges."""
+    region = cylinder_region()
+    return TrimmedRegion(surface, region.curve_bottom, region.curve_top)
+
+
+def sphere_region(radius=2.0):
+    """A sphere's band between latitudes -45 and 45 degrees over a quarter
+    turn, trimmed: no pole lies on it."""
+    c = radius * math.sqrt(0.5)
+    profile = [[c, -c], [2.0 * c, 0.0], [c, c]]
+    return trimmed_inside(revolved_arcs(profile, [1.0, math.sqrt(0.5), 1.0]))
+
+
+def torus_region(major=3.0, minor=1.0):
+    """A torus's outer upper quarter, tube angle 0 to 90 degrees, over a
+    quarter turn, trimmed."""
+    profile = [[major + minor, 0.0], [major + minor, minor], [major, minor]]
+    return trimmed_inside(revolved_arcs(profile, [1.0, math.sqrt(0.5), 1.0]))
+
+
+def boundary_area(region, form, n=40):
+    """Independent area oracle by Stokes' theorem: |closed contour integral
+    of a 1-form whose exterior derivative is the area form| along the
+    images of the square's edges, n Gauss points per piece between
+    breakpoints. form(point, tangent) is the form's value on the tangent."""
     x, w = gauss_points_1d(n)
     cuts = [0.0] + [bp.s for bp in region.breakpoints()] + [1.0]
     # counter-clockwise around the square: the point at r, its derivative
@@ -83,10 +113,35 @@ def unrolled_cylinder_area(region, n=40):
         for lo, hi in zip(lines[:-1], lines[1:]):
             for xi, wi in zip(x, w):
                 cd = region.composite_eval(*st(lo + (hi - lo) * xi), 1)
-                (px, py, pz), (dx, dy, dz) = cd.x, getattr(cd, tangent)
-                a, da = 2.0 * math.atan2(py, px), 2.0 * (px * dy - py * dx) / (px * px + py * py)
-                terms.append(sign * wi * (hi - lo) * 0.5 * (a * dz - pz * da))
+                terms.append(sign * wi * (hi - lo) * form(cd.x, getattr(cd, tangent)))
     return abs(math.fsum(terms))
+
+
+def turn_rate(p, d):
+    """d(atan2(y, x)) along the tangent d at p: the angle about z, with no branch cut."""
+    (px, py, _), (dx, dy, _) = p, d
+    return (px * dy - py * dx) / (px * px + py * py)
+
+
+def unrolled_cylinder_form(p, d):
+    """On the radius-2 cylinder about z, unrolled to (a, z) with a = 2
+    atan2(y, x): 0.5 (a dz - z da)."""
+    a = 2.0 * math.atan2(p[1], p[0])
+    return 0.5 * (a * d[2] - p[2] * (2.0 * turn_rate(p, d)))
+
+
+def sphere_form(radius):
+    """R^2 sin(latitude) d(longitude) = R z d(longitude)."""
+    return lambda p, d: radius * p[2] * turn_rate(p, d)
+
+
+def torus_form(major, minor):
+    """r (R phi + r sin phi) d(theta), with the tube angle phi = atan2(z, rho - R)
+    within (-pi, pi) on the outer quarter, and r sin phi = z."""
+    def form(p, d):
+        phi = math.atan2(p[2], math.hypot(p[0], p[1]) - major)
+        return minor * (major * phi + p[2]) * turn_rate(p, d)
+    return form
 
 
 class TestGaussPoints:
@@ -290,15 +345,27 @@ class TestIntegrate:
                                segment([0.0, 0.0], [1.0, 1.0]))
         assert abs(integrate(region, lambda cd: 1.0, 16) - 0.5) < 1e-15
 
-    def test_curved_cad_area_matches_the_unrolled_cylinder(self):
-        region = cylinder_region()
-        oracle = unrolled_cylinder_area(region)
-        assert abs(unrolled_cylinder_area(region, 60) - oracle) < 1e-14 * oracle
+    @staticmethod
+    def assert_area_matches_the_boundary_oracle(region, form):
+        """integrate at order 16 against the oracle to 1e-12: as built, after
+        knot insertion and degree elevation, and after the IGES round trip."""
+        oracle = boundary_area(region, form)
+        assert abs(boundary_area(region, form, 60) - oracle) < 1e-14 * oracle
         refined = region.surface.insert_knot(0.3, "u").elevate_degree("v")
         for same in (region,
                      TrimmedRegion(refined, region.curve_bottom, region.curve_top),
                      iges.extract_region(iges.parse(iges.region_to_iges(region)))):
             assert abs(integrate(same, lambda cd: 1.0, 16) - oracle) < 1e-12 * oracle
+
+    def test_curved_cad_area_matches_the_unrolled_cylinder(self):
+        self.assert_area_matches_the_boundary_oracle(cylinder_region(), unrolled_cylinder_form)
+
+    @pytest.mark.parametrize("region, form", [
+        (sphere_region(2.0), sphere_form(2.0)),
+        (torus_region(3.0, 1.0), torus_form(3.0, 1.0)),
+    ], ids=["sphere", "torus"])
+    def test_curved_cad_area_matches_its_stokes_oracle(self, region, form):
+        self.assert_area_matches_the_boundary_oracle(region, form)
 
     def test_physical_measure_scales_with_the_surface(self, rng):
         region = TrimmedRegion(
