@@ -30,7 +30,7 @@ from .plate import (
     solve_problem,
 )
 from .quadrature import gauss_points_1d, integrate, partition_regions
-from .shapes import identity_region, plate_with_hole_region
+from .shapes import plate_with_hole_region
 from .trimming import (
     Breakpoint,
     CompositeDerivatives,
@@ -66,7 +66,6 @@ __all__ = [
     "TrimmedRegion",
     "UnsupportedTopologyError",
     "gauss_points_1d",
-    "identity_region",
     "integrate",
     "kirsch_reference",
     "partition_regions",

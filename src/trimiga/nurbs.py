@@ -175,10 +175,6 @@ class KnotVector:
         p = self.degree
         return merge_close(self.knots[p + 1 : -(p + 1)])
 
-    def spans(self):
-        """Distinct breakpoints [0, ..., 1] delimiting the non-empty spans."""
-        return merge_close(self.knots)[0]
-
     def find_span(self, u):
         """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span.
 

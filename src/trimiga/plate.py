@@ -29,11 +29,10 @@ import numpy as np
 
 from . import quadrature
 from .errors import AssemblyError, DomainError, SolveError
-from .nurbs import (MERGE_TOL, KnotVector, _check_int, _first_where, _rank, _unpack,
-                    merge_close)
+from .nurbs import MERGE_TOL, KnotVector, _check_int, _first_where, _unpack, merge_close
 from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
-from .trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
+from .trimming import check_regular
 
 _PLANAR_TOL = 1e-9
 #: the square's edges: the parameter axis each one fixes (0 for s, 1 for t)
@@ -77,12 +76,6 @@ class FieldSpace:
     def dim(self):
         ns, nt = self.shape
         return ns * nt
-
-    def refined_h(self):
-        """Insert every span midpoint in both directions (nested space)."""
-        return FieldSpace(
-            _bisected(self.knot_vector_s), _bisected(self.knot_vector_t)
-        )
 
     def basis(self, s, t):
         """Nonzero functions at (s, t): (indices, values).
@@ -201,49 +194,12 @@ def _check_bcs(bcs):
 
 # ---------------------------------------------------------------------------
 # geometry (planar)
-#
-# A plate function's geometry is a TrimmedRegion, or a DirectGeometry for
-# the mapping-bypassed reference. Either one answers composite_eval(s, t, 1)
-# with a CompositeDerivatives bundle, lists its (s, t) break lines for
-# quadrature.partition_regions (breaklines), reports the highest degree it
-# carries (max_degree), and holds the surface whose size sets the
-# singular-map thresholds. The plate checks that surface is planar where it
-# drops z.
-
-
-class DirectGeometry:
-    """Planar surface evaluated directly: (s, t) are the surface (u, v).
-
-    Bypasses the trimming map entirely; useful to cross-check that an
-    identity trim changes nothing.
-    """
-
-    def __init__(self, surface):
-        self.surface = surface
-
-    def composite_eval(self, s, t, order):
-        if order != 1:
-            raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
-        sd = self.surface.evaluate(s, t, order=1)
-        rank = _rank(s) or _rank(t)
-        scale = cross_norm(_unpack(sd.du, rank), _unpack(sd.dv, rank))
-        check_regular(scale, self.surface.singular_area, s, t)
-        return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
-
-    def breaklines(self):
-        surface = self.surface
-        return surface.knot_vector_u.interior()[0], surface.knot_vector_v.interior()[0]
-
-    def max_degree(self):
-        return max(self.surface.degrees)
 
 
 def _check_closing_edges(geometry):
-    """AssemblyError naming a closing edge of a TrimmedRegion that is one point,
-    where the clamped trimming curves' first (s0) or last (s1) control points
-    meet within MERGE_TOL: no stiffness integral exists there."""
-    if not isinstance(geometry, TrimmedRegion):
-        return
+    """AssemblyError naming a closing edge that is one point, where the
+    clamped trimming curves' first (s0) or last (s1) control points meet
+    within MERGE_TOL: no stiffness integral exists there."""
     bottom, top = geometry.curve_bottom.control_points, geometry.curve_top.control_points
     for edge, k in (("s0", 0), ("s1", -1)):
         if np.abs(bottom[k] - top[k]).max() <= MERGE_TOL:
@@ -525,18 +481,26 @@ def assemble_tractions(geometry, field, bcs, n_quad):
 
 
 def symmetry_constraints(geometry, field, bcs):
-    """Zero constraints for the normal displacement on Symmetry edges."""
+    """Zero constraints for the normal displacement on Symmetry edges.
+
+    An edge's normals are read where its tractions would be, at the
+    default-order Gauss points on the tiling's lines (_edge_rule). Each must
+    lie on the axis of the edge's first normal within 1e-6, or AssemblyError
+    names the first (x, y) where one does not.
+    """
     fixed = {}
+    tiling, n_quad = partition_regions(geometry, field), _default_order(geometry, field)
     for edge, bc in bcs.items():
         if not isinstance(bc, Symmetry):
             continue
-        normals = _edge_geometry(geometry, edge, [0.25, 0.5, 0.75])[4]
-        comp = int(np.argmax(np.abs(normals[1])))
-        if np.any(np.abs(normals[:, 1 - comp]) > 1e-6):
-            raise AssemblyError(
-                f"edge {edge}: symmetry condition needs an axis-aligned normal, "
-                f"got {normals[1]}"
-            )
+        r = _edge_rule(tiling, edge, n_quad)[0]
+        _, _, xy, _, normals = _edge_geometry(geometry, edge, r)
+        comp = int(np.argmax(np.abs(normals[0])))
+        off = ~(np.abs(normals[:, 1 - comp]) <= 1e-6)  # NaN too
+        if off.any():
+            x, y, nx, ny = _first_where(off, xy[:, 0], xy[:, 1], normals[:, 0], normals[:, 1])
+            raise AssemblyError(f"edge {edge}: symmetry condition needs an axis-aligned "
+                                f"normal, got ({nx}, {ny}) at (x, y) = ({x}, {y})")
         axis, value = _EDGES[edge]
         functions = np.arange(field.dim).reshape(field.shape)
         for g in np.take(functions, -int(value), axis=axis):

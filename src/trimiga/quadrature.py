@@ -3,10 +3,10 @@
 Every integral, the area of `integrate` as well as the plate's stiffness,
 error norm and edge tractions, runs on the one Tiling of partition_regions:
 a set of s-lines and a set of t-lines, at the geometry's break lines (the
-interior knots of the trimming curves in s, the surface's knots for a
-direct geometry) and at the field space's interior knot lines, so that each
-Gauss panel between neighbouring lines sees a smooth integrand. The blend
-is linear in t, so trimming curves never force t-lines.
+interior knots of the trimming curves in s) and at the field space's
+interior knot lines, so that each Gauss panel between neighbouring lines
+sees a smooth integrand. The blend is linear in t, so trimming curves never
+force t-lines.
 
 Interior knots of a trimmed surface are not tracked: the blend bends their
 (u, v) knot lines into curves that no (s, t)-aligned split can follow, so a

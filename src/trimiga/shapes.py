@@ -49,13 +49,3 @@ def plate_with_hole_region(scale=1.0, arc_weight=PRINTED_ARC_WEIGHT):
     return TrimmedRegion(
         unit_square_surface(scale), hole_arc_curve(arc_weight), outer_polyline_curve()
     )
-
-
-def identity_region(surface=None):
-    """Trim that covers the whole surface: (s, t) -> (u, v) is the identity."""
-    if surface is None:
-        surface = unit_square_surface()
-    kv = KnotVector([0, 0, 1, 1], 1)
-    bottom = NurbsCurve(kv, [[0.0, 0.0], [1.0, 0.0]])
-    top = NurbsCurve(kv, [[0.0, 1.0], [1.0, 1.0]])
-    return TrimmedRegion(surface, bottom, top)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
+from trimiga import plate
+from trimiga.errors import DomainError
+from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface, _rank, _unpack
 from trimiga.shapes import (
     EXACT_ARC_WEIGHT,
     hole_arc_curve,
-    identity_region,
     outer_polyline_curve,
     plate_with_hole_region,
     unit_square_surface,
 )
+from trimiga.trimming import CompositeDerivatives, TrimmedRegion, check_regular, cross_norm
 
 
 @pytest.fixture
@@ -73,3 +75,48 @@ def curved_surface(rng):
 def segment(p0, p1):
     kv = KnotVector([0, 0, 1, 1], 1)
     return NurbsCurve(kv, [p0, p1])
+
+
+def identity_trim():
+    """The bottom and top curves of the trim that covers the whole surface."""
+    return segment([0.0, 0.0], [1.0, 0.0]), segment([0.0, 1.0], [1.0, 1.0])
+
+
+def identity_region(surface=None):
+    """Trim that covers the whole surface: (s, t) -> (u, v) is the identity."""
+    return TrimmedRegion(unit_square_surface() if surface is None else surface, *identity_trim())
+
+
+class DirectGeometry(TrimmedRegion):
+    """Planar surface evaluated directly: (s, t) are the surface (u, v).
+
+    The identity trim with the trimming map bypassed, the reference that
+    shows an identity trim changes nothing (acceptance criterion 5). It
+    answers composite_eval, breaklines and max_degree from the surface
+    alone; the plate reads its trimming curves only at the closing edges.
+    """
+
+    def __init__(self, surface):
+        super().__init__(surface, *identity_trim())
+
+    def composite_eval(self, s, t, order):
+        if order != 1:
+            raise DomainError(f"a direct geometry serves derivative order 1 only, got {order}")
+        sd = self.surface.evaluate(s, t, order=1)
+        rank = _rank(s) or _rank(t)
+        scale = cross_norm(_unpack(sd.du, rank), _unpack(sd.dv, rank))
+        check_regular(scale, self.surface.singular_area, s, t)
+        return CompositeDerivatives(sd.value, sd.du, sd.dv, jacobian_scale=scale)
+
+    def breaklines(self):
+        surface = self.surface
+        return surface.knot_vector_u.interior()[0], surface.knot_vector_v.interior()[0]
+
+    def max_degree(self):
+        return max(self.surface.degrees)
+
+
+def refined_h(field):
+    """The field space with every knot span bisected in both directions."""
+    return plate.FieldSpace(*(plate._bisected(kv)
+                              for kv in (field.knot_vector_s, field.knot_vector_t)))

@@ -14,7 +14,6 @@ from trimiga import iges
 from trimiga.cli import main as cli_main
 from trimiga.errors import TrimigaError
 from trimiga.plate import (
-    DirectGeometry,
     FieldSpace,
     Free,
     Material,
@@ -25,11 +24,12 @@ from trimiga.plate import (
 from trimiga.quadrature import integrate
 from trimiga.shapes import (
     EXACT_ARC_WEIGHT,
-    identity_region,
     plate_with_hole_region,
     unit_square_surface,
 )
 from trimiga.trimming import TrimmedRegion
+
+from conftest import DirectGeometry, identity_region, refined_h
 
 MAT = Material(1e5, 0.3)
 
@@ -165,7 +165,7 @@ def test_criterion_5_trimmed_untrimmed_equivalence():
     with criterion(5, "identity-trimmed solve equals the mapping-bypassed solve"):
         surface = unit_square_surface(5.0)
         region = identity_region(surface)
-        field = FieldSpace.conforming(region, 2).refined_h()
+        field = refined_h(FieldSpace.conforming(region, 2))
         bcs = {
             "s0": Symmetry(),
             "t0": Symmetry(),

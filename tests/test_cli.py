@@ -7,10 +7,10 @@ import pytest
 from trimiga import iges, native
 from trimiga.cli import main
 from trimiga.nurbs import KnotVector, NurbsSurface
-from trimiga.shapes import identity_region, plate_with_hole_region, unit_square_surface
+from trimiga.shapes import plate_with_hole_region, unit_square_surface
 from trimiga.trimming import TrimmedRegion
 
-from conftest import segment
+from conftest import identity_region, segment
 
 
 @pytest.fixture

@@ -18,9 +18,11 @@ import pytest
 
 from trimiga.errors import DomainError
 from trimiga.nurbs import CurveDerivatives, KnotVector, _rank, _unpack
-from trimiga.plate import DirectGeometry, PlateConfig
+from trimiga.plate import PlateConfig
 from trimiga.quadrature import gauss_panels, gauss_points_1d, integrate, partition_regions
 from trimiga.shapes import plate_with_hole_region
+
+from conftest import DirectGeometry
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 from regions import generate_regions  # noqa: E402

@@ -9,10 +9,10 @@ from trimiga import iges, native
 from trimiga.errors import DomainError, InvalidGeometryError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface
 from trimiga.quadrature import Tiling, gauss_panels, integrate
-from trimiga.shapes import identity_region, unit_square_surface
+from trimiga.shapes import unit_square_surface
 from trimiga.trimming import RegionReport, TrimmedRegion, check_regular
 
-from conftest import segment
+from conftest import identity_region, segment
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 from regions import generate_regions  # noqa: E402
