@@ -34,6 +34,8 @@ from .quadrature import gauss_panels, gauss_points_1d, partition_regions
 from .shapes import PRINTED_ARC_WEIGHT, plate_with_hole_region
 from .trimming import check_regular
 
+#: the largest z span of a planar control net, relative to its bounding-box
+#: diagonal (the size NurbsSurface.singular_length scales by)
 _PLANAR_TOL = 1e-9
 #: the square's edges: the parameter axis each one fixes (0 for s, 1 for t)
 #: and the value it fixes it at
@@ -208,12 +210,11 @@ def _check_closing_edges(geometry):
 
 
 def _require_planar(surface):
-    z = surface.control_net[..., 2]
-    if float(z.max() - z.min()) > _PLANAR_TOL:
-        raise AssemblyError(
-            "plane-stress analysis needs a planar surface; control net z spans "
-            f"{z.max() - z.min():.3g}"
-        )
+    points = surface.control_net.reshape(-1, 3)
+    span = points.max(axis=0) - points.min(axis=0)
+    if span[2] > _PLANAR_TOL * np.linalg.norm(span):
+        raise AssemblyError("plane-stress analysis needs a planar surface; control net z "
+                            f"spans {span[2]:.3g} of its {np.linalg.norm(span):.3g} diagonal")
 
 
 def _default_order(geometry, field):
@@ -339,9 +340,9 @@ def assemble_stiffness(geometry, field, material, n_quad):
     w |J| B^T D B; its points must share one field span. The block is
     formed from the three Gram products sum w dN_x^T dN_x, sum w dN_x^T dN_y
     and sum w dN_y^T dN_y, and added straight into the data of the CSR
-    pattern, one batch of panels at a time. Which panels share a batch sets
-    the order of those additions (_add_blocks), so K's last bits depend on
-    quadrature.BATCH_POINTS, and bytes recorded from a solve pin it too.
+    pattern, one batch of panels at a time. Each entry is the sum of its
+    panels' terms in the tiling's panel order (_add_blocks), so no bit of K
+    depends on quadrature.BATCH_POINTS.
     """
     from scipy import sparse
 
@@ -396,18 +397,9 @@ def _element_blocks(geometry, field, coef, s, t, weights):
 
 
 def _add_blocks(data, positions, first, blocks):
-    """Add _element_blocks' blocks into the CSR data at their positions.
-
-    One batch's blocks are summed per entry by bincount and the run is then
-    added to data: an entry shared by panels of two batches is rounded once
-    per batch, so its last bits depend on where the batches split.
-    """
-    # consecutive columns fill a contiguous run of rows: sum over that run
-    pos = positions(first)
-    lo = int(pos.min())
-    pos -= lo
-    run = np.bincount(pos.ravel(), blocks.ravel())
-    data[lo:lo + run.size] += run
+    """Add _element_blocks' blocks into the CSR data at their positions, one
+    by one in the tiling's panel order, as np.add.at is unbuffered."""
+    np.add.at(data, positions(first).ravel(), blocks.ravel())
 
 
 def _edge_geometry(geometry, edge, r):
@@ -509,16 +501,26 @@ def symmetry_constraints(geometry, field, bcs):
 
 
 def assemble(geometry, field, material, bcs, n_quad=None):
-    """Stiffness matrix and traction load vector (constraints not applied);
-    a closing edge that is one point fails first (_check_closing_edges)."""
+    """Stiffness matrix and traction load vector (constraints not applied).
+
+    The checks that need no integral run first: the conditions cover the
+    four edges, no closing edge is one point, and each Symmetry edge is
+    axis-aligned (symmetry_constraints).
+    """
+    return _assemble(geometry, field, material, bcs, n_quad)[:2]
+
+
+def _assemble(geometry, field, material, bcs, n_quad):
+    """assemble's (K, f) and symmetry_constraints' fixed dofs."""
     _check_bcs(bcs)
     _check_closing_edges(geometry)
+    fixed = symmetry_constraints(geometry, field, bcs)
     if n_quad is None:
         n_quad = _default_order(geometry, field)
-    # tractions first: a load that cannot be used fails before the stiffness
+    # tractions next: a load that cannot be used fails before the stiffness
     f = assemble_tractions(geometry, field, bcs, n_quad)
     K = assemble_stiffness(geometry, field, material, n_quad)
-    return K, f
+    return K, f, fixed
 
 
 class SolveResult:
@@ -568,8 +570,7 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     """
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-    K, f = assemble(geometry, field, material, bcs, n_quad)
-    fixed = symmetry_constraints(geometry, field, bcs)
+    K, f, fixed = _assemble(geometry, field, material, bcs, n_quad)
     free = np.ones(K.shape[0], dtype=bool)
     free[list(fixed)] = False
     # three s-columns per pass: one per pass made 67 passes at stage 3, and

@@ -85,14 +85,11 @@ def partition_regions(geometry, field=None):
 
 
 #: the most Gauss points gauss_panels puts in one batch of whole columns,
-#: unless its caller names another size. This is the stiffness's batch:
-#: smaller batches keep the plate solve's peak memory down, and of 2^8 to
-#: 2^14 points 2^12 gave the fastest stage-3 assembly. K's last bits depend
-#: on the batching (plate.assemble_stiffness), so the recorded solution
-#: bytes, the CLI's golden output among them, pin this constant: the
-#: stage-3 coefficients' bytes differ between 2^10, 2^11, 2^12 and 2^14.
-#: The error norm's exact sums do not depend on the batching, so it sizes
-#: its own batches (plate.stress_error_l2)
+#: unless its caller names another size. It sets no value, only time and
+#: memory. The stiffness takes this size and the norm twice it: against that
+#: pair, one size for both took a warm stage-3 solve 1.05-1.07 of its time at
+#: 2^12, 0.91-1.04 at 6,144, 0.90-1.07 at 7,168 and 1.19-1.90 at 2^13, where
+#: the stiffness's batches raise the solve's tracemalloc peak 7.75 -> 9.43 MiB
 BATCH_POINTS = 1 << 12
 
 

@@ -296,21 +296,26 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             solve_problem(region, unit_field(), MAT, tension_bcs(0))
 
-    def test_symmetry_edge_is_checked_at_every_gauss_point(self):
-        # the s = 0 edge x = eps q(y), with q' = (y - 1/4)(y - 1/2)(y - 3/4),
-        # is vertical at y = 1/4, 1/2 and 3/4 only; the map has no fold
-        eps = 0.5
+    @staticmethod
+    def wavy_edge_region():
+        """A fold-free region whose s = 0 edge x = q(y) / 2, with q' = (y - 1/4)
+        (y - 1/2)(y - 3/4), is vertical at y = 1/4, 1/2 and 3/4 only.
 
-        def q(y):
-            return y**4 / 4 - y**3 / 2 + 0.34375 * y**2 - 0.09375 * y
+        Returns (region, the edge's x as a function of y).
+        """
+        def edge_x(y):
+            return 0.5 * (y**4 / 4 - y**3 / 2 + 0.34375 * y**2 - 0.09375 * y)
 
         kv = KnotVector([0.0] * 5 + [1.0] * 5, 4)
         v = np.linspace(0.0, 1.0, 5)
         net = np.zeros((2, 5, 3))
-        net[0, :, 0] = eps * np.linalg.solve(collocation_matrix(kv, v), q(v))
+        net[0, :, 0] = np.linalg.solve(collocation_matrix(kv, v), edge_x(v))
         net[1, :, 0] = 1.0
         net[..., 1] = v  # the Bernstein coefficients i / 4 of y = v
-        region = identity_region(NurbsSurface(KnotVector([0, 0, 1, 1], 1), kv, net))
+        return identity_region(NurbsSurface(KnotVector([0, 0, 1, 1], 1), kv, net)), edge_x
+
+    def test_symmetry_edge_is_checked_at_every_gauss_point(self):
+        region, edge_x = self.wavy_edge_region()
         assert region.validate(16).ok
         field, bcs = refined_h(FieldSpace.conforming(region, 2)), tension_bcs(0)
         for call in (lambda: symmetry_constraints(region, field, bcs),
@@ -318,7 +323,20 @@ class TestAssembly:
             with pytest.raises(AssemblyError, match="edge s0: .*axis-aligned") as err:
                 call()
             x, y = map(float, re.search(r"\(x, y\) = \((.+), (.+)\)", str(err.value)).groups())
-            assert abs(x - eps * q(y)) < 1e-12  # a point of the s = 0 edge
+            assert abs(x - edge_x(y)) < 1e-12  # a point of the s = 0 edge
+
+    def test_symmetry_edges_are_checked_before_any_integral(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("an integral ran before the symmetry edges were checked")
+
+        for name in ("assemble_tractions", "assemble_stiffness"):
+            monkeypatch.setattr(plate, name, reached)
+        region, _ = self.wavy_edge_region()
+        field, bcs = refined_h(FieldSpace.conforming(region, 2)), tension_bcs(0)
+        for call in (lambda: assemble(region, field, MAT, bcs),
+                     lambda: solve_problem(region, field, MAT, bcs)):
+            with pytest.raises(AssemblyError, match="edge s0: .*axis-aligned"):
+                call()
 
     def test_nonplanar_surface_is_rejected(self, curved_surface):
         # a bare region and the mapping-bypassed geometry, at every entry
@@ -335,6 +353,21 @@ class TestAssembly:
             ):
                 with pytest.raises(AssemblyError, match="planar"):
                     call()
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_planarity_is_relative_to_the_net_size(self, scale):
+        def lifted(z):
+            """The unit square at scale, one corner lifted by z times scale."""
+            net = unit_square_surface(scale).control_net.copy()
+            net[1, 1, 2] = z * scale
+            kv = KnotVector([0, 0, 1, 1], 1)
+            return identity_region(NurbsSurface(kv, kv, net))
+
+        field = unit_field()
+        dN_dx = physical_gradients(lifted(1e-12), field, 0.3, 0.6)[2]
+        assert np.isfinite(dN_dx).all()
+        with pytest.raises(AssemblyError, match="planar"):
+            physical_gradients(lifted(1e-6), field, 0.3, 0.6)
 
     def test_direct_geometry_serves_first_derivatives_only(self):
         geometry = DirectGeometry(unit_square_surface())
@@ -388,8 +421,18 @@ class TestAssembly:
             results.append((K, stress_error_l2(solution, kirsch_stresses(config), 5)))
         (K1, l2_1), (K2, l2_2) = results
         assert l2_1 == l2_2
-        assert np.array_equal(K1.indices, K2.indices)
-        assert np.abs(K1.data - K2.data).max() <= 1e-13 * np.abs(K2.data).max()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K1, name), getattr(K2, name))
+
+    def test_batching_sets_no_bit_of_a_solve(self, monkeypatch):
+        # one column per batch, the default and the whole tiling in one batch
+        results = []
+        for batch_points in (1, quadrature.BATCH_POINTS, 1 << 40):
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch_points)
+            result = solve_plate(PlateConfig(stage=2, bc_mode="exact"))
+            results.append((result.solution.coeffs.tobytes(), result.l2_stress_error,
+                            result.rim_stress))
+        assert results[0] == results[1] == results[2]
 
     def test_panel_across_a_field_knot_is_an_error(self, plate_region, monkeypatch):
         # tiling without the field's knot lines puts one panel over many spans
