@@ -194,6 +194,10 @@ def _plate_config(args):
     material = replace(default.material, **{
         key: values.pop(key) for key in ("youngs_modulus", "poisson_ratio") if key in values})
     geometry = values.pop("geometry", None)
+    if args.region and geometry:
+        # one geometry source, as for --region and --iges
+        raise TrimigaError(f"{args.config}: geometry = {geometry} and --region {args.region} "
+                           "both name the region; give one")
     region_path = args.region or geometry
     shaping = [key for key in ("scale", "arc_weight") if key in values]
     if region_path and shaping:
@@ -207,9 +211,10 @@ def _plate_config(args):
 
 
 def _read_config(path, keys):
-    """key=value lines; keys maps each allowed key to the converter of its value."""
+    """key=value lines of UTF-8 text, after an optional byte-order mark; keys
+    maps each allowed key to the converter of its value."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise TrimigaError(f"{path}: not UTF-8 text: {exc}") from None

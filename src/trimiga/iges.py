@@ -55,6 +55,7 @@ class TrimmedSurfaceRecord:
     surface: NurbsSurface
     curves: list      # outer loop: checked 2D curves, or a rejected one 3D as read
     inner_loops: int  # N2, the count of inner boundaries (holes)
+    unsupported: str = ""  # why the outer loop cannot be read, if it cannot
 
 
 @dataclass
@@ -272,8 +273,10 @@ def parse(text):
     """Parse IGES text into an IgesModel; raises IgesParseError on bad input.
 
     What does not stop the parse is noted in model.diagnostics: inner
-    boundaries, a boundary on another surface than its 144's, and gaps above
-    _GAP_TOL between consecutive curves of a loop of more than two.
+    boundaries, a boundary on another surface than its 144's, a boundary
+    with no parameter-space curve or with a member of a skipped entity type
+    (that 144 alone then fails to extract), and gaps above _GAP_TOL between
+    consecutive curves of a loop of more than two.
     """
     sections = _split_sections(text)
     entries = _read_entries(sections, *_global_delimiters(sections["G"]))
@@ -322,7 +325,7 @@ def parse(text):
     for de, pts, n1, n2, pto in pending:
         if pts not in model.surfaces:
             raise IgesParseError(f"trimmed surface D{de}: dangling surface pointer D{pts}")
-        members = ()
+        members, unsupported = (), ""
         if n1 != 0 and pto != 0:
             if pto not in on_surface:
                 raise IgesParseError(f"trimmed surface D{de}: dangling boundary pointer D{pto}")
@@ -332,13 +335,26 @@ def parse(text):
                     f"trimmed surface D{de}: boundary D{pto} references surface "
                     f"D{sptr}, expected D{pts}"
                 )
-            members = composites.get(bptr, (bptr,))
+            if bptr:
+                members = composites.get(bptr, (bptr,))
+            else:
+                unsupported = f"boundary D{pto} has no parameter-space curve"
             for member in members:
-                if member not in model.curves:
+                if member in model.curves:
+                    continue
+                # a skipped entity is this 144's problem; a dangling pointer,
+                # or one to a parsed entity that is no curve, is the file's
+                if member not in entries or entries[member].etype not in model.skipped:
                     raise IgesParseError(
                         f"trimmed surface D{de}: boundary member D{member} is not a "
                         "supported curve entity"
                     )
+                unsupported = unsupported or (
+                    f"boundary member D{member} (entity {entries[member].etype}) is not a "
+                    "supported curve entity")
+            if unsupported:
+                model.diagnostics.append(f"trimmed surface D{de}: {unsupported}")
+                members = ()
         curves = [_to_parameter_curve(model.curves[m], ranges[pts]) for m in members]
         # a two-curve loop's closing edges are implied, so its end gaps are
         # intended; a loop with a rejected (3D) curve fails to extract with a
@@ -351,7 +367,8 @@ def parse(text):
             if gap > _GAP_TOL:
                 model.diagnostics.append(f"trimmed surface D{de}: gap {gap:.3e} between "
                                          f"boundary curves {k} and {nxt}")
-        model.trimmed.append(TrimmedSurfaceRecord(de, model.surfaces[pts], curves, n2))
+        model.trimmed.append(
+            TrimmedSurfaceRecord(de, model.surfaces[pts], curves, n2, unsupported))
     return model
 
 
@@ -411,6 +428,8 @@ def extract_region_with_report(model, trimmed_index=0):
             f"trimmed surface D{record.de}: {record.inner_loops} inner boundary(ies); "
             "holes are not supported"
         )
+    if record.unsupported:
+        raise UnsupportedTopologyError(f"trimmed surface D{record.de}: {record.unsupported}")
     curves = record.curves
     if len(curves) < 2:
         raise UnsupportedTopologyError(

@@ -176,9 +176,12 @@ def parse_region(text):
 
 
 def load_region(path):
-    """parse_region on a file's text, rejected if its validate(16) fails."""
+    """parse_region on a file's text, rejected if its validate(16) fails.
+
+    The text is UTF-8, after an optional byte-order mark.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise NativeFormatError(f"{path}: not UTF-8 text: {exc}") from None

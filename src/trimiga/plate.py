@@ -6,8 +6,9 @@ a batch of one. Integrals run on the Tiling of quadrature.partition_regions,
 one batch of whole columns of Gauss panels at a time (gauss_panels), so the
 trimming curves are evaluated at a batch's s-nodes only, and a batch's
 arrays are freed before the next batch is evaluated, which bounds the peak
-memory. The constrained system is solved by LAPACK's banded Cholesky: in
-the field's own numbering K is a band, so no reordering is needed.
+memory. The constrained system is solved by LAPACK's banded Cholesky
+driver: in the field's own numbering K is a band, so no reordering is
+needed.
 
 The displacement field lives in a tensor-product B-spline space over the
 (s, t) square, independent of the geometry: refining the field never
@@ -402,14 +403,19 @@ def _add_blocks(data, positions, first, blocks):
     np.add.at(data, positions(first).ravel(), blocks.ravel())
 
 
-def _edge_geometry(geometry, edge, r):
-    """Positions, tangent lengths and outward unit normals at edge params r.
+def _edge_geometry(geometry, tiling, edge, n_quad):
+    """An edge's Gauss rule: n_quad points between each two neighbouring
+    tiling lines that cross it.
 
-    r is an array of parameters along the edge; returns (s, t, xy, |tangent|,
-    normal) with r's shape in front of the vector axis.
+    Returns (s, t, xy, weights, normals): the points' parameters, (N, 2)
+    positions, Gauss weight times tangent length, and (N, 2) outward unit
+    normals.
     """
     axis, value = _EDGES[edge]
-    r = np.asarray(r, dtype=float)
+    x, w = gauss_points_1d(n_quad)
+    lines = (tiling.t_lines, tiling.s_lines)[axis]
+    h = np.diff(lines)[:, None]
+    r = (lines[:-1, None] + h * x).ravel()
     st = [r, r]
     st[axis] = value
     _require_planar(geometry.surface)
@@ -426,7 +432,7 @@ def _edge_geometry(geometry, edge, r):
     normal = normal / norm[..., None]
     inward = np.sum(normal * outward, axis=-1) < 0.0
     normal = np.where(inward[..., None], -normal, normal)
-    return s, t, xy, norm, normal
+    return s, t, xy, (w * h).ravel() * norm, normal
 
 
 def _checked_traction(edge, value, xy):
@@ -447,15 +453,6 @@ def _checked_traction(edge, value, xy):
     return tvec
 
 
-def _edge_rule(tiling, edge, n_quad):
-    """Gauss parameters and weights along an edge, n_quad between each two
-    neighbouring tiling lines that cross it."""
-    x, w = gauss_points_1d(n_quad)
-    lines = (tiling.t_lines, tiling.s_lines)[_EDGES[edge][0]]
-    h = np.diff(lines)[:, None]
-    return (lines[:-1, None] + h * x).ravel(), (w * h).ravel()
-
-
 def assemble_tractions(geometry, field, bcs, n_quad):
     """Load vector from the Traction edges, on the tiling's lines along each."""
     f = np.zeros(2 * field.dim)
@@ -463,30 +460,29 @@ def assemble_tractions(geometry, field, bcs, n_quad):
     for edge, bc in bcs.items():
         if not isinstance(bc, Traction):
             continue
-        r, w = _edge_rule(tiling, edge, n_quad)
-        s, t, xy, ds, normal = _edge_geometry(geometry, edge, r)
+        s, t, xy, w, normal = _edge_geometry(geometry, tiling, edge, n_quad)
         tvec = _checked_traction(edge, bc.fn(xy, normal), xy)
         idx, values = field.basis(s, t)
-        scale = (w * ds)[:, None] * values
+        scale = w[:, None] * values
         np.add.at(f.reshape(-1, 2), idx, scale[..., None] * tvec[..., None, :])
     return f
 
 
 def symmetry_constraints(geometry, field, bcs):
-    """Zero constraints for the normal displacement on Symmetry edges.
+    """The sorted dofs that Symmetry edges fix: the normal displacement.
 
     An edge's normals are read where its tractions would be, at the
-    default-order Gauss points on the tiling's lines (_edge_rule). Each must
-    lie on the axis of the edge's first normal within 1e-6, or AssemblyError
-    names the first (x, y) where one does not.
+    default-order Gauss points on the tiling's lines (_edge_geometry). Each
+    must lie on the axis of the edge's first normal within 1e-6, or
+    AssemblyError names the first (x, y) where one does not.
     """
-    fixed = {}
+    fixed = [np.empty(0, dtype=np.intp)]
     tiling, n_quad = partition_regions(geometry, field), _default_order(geometry, field)
+    functions = np.arange(field.dim).reshape(field.shape)
     for edge, bc in bcs.items():
         if not isinstance(bc, Symmetry):
             continue
-        r = _edge_rule(tiling, edge, n_quad)[0]
-        _, _, xy, _, normals = _edge_geometry(geometry, edge, r)
+        _, _, xy, _, normals = _edge_geometry(geometry, tiling, edge, n_quad)
         comp = int(np.argmax(np.abs(normals[0])))
         off = ~(np.abs(normals[:, 1 - comp]) <= 1e-6)  # NaN too
         if off.any():
@@ -494,24 +490,18 @@ def symmetry_constraints(geometry, field, bcs):
             raise AssemblyError(f"edge {edge}: symmetry condition needs an axis-aligned "
                                 f"normal, got ({nx}, {ny}) at (x, y) = ({x}, {y})")
         axis, value = _EDGES[edge]
-        functions = np.arange(field.dim).reshape(field.shape)
-        for g in np.take(functions, -int(value), axis=axis):
-            fixed[2 * int(g) + comp] = 0.0
-    return fixed
+        fixed.append(2 * np.take(functions, -int(value), axis=axis) + comp)
+    return np.unique(np.concatenate(fixed))
 
 
 def assemble(geometry, field, material, bcs, n_quad=None):
-    """Stiffness matrix and traction load vector (constraints not applied).
+    """Stiffness matrix, traction load vector and the fixed dofs, (K, f, fixed).
 
+    The constraints are not applied to K or f; fixed is symmetry_constraints'.
     The checks that need no integral run first: the conditions cover the
     four edges, no closing edge is one point, and each Symmetry edge is
-    axis-aligned (symmetry_constraints).
+    axis-aligned.
     """
-    return _assemble(geometry, field, material, bcs, n_quad)[:2]
-
-
-def _assemble(geometry, field, material, bcs, n_quad):
-    """assemble's (K, f) and symmetry_constraints' fixed dofs."""
     _check_bcs(bcs)
     _check_closing_edges(geometry)
     fixed = symmetry_constraints(geometry, field, bcs)
@@ -564,22 +554,23 @@ def solve_problem(geometry, field, material, bcs, n_quad=None):
     arrays into a C-ordered (n, kd + 1) array, row j holding K[j + k, j] at
     k, three field s-columns of dofs (3 x 2 n_t rows) at a time, so no copy
     of K's arrays is made; its transpose is LAPACK's band[i - j, j] =
-    K[i, j] in Fortran order, factored in place. A fixed dof's row is masked
-    out as the band is filled, and it becomes an identity row and column of
-    the band with a zero load. A pivot that is not positive is a SolveError.
+    K[i, j] in Fortran order, which one driver (?pbsv, by solveh_banded)
+    factors in place and solves with. A fixed dof's row is masked out as the
+    band is filled, and it becomes an identity row and column of the band
+    with a zero load. A pivot that is not positive is a SolveError.
     """
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    from scipy.linalg import LinAlgError, solveh_banded
 
-    K, f, fixed = _assemble(geometry, field, material, bcs, n_quad)
+    K, f, fixed = assemble(geometry, field, material, bcs, n_quad)
     free = np.ones(K.shape[0], dtype=bool)
-    free[list(fixed)] = False
+    free[fixed] = False
     # three s-columns per pass: one per pass made 67 passes at stage 3, and
     # more than three hold larger index arrays for no further gain
     band = _constrained_band(K, free, 3 * 2 * field.shape[1])
     rhs = np.where(free, f, 0.0)
     try:
-        factor = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
-        u = cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
+        u = solveh_banded(band.T, rhs, overwrite_ab=True, overwrite_b=True, lower=True,
+                          check_finite=False)
     except LinAlgError as exc:
         raise SolveError(f"linear solve failed: {exc}") from None
     res = float(np.linalg.norm((K @ u - f)[free]))
@@ -782,18 +773,16 @@ def solve_plate(config=None, region=None):
 
     A custom region (same layout: hole arc at t=0, straight symmetry edges at
     s=0 and s=1) may replace the built-in geometry. Either way the hole
-    radius is read off the rim point at (s, t) = (0, 0), and a custom
-    region's t = 0 edge must lie on that circle (_check_circular_hole).
+    radius is read off the rim point at (s, t) = (0, 0), and the t = 0 edge
+    must lie on that circle (_check_circular_hole).
     """
     config = config or PlateConfig()
-    custom = region is not None
-    if not custom:
+    if region is None:
         region = plate_with_hole_region(config.scale, config.arc_weight)
     hole_radius = float(np.linalg.norm(region.composite_eval(0.0, 0.0, 0).x[:2]))
     field = plate_field(region, config)
     n_quad = config.quad_order or _default_order(region, field)
-    if custom:
-        _check_circular_hole(region, field, n_quad, hole_radius)
+    _check_circular_hole(region, field, n_quad, hole_radius)
     bcs = plate_boundary_conditions(config, hole_radius)
     solution = solve_problem(region, field, config.material, bcs, n_quad)
     far = config.far_stress
@@ -803,7 +792,7 @@ def solve_plate(config=None, region=None):
     return PlateResult(solution, l2, rim)
 
 
-#: how far, relative to the rim radius, a custom hole edge may stray from
+#: how far, relative to the rim radius, the hole edge may stray from
 #: the circle: the printed 0.707 arc weight strays 2.6e-5 at the stage-0
 #: Gauss points, a weight of 1.0 strays 6.1e-2
 _HOLE_TOL = 1e-4
@@ -814,8 +803,7 @@ def _check_circular_hole(region, field, n_quad, radius):
     tiling's lines, whose distance from the origin is not radius within
     _HOLE_TOL relative: the reference field is Kirsch's, for a circular
     hole about the origin."""
-    r = _edge_rule(partition_regions(region, field), "t0", n_quad)[0]
-    xy = region.composite_eval(r, 0.0, 0).x
+    xy = _edge_geometry(region, partition_regions(region, field), "t0", n_quad)[2]
     x, y = xy[:, 0], xy[:, 1]
     off = ~(np.abs(np.hypot(x, y) - radius) <= _HOLE_TOL * radius)  # NaN too
     if off.any():

@@ -6,8 +6,10 @@ import pytest
 
 from trimiga import iges, native
 from trimiga.cli import main
+from trimiga.errors import DomainError
 from trimiga.nurbs import KnotVector, NurbsSurface
-from trimiga.shapes import plate_with_hole_region, unit_square_surface
+from trimiga.plate import PlateConfig, solve_plate
+from trimiga.shapes import EXACT_ARC_WEIGHT, plate_with_hole_region, unit_square_surface
 from trimiga.trimming import TrimmedRegion
 
 from conftest import identity_region, segment
@@ -514,6 +516,45 @@ def test_plate_shape_keys_with_a_region_exit_1(capsys, tmp_path, plate_file, sou
     assert (code, out) == (1, "")
     assert err == (f"error: {cfg}: scale and arc_weight shape only the built-in plate, "
                    "not a region given by --region or geometry\n")
+
+
+def test_plate_region_option_and_geometry_key_exit_1_naming_both(capsys, tmp_path, plate_file):
+    # two regions that solve differently: neither may be dropped for the other
+    exact_file = tmp_path / "exact.trim"
+    native.save_region(plate_with_hole_region(arc_weight=EXACT_ARC_WEIGHT), exact_file)
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"geometry = {plate_file}\n")
+    rows = [run(capsys, "plate", "--stage", "0", "--region", path)[1]
+            for path in (plate_file, str(exact_file))]
+    assert rows[0] != rows[1]
+    code, out, err = run(capsys, "plate", "--stage", "0", "--config", str(cfg),
+                         "--region", str(exact_file))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {cfg}: geometry = {plate_file} and --region {exact_file} "
+                   "both name the region; give one\n")
+
+
+def test_plate_config_with_a_hole_that_is_not_a_circle_exits_1(capsys, tmp_path):
+    # the built-in plate's hole is checked as a given region's is
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text("arc_weight = 1.0\n")
+    code, out, err = run(capsys, "plate", "--stage", "0", "--config", str(cfg))
+    with pytest.raises(DomainError) as info:
+        solve_plate(PlateConfig(stage=0, arc_weight=1.0))
+    assert (code, out, err) == (1, "", f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    (["area", "--region"], native.format_region(plate_with_hole_region())),
+    (["plate", "--config"], "stage = 0\nbc = exact\n"),
+], ids=["region", "config"])
+def test_a_utf8_byte_order_mark_is_read_past(capsys, tmp_path, command, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run(capsys, *command, str(plain))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *command, str(marked)) == expected
 
 
 def test_map_requires_geometry(capsys):

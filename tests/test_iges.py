@@ -412,6 +412,51 @@ class TestExtraction:
         assert "inner boundary" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("boundary, problem", [
+        ("line", "boundary member D{line} (entity 110) is not a supported curve entity"),
+        ("none", "boundary D{cos} has no parameter-space curve"),
+    ], ids=["110 member", "BPTR = 0"])
+    def test_an_unsupported_boundary_spoils_only_its_own_trimmed_surface(
+        self, tmp_path, capsys, plate_region, boundary, problem
+    ):
+        # the plate's 144, then a second 144 over the same surface whose 142
+        # has a 110 line, or nothing (BPTR = 0), as its parameter-space curve
+        w = iges._Writer()
+        srf_de = w.add(128, iges._surface_params(plate_region.surface))
+        curve_des = [w.add(126, iges._curve_params(c), status="00010500")
+                     for c in (plate_region.curve_bottom, plate_region.curve_top)]
+        comp_de = w.add(102, ["2"] + [str(d) for d in curve_des], status="00010500")
+        cos_de = w.add(142, ["1", str(srf_de), str(comp_de), "0", "1"], status="00010500")
+        w.add(144, [str(srf_de), "1", "0", str(cos_de)])
+        line_de = w.add(110, ["0", "0", "0", "1", "1", "0"], status="00010500")
+        bptr = line_de if boundary == "line" else 0
+        cos2_de = w.add(142, ["1", str(srf_de), str(bptr), "0", "1"], status="00010500")
+        trim_de = w.add(144, [str(srf_de), "1", "0", str(cos2_de)])
+        text = w.render()
+        note = f"trimmed surface D{trim_de}: " + problem.format(line=line_de, cos=cos2_de)
+        model = iges.parse(text)
+        assert model.diagnostics == [note]
+        assert_same_region(text)
+        with pytest.raises(UnsupportedTopologyError, match=re.escape(note)):
+            iges.extract_region(model, 1)
+        path, plate_path = tmp_path / "two.igs", tmp_path / "plate.igs"
+        path.write_text(text)
+        plate_path.write_text(PLATE_IGES)
+        capsys.readouterr()
+        assert cli_main(["iges-dump", "--iges", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 + len(model.entries) and note in err
+        areas = []
+        for source in (path, plate_path):
+            assert cli_main(["area", "--iges", str(source)]) == 0
+            areas.append(capsys.readouterr().out)
+        assert areas[0] == areas[1]
+        out_path = tmp_path / "second.trim"
+        assert cli_main(["iges-extract", "--iges", str(path), "--index", "1",
+                         "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {note}\n")
+        assert not out_path.exists()
+
     def test_index_out_of_range(self, plate_region):
         model = iges.parse(iges.region_to_iges(plate_region))
         with pytest.raises(UnsupportedTopologyError):

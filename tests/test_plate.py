@@ -248,13 +248,13 @@ class TestAssembly:
     def test_stiffness_is_symmetric(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2)
         bcs = {"s0": Symmetry(), "s1": Symmetry(), "t0": Free(), "t1": Free()}
-        K, _ = assemble(plate_region, field, MAT, bcs)
+        K, _, _ = assemble(plate_region, field, MAT, bcs)
         assert np.abs(K - K.T).max() < 1e-10 * np.abs(K).max()
 
     def test_rigid_translations_are_in_the_kernel(self, plate_region):
         field = FieldSpace.conforming(plate_region, 2)
         bcs = {"s0": Free(), "s1": Free(), "t0": Free(), "t1": Free()}
-        K, _ = assemble(plate_region, field, MAT, bcs)
+        K, _, _ = assemble(plate_region, field, MAT, bcs)
         scale = np.abs(K).max()
         for component in (0, 1):
             r = np.zeros(K.shape[0])
@@ -486,7 +486,7 @@ def uniform_knots(spans, degree):
 
 def dense_solution(geometry, field, bcs):
     """Coefficients from a dense solve of the system restricted to the free dofs."""
-    K, f = assemble(geometry, field, MAT, bcs)
+    K, f, _ = assemble(geometry, field, MAT, bcs)
     free = np.ones(K.shape[0], dtype=bool)
     free[list(symmetry_constraints(geometry, field, bcs))] = False
     dense = np.zeros(K.shape[0])
@@ -951,7 +951,7 @@ class TestSolver:
         field = plate_field(region, config)
         bcs = plate_boundary_conditions(config, hole_radius(config))
         result = solve_problem(region, field, MAT, bcs)
-        K, f = assemble(region, field, MAT, bcs)
+        K, f, _ = assemble(region, field, MAT, bcs)
         free = np.ones(K.shape[0], dtype=bool)
         free[list(symmetry_constraints(region, field, bcs))] = False
         dense = np.zeros(K.shape[0])
@@ -992,20 +992,20 @@ class TestSolver:
         import scipy.linalg
 
         bands = []
-        factor = scipy.linalg.cholesky_banded
+        solve = scipy.linalg.solveh_banded
 
-        def capture(ab, **kwargs):
+        def capture(ab, b, **kwargs):
             bands.append(np.array(ab))
-            return factor(ab, **kwargs)
+            return solve(ab, b, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", capture)
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", capture)
         field = FieldSpace(KnotVector(knots_s, degree_s),
                            KnotVector(uniform_knots(4, degree_t), degree_t))
         bcs = tension_bcs(0)
         solve_problem(square_region, field, MAT, bcs)
         # the dense reference: K with each fixed dof an identity row and
         # column, its diagonals 0 .. kd, kd the widest stored entry's
-        K, _ = assemble(square_region, field, MAT, bcs)
+        K, _, _ = assemble(square_region, field, MAT, bcs)
         fixed = list(symmetry_constraints(square_region, field, bcs))
         dense = K.toarray()
         dense[fixed, :] = 0.0
@@ -1034,7 +1034,7 @@ class TestSolver:
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        K, _ = assemble(region, plate_field(region, config), MAT, bcs)
+        K, _, _ = assemble(region, plate_field(region, config), MAT, bcs)
         coo = K.tocoo()
         width = int((coo.row - coo.col).max()) + 1
         held = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + K.shape[0] * width * 8
@@ -1066,7 +1066,9 @@ class TestSolver:
 
     def test_fixed_dofs_are_exactly_zero(self):
         solution = solve_plate(PlateConfig(stage=0, bc_mode="exact")).solution
-        fixed = list(solution.fixed_dofs)
+        fixed = solution.fixed_dofs
+        # one sorted integer array over both Symmetry edges
+        assert fixed.dtype.kind == "i" and np.all(np.diff(fixed) > 0)
         assert len(fixed) == 12
         assert np.all(solution.coeffs.ravel()[fixed] == 0.0)
 
@@ -1178,6 +1180,19 @@ class TestSolver:
                                               r"of radius 1\.\d+ about the origin at \(x, y\)"):
             solve_plate(PlateConfig(stage=0, bc_mode="exact"), region=region)
 
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_the_built_in_hole_is_checked_as_a_given_region_is(self, weight):
+        # unchecked, the built-in plate measured these arcs against Kirsch's
+        # field for a circle: L2 0.0884 at weight 1.0 and 0.0892 at 0.5
+        config = PlateConfig(stage=0, arc_weight=weight)
+        messages = []
+        for region in (None, plate_with_hole_region(config.scale, weight)):
+            with pytest.raises(DomainError, match=r"the hole edge \(t = 0\) leaves the circle "
+                                                  r"of radius 1\.0 about the origin at") as info:
+                solve_plate(config, region=region)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_full_cad_pipeline(self):
         # IGES export -> parse -> region extraction -> solve: the analysis
         # result must be indistinguishable from the directly built geometry
@@ -1238,8 +1253,8 @@ def test_a_closing_edge_that_is_one_point_is_an_assembly_error(bottom, top, edge
 def test_a_solution_that_misses_the_load_fails_the_residual_gate(square_region, monkeypatch):
     import scipy.linalg
 
-    solve = scipy.linalg.cho_solve_banded
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
+    solve = scipy.linalg.solveh_banded
+    monkeypatch.setattr(scipy.linalg, "solveh_banded",
                         lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-6))
     with pytest.raises(SolveError, match=r"solver residual 1\.0\d\de-06 exceeds 1e-10"):
         solve_problem(square_region, unit_field(), MAT, tension_bcs())
