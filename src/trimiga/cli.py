@@ -64,19 +64,19 @@ def _positive_int(text):
 
 
 def _parse_at(text):
+    """argparse type of a parameter pair: 's,t', two numbers."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise TrimigaError(f"--at expects 's,t', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 's,t', got {text!r}")
     try:
-        s, t = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
-        raise TrimigaError(f"--at expects two numbers, got {text!r}") from None
-    return s, t
+        raise argparse.ArgumentTypeError(f"expected two numbers, got {text!r}") from None
 
 
 def cmd_map(args):
     region = _load_region(args)
-    s, t = _parse_at(args.at)
+    s, t = args.at
     m = region.map_point(s, t)
     rows = ["s,t,u,v", ",".join(_fmt(v) for v in (s, t, m.uv[0], m.uv[1]))]
     _write_output("\n".join(rows) + "\n", args.out)
@@ -85,7 +85,7 @@ def cmd_map(args):
 
 def cmd_jacobian(args):
     region = _load_region(args)
-    s, t = _parse_at(args.at)
+    s, t = args.at
     m = region.map_point(s, t)
     cd = region.composite_eval(s, t, order=1)
     rows = [
@@ -284,12 +284,12 @@ def build_parser():
 
     p = sub.add_parser("map", help="evaluate the (s,t) -> (u,v) map")
     add_geometry(p)
-    p.add_argument("--at", required=True, help="parameter pair 's,t'")
+    p.add_argument("--at", type=_parse_at, required=True, help="parameter pair 's,t'")
     p.set_defaults(fn=cmd_map)
 
     p = sub.add_parser("jacobian", help="map derivatives and jacobian at a point")
     add_geometry(p)
-    p.add_argument("--at", required=True, help="parameter pair 's,t'")
+    p.add_argument("--at", type=_parse_at, required=True, help="parameter pair 's,t'")
     p.set_defaults(fn=cmd_jacobian)
 
     p = sub.add_parser("area", help="integrate 1 over the trimmed region")

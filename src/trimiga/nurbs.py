@@ -156,7 +156,8 @@ class KnotVector:
                 "interior knots must lie inside (0, 1): an end knot needs "
                 f"multiplicity exactly {p + 1}"
             )
-        for value, mult in zip(*merge_close(inner)):
+        self._interior = merge_close(inner)
+        for value, mult in zip(*self._interior):
             if mult > p:
                 raise InvalidGeometryError(
                     f"interior knot {value} has multiplicity {mult} > degree {p}"
@@ -171,9 +172,8 @@ class KnotVector:
         return self.knots.size - self.degree - 1
 
     def interior(self):
-        """Distinct interior knots with multiplicities, as two lists."""
-        p = self.degree
-        return merge_close(self.knots[p + 1 : -(p + 1)])
+        """Distinct interior knots with multiplicities, as two new lists."""
+        return tuple(map(list, self._interior))
 
     def find_span(self, u):
         """Index k with knots[k] <= u < knots[k+1]; u = 1 maps to the last span.

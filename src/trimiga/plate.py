@@ -22,7 +22,6 @@ stress concentration factor 3 at the rim, and a closed-form reference field
 to measure the relative L2 stress error against.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -412,11 +411,8 @@ def _edge_geometry(geometry, tiling, edge, n_quad):
     normals.
     """
     axis, value = _EDGES[edge]
-    x, w = gauss_points_1d(n_quad)
-    lines = (tiling.t_lines, tiling.s_lines)[axis]
-    h = np.diff(lines)[:, None]
-    r = (lines[:-1, None] + h * x).ravel()
-    st = [r, r]
+    r, h = quadrature._gauss_nodes((tiling.t_lines, tiling.s_lines)[axis], n_quad)
+    st = [r.ravel()] * 2
     st[axis] = value
     _require_planar(geometry.surface)
     # the fixed parameter stays a float: that gives the broadcast batch's
@@ -432,7 +428,7 @@ def _edge_geometry(geometry, tiling, edge, n_quad):
     normal = normal / norm[..., None]
     inward = np.sum(normal * outward, axis=-1) < 0.0
     normal = np.where(inward[..., None], -normal, normal)
-    return s, t, xy, (w * h).ravel() * norm, normal
+    return s, t, xy, (gauss_points_1d(n_quad)[1] * h[:, None]).ravel() * norm, normal
 
 
 def _checked_traction(edge, value, xy):
@@ -818,54 +814,53 @@ def stress_error_l2(solution, reference, n_quad):
     reference(x, y) returns the stresses (sxx, syy, sxy), each broadcasting
     against x and y, on n_quad Gauss points per panel and direction.
     Frobenius norm on the symmetric tensor, so the shear component counts
-    twice. The displacement gradient comes from sum factorization on each
-    batch's tensor grid: the coefficients are contracted with the t-basis
-    once, as every batch shares its t-nodes, then with the batch's s-basis.
-    Both are fixed-order sums, so a point's value does not depend on its
-    batch. Each gradient component is then one contiguous (c, T, n, n)
-    array, in gauss_panels' order, and J^-T is applied to both at once.
-    Each of the two integrals is one exactly rounded sum over all its
-    terms (_fsum), so neither depends on the batching. So the batches hold
-    twice the stiffness's quadrature.BATCH_POINTS, read at each call: fewer
-    numpy calls per point, for a transient that stays below the solve's
-    band phase. A term that is not finite, as a NaN reference stress gives,
-    is a DomainError naming its point, the first in gauss_panels' order; so
-    is a reference that is zero on the whole region.
+    twice. The displacement gradient comes from sum factorization: the
+    coefficients are contracted with the t-basis once, at the tiling's
+    t-nodes, then with each batch's s-basis, in fixed-order sums that leave
+    the batch's (column, s-node, row, t-node) grid, on which the geometry
+    and the weights are read too. Each integral is one exactly rounded sum
+    (_fsum), so neither depends on the batching or the terms' order. So the
+    batches hold twice the stiffness's quadrature.BATCH_POINTS, read at each
+    call: fewer numpy calls per point, for a transient that stays below the
+    solve's band phase. A term that is not finite, as a NaN reference stress
+    gives, is a DomainError naming its point, the first in gauss_panels'
+    order; so is a reference that is zero on the whole region. An error the
+    geometry or the reference raises names its first point in the grid's
+    order: a SingularMapError met only on this finer rule, for one.
     """
     geometry, field = solution.geometry, solution.field
     kv_s, kv_t = field.knot_vector_s, field.knot_vector_t
     D = solution.material.plane_stress_matrix()
-    batches = gauss_panels(partition_regions(geometry, field), n_quad,
-                           2 * quadrature.BATCH_POINTS)
-    batch = next(batches)
-    # t-side, once: every batch has the same (1, T, 1, n) t-nodes, at which
-    # u and u_t are the (2, n_s, T * n) t-contracted values and t-derivatives
-    span, ders = kv_t.basis(batch[1].ravel(), 1)
+    tiling = partition_regions(geometry, field)
+    # t-side, once: u and u_t contracted at the tiling's t-nodes, (2, n_s, T * n)
+    t = quadrature._gauss_nodes(tiling.t_lines, n_quad)[0]
+    span, ders = kv_t.basis(t.ravel(), 1)
+    t = t.reshape(1, 1, -1, n_quad)
     coeffs = np.moveaxis(solution.coeffs.reshape(field.shape + (2,)), -1, 0)
     u, u_t = (_contract(coeffs, span - kv_t.degree, ders[:, k], 2) for k in (0, 1))
     num_parts, den_parts = [], []
-    for s, t, weights in itertools.chain([batch], batches):
+    for s, _, weights in gauss_panels(tiling, n_quad, 2 * quadrature.BATCH_POINTS):
+        c, T, n = weights.shape[:3]
+        s = s.reshape(c, n, 1, 1)
         cd = geometry.composite_eval(s, t, 1)
         span, ders = kv_s.basis(s.ravel(), 1)
-        du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 1)
-        du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 1)
-        # from the (2, c * n, T * n) grid to gauss_panels' (c, T, n, n) order
-        c, T, n = weights.shape[:3]
-        du_ds, du_dt = (np.ascontiguousarray(g.reshape(2, c, n, T, n).swapaxes(2, 3))
-                        for g in (du_ds, du_dt))
+        # the (2, c * n, T * n) contractions are the (2, c, n, T, n) grid
+        du_ds = _contract(u, span - kv_s.degree, ders[:, 1], 1).reshape(2, c, n, T, n)
+        du_dt = _contract(u_t, span - kv_s.degree, ders[:, 0], 1).reshape(2, c, n, T, n)
         du_dx, du_dy = _to_physical(_jacobian(geometry, cd, s, t), du_ds, du_dt)
         exx, eyy, gxy = du_dx[0], du_dy[1], du_dy[0] + du_dx[1]
         x, y, _ = _unpack(cd._x, 1)
         sxx, syy, sxy = reference(x, y)
         dxx, dyy, dxy = (d[0] * exx + d[1] * eyy + d[2] * gxy - ref
                          for d, ref in zip(D.tolist(), (sxx, syy, sxy)))
-        w = weights * cd.jacobian_scale
+        w = weights.swapaxes(1, 2) * cd.jacobian_scale
         num = w * (dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
         den = w * (sxx ** 2 + syy ** 2 + 2.0 * sxy ** 2)
         for what, terms in (("reference stress", den), ("stress error", num)):
             finite = np.isfinite(terms)
             if not finite.all():
-                x0, y0 = _first_where(~finite, x, y)
+                # gauss_panels' order: the grid with its s-node and row axes swapped
+                x0, y0 = _first_where(*(a.swapaxes(1, 2) for a in (~finite, x, y)))
                 raise DomainError(f"the {what} term is not finite at (x, y) = ({x0}, {y0})")
         num_parts.append(num)
         den_parts.append(den)

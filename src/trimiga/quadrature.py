@@ -6,21 +6,22 @@ a set of s-lines and a set of t-lines, at the geometry's break lines (the
 interior knots of the trimming curves in s) and at the field space's
 interior knot lines, so that each Gauss panel between neighbouring lines
 sees a smooth integrand. The blend is linear in t, so trimming curves never
-force t-lines.
+force t-lines. One rule, _gauss_nodes, puts the Gauss nodes between the
+lines: gauss_panels reads it, so do the plate's edge sampler and its error
+norm, which evaluates on its own (column, s-node, row, t-node) grid.
 
 Interior knots of a trimmed surface are not tracked: the blend bends their
 (u, v) knot lines into curves that no (s, t)-aligned split can follow, so a
 multi-span surface caps the attainable quadrature accuracy at its reduced
 smoothness. Single-span surfaces (the usual trimming scenario) are immune.
 
-`integrate` still evaluates the composite map one point per call, while
-the plate's integrals take a batch of panels per call. The benchmark's
-tracer test (perfbench/test_generator.py) counts one composite_eval call
-per quadrature point, so batching `integrate` waits for a revision of that
-test; ROADMAP.md, "Batch quadrature.integrate by column", has the plan.
-Meanwhile each trimming curve is evaluated once per Gauss s-node, not once
-per point: a panel's points are s-major, and NurbsCurve.evaluate returns
-its last Python-float query again. That memo goes with the per-point loop.
+`integrate` still evaluates the composite map one point per call. The
+benchmark's tracer test (perfbench/test_generator.py) counts one
+composite_eval call per point, so batching it waits for a revision of that
+test (ROADMAP.md, "Batch quadrature.integrate by column"). Meanwhile each
+trimming curve is evaluated once per s-node, not once per point: a panel's
+points are s-major, and NurbsCurve.evaluate returns its last Python-float
+query again. That memo goes with the per-point loop.
 """
 
 import functools
@@ -84,6 +85,12 @@ def partition_regions(geometry, field=None):
     return Tiling(s_breaks, t_breaks)
 
 
+def _gauss_nodes(lines, n):
+    """The (L, n) Gauss nodes between L + 1 lines, and the L spans between them."""
+    h = np.diff(lines)
+    return lines[:-1, None] + h[:, None] * gauss_points_1d(n)[0], h
+
+
 #: the most Gauss points gauss_panels puts in one batch of whole columns,
 #: unless its caller names another size. It sets no value, only time and
 #: memory. The stiffness takes this size and the norm twice it: against that
@@ -107,18 +114,16 @@ def gauss_panels(tiling, n_per_dir, batch_points=None):
     w_j * hs_k * ht_l multiplied in that order, so per-panel fsums see the
     same terms however the columns are batched.
     """
-    x, w = gauss_points_1d(n_per_dir)
+    w = gauss_points_1d(n_per_dir)[1]
     ww = np.outer(w, w)
-    s0, hs = tiling.s_lines[:-1], np.diff(tiling.s_lines)
-    t0, ht = tiling.t_lines[:-1], np.diff(tiling.t_lines)
-    t = (t0[:, None] + ht[:, None] * x)[None, :, None, :]
+    s, hs = _gauss_nodes(tiling.s_lines, n_per_dir)
+    t, ht = _gauss_nodes(tiling.t_lines, n_per_dir)
     if batch_points is None:
         batch_points = BATCH_POINTS
-    step = max(1, batch_points // (t0.size * n_per_dir * n_per_dir))
-    for k in range(0, s0.size, step):
-        c0, c1 = s0[k:k + step, None], hs[k:k + step, None]
-        s = (c0 + c1 * x)[:, None, :, None]
-        yield s, t, (ww * c1[:, :, None, None]) * ht[None, :, None, None]
+    step = max(1, batch_points // (ht.size * n_per_dir * n_per_dir))
+    for k in range(0, hs.size, step):
+        yield (s[k:k + step, None, :, None], t[None, :, None, :],
+               (ww * hs[k:k + step, None, None, None]) * ht[None, :, None, None])
 
 
 def integrate(region, f, n_per_dir, split_breakpoints=True):

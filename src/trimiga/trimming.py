@@ -295,12 +295,34 @@ def require_valid(region, source):
 
 
 def cross_norm(a, b):
-    """|a x b| of 3-vectors given by components: a float for floats (nurbs._unpack)."""
+    """|a x b| of 3-vectors given by components: a float for floats (nurbs._unpack).
+
+    Where the square overflows, as the area element of a model larger than
+    about 1e77 makes it, the norm is taken again on the components scaled
+    by 2**-600, exactly, and scaled back (_scaled_square), at either rank.
+    """
     c0 = a[1] * b[2] - a[2] * b[1]
     c1 = a[2] * b[0] - a[0] * b[2]
     c2 = a[0] * b[1] - a[1] * b[0]
-    square = c0 * c0 + c1 * c1 + c2 * c2
-    return np.sqrt(square) if _rank(square) else math.sqrt(square)
+    if not _rank(c0):
+        square = c0 * c0 + c1 * c1 + c2 * c2
+        if square != math.inf:
+            return math.sqrt(square)
+        return math.sqrt(_scaled_square(c0, c1, c2)) * 2.0 ** 600
+    with np.errstate(over="ignore"):
+        square = c0 * c0 + c1 * c1 + c2 * c2
+    norm = np.sqrt(square)
+    over = square == np.inf
+    if over.any():
+        norm[over] = np.sqrt(_scaled_square(c0, c1, c2)[over]) * 2.0 ** 600
+    return norm
+
+
+def _scaled_square(c0, c1, c2):
+    """2**-1200 (c0² + c1² + c2²), from the components times 2**-600: no
+    square of a finite component then overflows, and a NaN stays NaN."""
+    c0, c1, c2 = c0 * 2.0 ** -600, c1 * 2.0 ** -600, c2 * 2.0 ** -600
+    return c0 * c0 + c1 * c1 + c2 * c2
 
 
 def check_regular(measure, tol, s, t):

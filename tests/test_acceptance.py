@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from trimiga import iges
 from trimiga.cli import main as cli_main
@@ -17,8 +18,11 @@ from trimiga.plate import (
     FieldSpace,
     Free,
     Material,
+    PlateConfig,
     Symmetry,
     Traction,
+    convergence_rates,
+    solve_plate,
     solve_problem,
 )
 from trimiga.quadrature import integrate
@@ -267,3 +271,22 @@ def test_criterion_8_fold_over_rejection():
         assert not report.ok
         assert report.min_det < 0.0 < report.max_det
         assert "sign change" in report.summary()
+
+
+#: per field degree, the least stage-2 -> 3 rate of the exact-arc plate under
+#: reference tractions, and the rate it measures (bitwise reproducible): each
+#: bound lies 0.1 or more below its measurement
+RATE_BOUNDS = {1: (0.8, 0.929), 2: (1.8, 1.916), 3: (2.7, 2.807), 4: (3.4, 3.533)}
+
+
+@pytest.mark.parametrize("degree", sorted(RATE_BOUNDS))
+def test_criterion_9_convergence_per_degree(degree):
+    bound, measured = RATE_BOUNDS[degree]
+    with criterion(9, f"degree {degree}: stress error decreases, stage 2 -> 3 rate "
+                      f">= {bound} (measured {measured})"):
+        results = [solve_plate(PlateConfig(stage=k, degree=degree, bc_mode="exact",
+                                           arc_weight=EXACT_ARC_WEIGHT))
+                   for k in range(4)]
+        errors = [r.l2_stress_error for r in results]
+        assert errors[0] > errors[1] > errors[2] > errors[3]
+        assert convergence_rates(results)[-1] >= bound

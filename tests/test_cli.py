@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ from trimiga.cli import main
 from trimiga.errors import DomainError
 from trimiga.nurbs import KnotVector, NurbsSurface
 from trimiga.plate import PlateConfig, solve_plate
-from trimiga.shapes import EXACT_ARC_WEIGHT, plate_with_hole_region, unit_square_surface
+from trimiga.shapes import (EXACT_ARC_WEIGHT, hole_arc_curve, outer_polyline_curve,
+                            plate_with_hole_region, unit_square_surface)
 from trimiga.trimming import TrimmedRegion
 
 from conftest import identity_region, segment
@@ -563,11 +565,29 @@ def test_map_requires_geometry(capsys):
     assert "geometry" in err
 
 
-def test_bad_at_argument(capsys, plate_file):
-    for at, message in (("0.5", "--at expects 's,t', got '0.5'"),
-                        ("0.5,x", "--at expects two numbers, got '0.5,x'")):
-        code, _, err = run(capsys, "map", "--region", plate_file, "--at", at)
-        assert (code, err) == (1, f"error: {message}\n")
+@pytest.mark.parametrize("command", ["map", "jacobian"])
+def test_bad_at_argument_is_a_usage_error(capsys, command):
+    # the parser rejects it, before the (missing) geometry file is read
+    for at, message in (("0.5", "expected 's,t', got '0.5'"),
+                        ("0.5,0.5,0.5", "expected 's,t', got '0.5,0.5,0.5'"),
+                        ("0.5,x", "expected two numbers, got '0.5,x'")):
+        code, out, err = run(capsys, command, "--region", "/nonexistent.trim", "--at", at)
+        assert (code, out) == (2, "")
+        assert f"argument --at: {message}" in err
+
+
+def test_area_of_a_large_valid_surface(capsys, tmp_path):
+    # the squared area element overflows from a model size of about 1.3e77
+    areas = []
+    for scale in (1.0, 1e77):
+        path = tmp_path / f"plate-{scale}.trim"
+        native.save_region(TrimmedRegion(unit_square_surface(scale), hole_arc_curve(),
+                                         outer_polyline_curve()), path)
+        code, out, err = run(capsys, "area", "--region", str(path), "--order", "4")
+        assert (code, err) == (0, "")
+        areas.append(float(out.splitlines()[1].split(",")[2]))
+    assert math.isfinite(areas[1])
+    assert abs(areas[1] - 1e154 * areas[0]) <= 1e-11 * areas[1]
 
 
 def test_domain_error_exits_1(capsys, plate_file):

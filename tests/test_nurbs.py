@@ -74,6 +74,16 @@ class TestKnotVector:
         assert span == 3
         assert kv.find_span(1.0) == kv.num_basis - 1
 
+    def test_interior_returns_the_constructor_grouping_as_new_lists(self, monkeypatch):
+        kv = KnotVector([0, 0, 0, 0.25, 0.5, 0.5, 1, 1, 1], 2)
+        # grouped once, by the constructor's multiplicity check
+        monkeypatch.setattr("trimiga.nurbs.merge_close", None)
+        values, mults = kv.interior()
+        assert (values, mults) == ([0.25, 0.5], [1, 2])
+        values.append(0.75)
+        mults[0] = 3
+        assert kv.interior() == ([0.25, 0.5], [1, 2])
+
     def test_domain_error_outside_unit_interval(self):
         kv = KnotVector([0, 0, 1, 1], 1)
         with pytest.raises(DomainError):

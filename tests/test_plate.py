@@ -707,6 +707,37 @@ class TestStressErrorNorm:
                 f"the stress error term is not finite at (x, y) = ({x0}, {y0})")):
             stress_error_l2(broken, kirsch_stresses(config), 4)
 
+    def test_a_term_is_named_in_panel_order_across_batches_of_several_columns(
+            self, monkeypatch):
+        # the norm evaluates on a (column, s-node, row, t-node) grid, whose
+        # first NaN here is another point than gauss_panels' first: it lies
+        # in column 5 of 8, the last of the second of three batches
+        config = PlateConfig(stage=0, bc_mode="exact")
+        solution = solve_plate(config).solution
+        tiling = partition_regions(solution.geometry, solution.field)
+        rows = tiling.t_lines.size - 1
+        # the norm's batches hold twice BATCH_POINTS: three columns of 4 x 4 points
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 3 * rows * 16 // 2)
+        assert len(list(quadrature.gauss_panels(tiling, 4, 2 * quadrature.BATCH_POINTS))) == 3
+        exact = kirsch_stresses(config)
+
+        def reference(x, y):
+            sxx, syy, sxy = exact(x, y)
+            return np.where(x - y > 1.5, np.nan, sxx), syy, sxy
+
+        def hit(x):
+            return x[..., 0] - x[..., 1] > 1.5
+
+        x0, y0 = self.first_point(solution, hit)
+        # the points in the grid's order: one column per batch, axes swapped
+        grid = np.concatenate([solution.geometry.composite_eval(s, t, 1).x.swapaxes(1, 2)
+                               .reshape(-1, 3) for s, t, _ in
+                               quadrature.gauss_panels(tiling, 4, rows * 16)])
+        assert grid[hit(grid)][0, :2].tolist() != [x0, y0]
+        with pytest.raises(DomainError, match=re.escape(
+                f"the reference stress term is not finite at (x, y) = ({x0}, {y0})")):
+            stress_error_l2(solution, reference, 4)
+
 
 def exact_sum(values):
     """math.fsum, or the exact sum rounded once where a partial sum of fsum

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from trimiga.errors import DomainError, SingularMapError
 from trimiga.nurbs import KnotVector, NurbsCurve, NurbsSurface, merge_close
 from trimiga.plate import FieldSpace
 from trimiga.quadrature import gauss_panels, gauss_points_1d, integrate, partition_regions
-from trimiga.shapes import unit_square_surface
+from trimiga.shapes import hole_arc_curve, outer_polyline_curve, unit_square_surface
 from trimiga.trimming import TrimmedRegion
 
 from conftest import DirectGeometry, identity_region, refined_h, segment
@@ -375,6 +376,26 @@ class TestIntegrate:
         )
         area = integrate(region, lambda cd: 1.0, 4)
         assert abs(area - 9.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e77, 1e100, 1e150])
+    def test_area_of_a_model_whose_squared_area_element_overflows(self, scale):
+        # |x_s x x_t|^2 grows as scale^4, past the largest double from a
+        # scale of about 1.3e77; the area, scale^2 times the unit one, does not
+        def plate(size):
+            return TrimmedRegion(unit_square_surface(size), hole_arc_curve(),
+                                 outer_polyline_curve())
+
+        unit = integrate(plate(1.0), lambda cd: 1.0, 16)
+        region = plate(scale)
+        s = np.linspace(0.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area = integrate(region, lambda cd: 1.0, 16)
+            batch = region.composite_eval(s[:, None], s, 1).jacobian_scale
+            single = [[region.composite_eval(a, b, 1).jacobian_scale for b in s.tolist()]
+                      for a in s.tolist()]
+        assert abs(area - scale * scale * unit) <= 1e-12 * (scale * scale * unit)
+        assert np.isfinite(batch).all() and np.array_equal(batch, single)
 
     def test_curved_surface_area_against_riemann_oracle(self, rng):
         # 3D patch area through the jacobian scale vs a brute-force midpoint
